@@ -2,9 +2,11 @@
 
 Subcommands: encode, solve, verify, gac-check, stats, gen-bench.
 Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;
-2 I/O or parse error; 3 verification failure.  Set PBCNF_SOLVER to hand
-solving to an external binary (invoked with a DIMACS path; must print
-SAT/UNSAT and a model line of signed integers).
+2 I/O or parse error, or an external solver that cannot be run or answers
+in an unrecognized form; 3 verification failure.  Set PBCNF_SOLVER to hand
+solving to an external binary (a command line split with shell-style quoting,
+invoked with a DIMACS path appended; must print SAT/UNSAT and a model line of
+signed integers).
 """
 
 from __future__ import annotations
@@ -95,7 +97,12 @@ def _cmd_solve(args) -> int:
     compiled = compile_instance(instance, args.encoding)
     external = os.environ.get(SOLVER_ENV)
     if external:
-        result = solve_external(compiled.formula, external, timeout=args.time_limit)
+        try:
+            result = solve_external(compiled.formula, external, timeout=args.time_limit)
+        except OSError as e:
+            raise _IoFailure(f"cannot run {SOLVER_ENV} command {external!r}: {e.strerror or e}") from e
+        except (RuntimeError, ValueError) as e:
+            raise _IoFailure(f"{SOLVER_ENV} command {external!r}: {e}") from e
     else:
         result = Solver(compiled.formula).solve(max_conflicts=args.max_conflicts)
     if result.status == SAT:

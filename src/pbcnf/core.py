@@ -121,14 +121,19 @@ class CnfFormula:
 
     def add_clause(self, lits: Iterable[int]) -> None:
         cl = list(lits)
-        for l in cl:
-            if l >> 1 > self.num_vars:
-                self.num_vars = l >> 1
+        if cl:
+            top = max(cl) >> 1
+            if top > self.num_vars:
+                self.num_vars = top
         self.clauses.append(cl)
 
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
+
+    def max_var(self) -> int:
+        """`num_vars`, or the largest variable in a clause if that is higher."""
+        return max(self.num_vars, max(map(max, filter(None, self.clauses)), default=0) >> 1)
 
     def has_empty_clause(self) -> bool:
         return any(not cl for cl in self.clauses)

@@ -17,13 +17,12 @@ class DimacsError(Exception):
 
 
 def dimacs_str(formula: CnfFormula) -> str:
-    out = [f"p cnf {formula.num_vars} {len(formula.clauses)}\n"]
-    for cl in formula.clauses:
-        if cl:
-            out.append(" ".join(str(to_signed(l)) for l in cl) + " 0\n")
-        else:
-            out.append("0\n")
-    return "".join(out)
+    clauses = formula.clauses
+    # one "signed-literal " string per literal code, covering literals above
+    # num_vars too, so each clause is a join of table lookups
+    text = [f"{to_signed(l)} " for l in range(2 * formula.max_var() + 2)].__getitem__
+    body = "".join(["".join(map(text, cl)) + "0\n" for cl in clauses])
+    return f"p cnf {formula.num_vars} {len(clauses)}\n" + body
 
 
 def write_dimacs(formula: CnfFormula, sink) -> None:

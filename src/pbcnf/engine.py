@@ -46,11 +46,7 @@ class SolveResult:
 
 class Solver:
     def __init__(self, formula):
-        nv = formula.num_vars
-        for cl in formula.clauses:
-            for l in cl:
-                if l >> 1 > nv:
-                    nv = l >> 1
+        nv = formula.max_var()
         self.nvars = nv
         self.val = bytearray([UNDEF]) * (2 * nv + 2)
         self.level = [0] * (nv + 1)
@@ -64,13 +60,32 @@ class Solver:
         self.var_inc = 1.0
         self.clauses: list[list[int] | None] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
-        self.prio: list[tuple[float, int]] = []  # (-activity, var), lazy deletion
+        self.prio = [(0.0, v) for v in range(1, nv + 1)]  # (-activity, var) heap, lazy deletion
         self.num_original = len(formula.clauses)
         self.root_done = False
         self.root_conflict: int | None = None
         self._root_units: list[tuple[int, int]] = []
 
+        clauses = self.clauses
+        watches = self.watches
         for idx, cl in enumerate(formula.clauses):
+            # fast path: two or three literals over distinct variables need no
+            # dedupe (a ^ b > 1 exactly when a and b differ in variable)
+            n = len(cl)
+            if n == 2:
+                a, b = cl
+                if a ^ b > 1:
+                    clauses.append([a, b])
+                    watches[a].append(idx)
+                    watches[b].append(idx)
+                    continue
+            elif n == 3:
+                a, b, c = cl
+                if a ^ b > 1 and a ^ c > 1 and b ^ c > 1:
+                    clauses.append([a, b, c])
+                    watches[a].append(idx)
+                    watches[b].append(idx)
+                    continue
             lits: list[int] = []
             skip = False
             for l in cl:
@@ -80,18 +95,16 @@ class Solver:
                 if l not in lits:
                     lits.append(l)
             if skip:
-                self.clauses.append(None)
+                clauses.append(None)
                 continue
-            self.clauses.append(lits)
+            clauses.append(lits)
             if len(lits) >= 2:
-                self.watches[lits[0]].append(idx)
-                self.watches[lits[1]].append(idx)
+                watches[lits[0]].append(idx)
+                watches[lits[1]].append(idx)
             elif len(lits) == 1:
                 self._root_units.append((lits[0], idx))
             else:
                 self.root_conflict = idx
-        for v in range(1, nv + 1):
-            heappush(self.prio, (0.0, v))
 
     # -- assignment bookkeeping ------------------------------------------
 
@@ -377,11 +390,17 @@ def solve(formula, assumptions=(), max_conflicts: int | None = None) -> SolveRes
 
 
 def solve_external(formula, command: str, timeout: float | None = None) -> SolveResult:
-    """Run an external solver on the formula.  The command is invoked with a
-    DIMACS file path appended; its stdout must start with SAT or UNSAT, with a
-    following line of signed integers for the model in the SAT case."""
+    """Run an external solver on the formula.  The command is split with
+    shell-style quoting (`shlex.split`) and invoked with a DIMACS file path
+    appended; its stdout must start with SAT or UNSAT, with a following line
+    of signed integers for the model in the SAT case.  A solver that cannot be
+    started raises OSError; a malformed command raises ValueError; output that
+    is empty or not in that form raises RuntimeError."""
+    import shlex
+
     from .dimacs import dimacs_str
 
+    argv = shlex.split(command)
     path = None
     try:
         with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:
@@ -389,7 +408,7 @@ def solve_external(formula, command: str, timeout: float | None = None) -> Solve
             f.write(dimacs_str(formula))
         try:
             proc = subprocess.run(
-                [*command.split(), path], capture_output=True, text=True, timeout=timeout
+                [*argv, path], capture_output=True, text=True, timeout=timeout
             )
         except subprocess.TimeoutExpired:
             return SolveResult(TIMEOUT)
@@ -399,7 +418,10 @@ def solve_external(formula, command: str, timeout: float | None = None) -> Solve
         if tokens[0] == UNSAT:
             return SolveResult(UNSAT)
         if tokens[0] == SAT:
-            model = [int(t) for t in tokens[1:] if t != "0"]
+            try:
+                model = [int(t) for t in tokens[1:] if t != "0"]
+            except ValueError:
+                raise RuntimeError(f"unrecognized external solver model: {proc.stdout[:80]!r}") from None
             got = {abs(n) for n in model}
             model.extend(-v for v in range(1, formula.num_vars + 1) if v not in got)
             model.sort(key=abs)

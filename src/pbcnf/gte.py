@@ -17,6 +17,7 @@ converse is intentionally left open.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .core import CnfFormula, EncodingResult, EncodingStats, PBConstraint, VarPool, negate
@@ -48,9 +49,12 @@ def merge_sums(a: list[int], b: list[int], cap: int) -> list[int]:
     every pairwise combination, all clamped at cap."""
     out = set(a)
     out.update(b)
+    top = max(b, default=None)
     for x in a:
-        for y in b:
-            out.add(min(x + y, cap))
+        lim = cap - x
+        out.update([x + y for y in b if y < lim])
+        if top is not None and top >= lim:
+            out.add(cap)
     return sorted(out)
 
 
@@ -98,23 +102,29 @@ def build_tree(c: PBConstraint) -> GteTree:
     return GteTree(root=build(0, len(leaves)), bound=c.bound, leaves=leaves)
 
 
-def _emit(node: GteNode, cap: int, pool: VarPool, out: CnfFormula) -> None:
+def _emit(node: GteNode, cap: int, pool: VarPool, clauses: list[list[int]]) -> None:
     """Post-order: allocate this node's sum variables, then emit combination
-    clauses before boundary clauses, sums ascending."""
+    clauses before boundary clauses, sums ascending.  Clauses go straight onto
+    `clauses`; the caller accounts for their variables in `num_vars`."""
     if node.is_leaf:
         return
     left, right = node.children
-    _emit(left, cap, pool, out)
-    _emit(right, cap, pool, out)
+    _emit(left, cap, pool, clauses)
+    _emit(right, cap, pool, clauses)
+    var_of = node.var_of
     for s in node.sums:
-        node.var_of[s] = pool.fresh_lit()
+        var_of[s] = pool.fresh_lit()
+    over = var_of.get(cap)
+    rsums = right.sums
+    rneg = [right.var_of[w2] ^ 1 for w2 in rsums]
     for w1 in left.sums:
-        q = left.var_of[w1]
-        for w2 in right.sums:
-            out.add_clause([negate(q), negate(right.var_of[w2]), node.var_of[min(w1 + w2, cap)]])
+        nq = left.var_of[w1] ^ 1
+        # sums are sorted, so every pair from `split` on clamps to cap
+        split = bisect_left(rsums, cap - w1)
+        clauses.extend([[nq, nr, var_of[w1 + w2]] for w2, nr in zip(rsums[:split], rneg)])
+        clauses.extend([[nq, nr, over] for nr in rneg[split:]])
     for child in (left, right):
-        for s in child.sums:
-            out.add_clause([negate(child.var_of[s]), node.var_of[s]])
+        clauses.extend([[child.var_of[s] ^ 1, var_of[s]] for s in child.sums])
 
 
 def encode_gte(c: PBConstraint, pool: VarPool, out: CnfFormula) -> EncodingResult:
@@ -128,7 +138,9 @@ def encode_gte(c: PBConstraint, pool: VarPool, out: CnfFormula) -> EncodingResul
     tree = build_tree(c)
     if tree.root.node_sum > c.bound:
         cap = c.bound + 1
-        _emit(tree.root, cap, pool, out)
+        _emit(tree.root, cap, pool, out.clauses)
+        # every input literal lands in a boundary clause (or the root unit)
+        out.num_vars = max(out.num_vars, max(l for _, l in c.terms) >> 1)
         out.add_clause([negate(tree.root.var_of[cap])])
     if pool.next_free - 1 > out.num_vars:
         out.num_vars = pool.next_free - 1

@@ -64,6 +64,20 @@ def compile_constraint(c: PBConstraint, encoding: str, pool: VarPool, out: CnfFo
 def compile_constraints(
     constraints: list[PBConstraint], num_input_vars: int, encoding: str
 ) -> CompiledInstance:
+    """Encode every constraint into one formula.
+
+    Input variables are 1..`num_input_vars`; auxiliary variables are numbered
+    from `num_input_vars + 1` on, so every variable the constraints mention
+    must lie in 1..`num_input_vars`.  A larger one would alias an auxiliary
+    variable and silently change the meaning of the CNF (and x0 has no DIMACS
+    name), so either raises ValueError instead.
+    """
+    for c in constraints:
+        for _, l in c.terms:
+            if not 1 <= l >> 1 <= num_input_vars:
+                raise ValueError(
+                    f"constraint {c} uses x{l >> 1}, outside 1..num_input_vars={num_input_vars}"
+                )
     out = CnfFormula(num_vars=num_input_vars)
     pool = VarPool(num_input_vars + 1)
     compiled = CompiledInstance(formula=out, input_vars=num_input_vars)

@@ -172,6 +172,50 @@ def test_solve_external_via_env(reference_file, tmp_path, capsys, monkeypatch):
     assert out.splitlines()[1] == "-1 -2 -3 -4"
 
 
+def test_solve_external_path_with_space(reference_file, tmp_path, capsys, monkeypatch):
+    folder = tmp_path / "dir with space"
+    folder.mkdir()
+    stub = folder / "ext.sh"
+    stub.write_text("#!/bin/sh\necho UNSAT\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("PBCNF_SOLVER", f'"{stub}" --quiet')
+    rc = main(["solve", reference_file])
+    out, _ = capsys.readouterr()
+    assert rc == 20
+    assert out.strip() == "UNSAT"
+
+
+@pytest.mark.parametrize(
+    "script,fragment",
+    [
+        (None, "cannot run"),
+        ("echo MAYBE\n", "unrecognized"),
+        ("true\n", "no output"),
+        ("echo SAT\necho 'one two 0'\n", "unrecognized"),
+    ],
+    ids=["missing", "garbage", "empty", "bad-model"],
+)
+def test_solve_external_failure_is_io_error(reference_file, tmp_path, capsys, monkeypatch, script, fragment):
+    stub = tmp_path / "ext.sh"
+    if script is not None:
+        stub.write_text("#!/bin/sh\n" + script)
+        stub.chmod(0o755)
+    monkeypatch.setenv("PBCNF_SOLVER", str(stub))
+    rc = main(["solve", reference_file])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_solve_external_unbalanced_quote_is_io_error(reference_file, capsys, monkeypatch):
+    monkeypatch.setenv("PBCNF_SOLVER", '"/no/closing/quote')
+    rc = main(["solve", reference_file])
+    _, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith("error: ")
+
+
 # --- verify / gac-check ---
 
 

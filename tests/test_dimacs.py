@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pbcnf import CnfFormula, DimacsError, dimacs_str, lit, parse_dimacs, write_dimacs
+from pbcnf.bench import gen_bench, pb12like, pedigreelike
+from pbcnf.pipeline import compile_instance
 
 
 def formula(num_vars, signed_clauses):
@@ -91,3 +94,31 @@ def test_roundtrip_random(clauses):
     g = parse_dimacs(dimacs_str(f))
     assert g.clauses == f.clauses
     assert dimacs_str(g) == dimacs_str(f)
+
+
+# sha256 of the DIMACS text, recorded from the original per-literal encoders
+# and writer; a faster path must reproduce the bytes exactly
+GOLDEN = [
+    pytest.param(
+        pedigreelike(n=30, seed=3), "gte",
+        "1c9318f2dfef0988320aad8a5cc332415bc62f954092c21629876e674330042c", id="pedigree30-gte",
+    ),
+    pytest.param(
+        pb12like(constraints=6, n=24, seed=100), "gte",
+        "f0b92ccc01d31e1979dd102a52ec6ec04b91bb64682c01ae3605c3838669208c", id="pb12-gte",
+    ),
+    pytest.param(
+        pb12like(constraints=6, n=24, seed=100), "swc",
+        "e6cfbf4a05ed67f6bef242f3628edad802937930bb6060a87e22618e61bab5a3", id="pb12-swc",
+    ),
+    pytest.param(
+        pb12like(constraints=6, n=24, seed=100), "adder",
+        "4c8fbaa2ec650348a06500f1d7dade15f304bf9da683d3fe813d780614c2329e", id="pb12-adder",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec,encoding,digest", GOLDEN)
+def test_golden_dimacs_hash(spec, encoding, digest):
+    text = dimacs_str(compile_instance(gen_bench(spec), encoding).formula)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

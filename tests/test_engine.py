@@ -294,6 +294,9 @@ def test_external_solver_garbage_raises(tmp_path):
     cmd = make_stub(tmp_path, "fake_mute.sh", "true\n")
     with pytest.raises(RuntimeError, match="no output"):
         solve_external(formula(1, [[1]]), cmd)
+    cmd = make_stub(tmp_path, "fake_model.sh", "echo SAT\necho 'x1 0'\n")
+    with pytest.raises(RuntimeError, match="unrecognized"):
+        solve_external(formula(1, [[1]]), cmd)
 
 
 def test_luby_sequence_prefix():

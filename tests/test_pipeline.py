@@ -38,6 +38,19 @@ def test_unknown_encoding_rejected():
         compile_constraints([c], 1, "nosuch")
 
 
+def test_input_variable_outside_num_input_vars_rejected():
+    # x5 with num_input_vars=4 would be handed out again as the first aux
+    # variable, silently changing what the CNF means
+    c = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 5)], LE, 5)
+    with pytest.raises(ValueError, match="x5"):
+        compile_constraints([c], 4, "gte")
+    assert compile_constraints([c], 5, "gte").aux_vars == 9
+    # literal code 1 is ~x0, which DIMACS would write as a clause terminator
+    zero = PBConstraint(((1, 1), (1, 4), (1, 6)), LE, 1)
+    with pytest.raises(ValueError, match="x0"):
+        compile_constraints([zero], 3, "gte")
+
+
 def test_forced_units_become_unit_clauses():
     # weight 9 exceeds the bound: x1 can never be on
     c = PBConstraint.from_signed([(9, 1), (2, 2), (2, 3)], LE, 3)
