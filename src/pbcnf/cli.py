@@ -72,6 +72,16 @@ def _encoders_arg(text: str) -> list[str]:
     return names
 
 
+def _conflict_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, not {cap}")
+    return cap
+
+
 def _cmd_encode(args) -> int:
     instance = _read_instance(args.input)
     compiled = compile_instance(instance, args.encoding)
@@ -223,7 +233,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="compile and decide an OPB instance")
     sp.add_argument("input")
     add_encoding(sp)
-    sp.add_argument("--max-conflicts", type=int, default=None)
+    sp.add_argument("--max-conflicts", type=_conflict_cap, default=None)
     sp.add_argument("--time-limit", type=float, default=None, help="external solver only")
     sp.set_defaults(func=_cmd_solve)
 
@@ -257,7 +267,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--constraints", type=int, default=6)
     sp.add_argument("--max-weight", type=int, default=12)
     sp.add_argument("--distinct-weights", type=int, default=6)
-    sp.add_argument("--max-conflicts", type=int, default=None)
+    sp.add_argument("--max-conflicts", type=_conflict_cap, default=None)
     sp.set_defaults(func=_cmd_stats)
 
     sp = sub.add_parser("gen-bench", help="emit a seeded benchmark instance as OPB")

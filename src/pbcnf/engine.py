@@ -7,6 +7,16 @@ identical trails and models.
 Assumptions are handled minisat-style: assumption i is the decision of level
 i+1, so learned clauses stay valid across calls and a solver instance can be
 reused for many assumption sets over the same formula.
+
+Branching uses a lazy-deletion heap `prio` of (-activity, var) entries with
+one live entry per variable: `heap_act[v]` is the key of v's live entry, or
+-1.0 when it has none.  Every unassigned variable has a live entry keyed by
+its current activity (activity only changes while a variable is assigned, or
+in a rescale, which rebuilds the heap), so backtracking pushes only variables
+whose activity moved and the first live, unassigned entry popped is the
+highest-activity unassigned variable, ties going to the lowest index.  Once
+the trail holds every variable, `solve` takes the model without draining the
+heap.
 """
 
 from __future__ import annotations
@@ -61,6 +71,7 @@ class Solver:
         self.clauses: list[list[int] | None] = []
         self.watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
         self.prio = [(0.0, v) for v in range(1, nv + 1)]  # (-activity, var) heap, lazy deletion
+        self.heap_act = [0.0] * (nv + 1)  # key of v's live prio entry; -1.0 when none
         self.num_original = len(formula.clauses)
         self.root_done = False
         self.root_conflict: int | None = None
@@ -124,19 +135,29 @@ class Solver:
         self.trail.append(l)
 
     def _backtrack(self, lvl: int) -> None:
-        if len(self.trail_lim) <= lvl:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= lvl:
             return
-        lim = self.trail_lim[lvl]
-        for l in reversed(self.trail[lim:]):
+        lim = trail_lim[lvl]
+        trail = self.trail
+        val = self.val
+        saved_phase = self.saved_phase
+        activity = self.activity
+        heap_act = self.heap_act
+        prio = self.prio
+        # reason[v] keeps its stale value: it is read only for assigned variables
+        for l in reversed(trail[lim:]):
             v = l >> 1
-            self.saved_phase[v] = 1 - (l & 1)
-            self.val[l] = UNDEF
-            self.val[l ^ 1] = UNDEF
-            self.reason[v] = -1
-            heappush(self.prio, (-self.activity[v], v))
-        del self.trail[lim:]
-        del self.trail_lim[lvl:]
-        self.qhead = len(self.trail)
+            saved_phase[v] = 1 - (l & 1)
+            val[l] = UNDEF
+            val[l ^ 1] = UNDEF
+            act = activity[v]
+            if heap_act[v] != act:
+                heap_act[v] = act
+                heappush(prio, (-act, v))
+        del trail[lim:]
+        del trail_lim[lvl:]
+        self.qhead = lim
 
     def _init_root(self) -> bool:
         """Assert the formula's unit clauses and propagate once; False if the
@@ -164,10 +185,14 @@ class Solver:
         val = self.val
         clauses = self.clauses
         watches = self.watches
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = p ^ 1
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            falsified = trail[qhead] ^ 1
+            qhead += 1
             ws = watches[falsified]
             i = j = 0
             n = len(ws)
@@ -183,40 +208,50 @@ class Solver:
                     ws[j] = ci
                     j += 1
                     continue
-                moved = False
                 for t in range(2, len(cl)):
                     if val[cl[t]] != FALSE:
                         cl[1] = cl[t]
                         cl[t] = falsified
                         watches[cl[1]].append(ci)
-                        moved = True
                         break
-                if moved:
-                    continue
-                ws[j] = ci
-                j += 1
-                if val[first] == FALSE:
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self.qhead = len(self.trail)
-                    return ci
-                self._assign(first, ci)
+                else:
+                    ws[j] = ci
+                    j += 1
+                    if val[first] == FALSE:
+                        del ws[j:i]
+                        self.qhead = len(trail)
+                        return ci
+                    # the bookkeeping of _assign(first, ci), inlined
+                    val[first] = TRUE
+                    val[first ^ 1] = FALSE
+                    v = first >> 1
+                    level[v] = lvl
+                    reason[v] = ci
+                    trail.append(first)
             del ws[j:]
+        self.qhead = qhead
         return None
 
     # -- conflict analysis -------------------------------------------------
 
     def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
+        activity = self.activity
+        activity[v] += self.var_inc
+        if activity[v] > 1e100:
+            val = self.val
+            heap_act = self.heap_act
+            prio = []
             for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
+                act = activity[u] * 1e-100
+                activity[u] = act
+                if val[2 * u] == UNDEF:
+                    heap_act[u] = act
+                    prio.append((-act, u))
+                else:
+                    heap_act[u] = -1.0
             self.var_inc *= 1e-100
-            self.prio = [(-self.activity[v2], v2) for v2 in range(1, self.nvars + 1) if self.val[2 * v2] == UNDEF]
-            self.prio.sort()
+            prio.sort()
+            self.prio = prio
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         """First unique implication point; returns (learned clause, backjump level)."""
@@ -268,26 +303,38 @@ class Solver:
             self.watches[learned[1]].append(idx)
         self._assign(learned[0], idx)
 
-    def _pick_branch(self) -> int | None:
+    def _pick_branch(self) -> int:
+        """The unassigned variable of highest activity; `solve` calls this
+        only while one exists, so the heap holds its live entry."""
         prio = self.prio
         val = self.val
-        activity = self.activity
-        while prio:
+        heap_act = self.heap_act
+        while True:
             negact, v = heappop(prio)
-            if val[2 * v] == UNDEF and -negact == activity[v]:
-                return v
-        return None
+            if heap_act[v] == -negact:  # v's live entry; any other is stale
+                heap_act[v] = -1.0
+                if val[2 * v] == UNDEF:
+                    return v
+
+    def _check_literals(self, lits) -> None:
+        top = 2 * self.nvars + 1
+        for a in lits:
+            if not (2 <= a <= top):
+                raise ValueError(f"literal {a} is outside the formula's variables")
 
     # -- search -------------------------------------------------------------
 
     def solve(self, assumptions=(), max_conflicts: int | None = None) -> SolveResult:
+        """Decide the formula under the assumptions; TIMEOUT once the search
+        meets conflict max_conflicts+1.  An assumption outside the formula's
+        variables or a negative max_conflicts raises ValueError."""
+        if max_conflicts is not None and max_conflicts < 0:
+            raise ValueError(f"max_conflicts must be at least 0, not {max_conflicts}")
+        asn = list(assumptions)
+        self._check_literals(asn)
         if not self._init_root():
             return SolveResult(UNSAT)
         self._backtrack(0)
-        asn = list(assumptions)
-        for a in asn:
-            if not (2 <= a <= 2 * self.nvars + 1):
-                raise ValueError(f"assumption {a} is outside the formula's variables")
         conflicts = 0
         restart_idx = 0
         restart_budget = _luby(restart_idx) * 64
@@ -325,11 +372,12 @@ class Solver:
                 self.trail_lim.append(len(self.trail))
                 self._assign(a, -1)
                 continue
-            v = self._pick_branch()
-            if v is None:
-                model = [v2 if self.val[2 * v2] == TRUE else -v2 for v2 in range(1, self.nvars + 1)]
+            if len(self.trail) == self.nvars:  # every variable assigned: a model
+                val = self.val
+                model = [v if val[2 * v] == TRUE else -v for v in range(1, self.nvars + 1)]
                 self._backtrack(0)
                 return SolveResult(SAT, model)
+            v = self._pick_branch()
             self.trail_lim.append(len(self.trail))
             self._assign(2 * v + (0 if self.saved_phase[v] else 1), -1)
 
@@ -341,8 +389,11 @@ class Solver:
         Returns (conflict clause index or None, trail position before the new
         level).  Call `retract()` afterwards to pop the level.  A clash between
         asserted literals reports the reason clause of the opposing assignment,
-        or -1 if it was itself asserted.
+        or -1 if it was itself asserted.  A literal code outside
+        2..2*nvars+1 raises ValueError before anything is asserted.
         """
+        asserted = tuple(asserted)
+        self._check_literals(asserted)
         if not self._init_root():
             return (self.root_conflict, len(self.trail))
         self._backtrack(0)

@@ -152,6 +152,24 @@ def test_solve_conflict_budget_timeout(tmp_path, capsys):
     assert out.strip() == "TIMEOUT"
 
 
+@pytest.mark.parametrize("command", ["solve", "stats"])
+@pytest.mark.parametrize("cap", ["-3", "many"])
+def test_bad_conflict_cap_is_usage_error(reference_file, command, cap, capsys):
+    rc = main([command, reference_file, "--max-conflicts", cap])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert "error: argument --max-conflicts:" in err
+    assert "Traceback" not in err
+
+
+def test_zero_conflict_cap_is_accepted(tmp_path, capsys):
+    path = tmp_path / "php.opb"
+    path.write_text(pigeonhole_opb(3))
+    assert main(["solve", str(path), "--max-conflicts", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "TIMEOUT"
+
+
 def test_solve_each_encoding_agrees(tmp_path, capsys):
     path = tmp_path / "php.opb"
     path.write_text(pigeonhole_opb(3))

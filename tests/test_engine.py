@@ -163,6 +163,19 @@ def test_assumption_out_of_range_rejected():
         solve(formula(1, [[1]]), assumptions=[lit(7)])
 
 
+@pytest.mark.parametrize("code", [0, 1, 2 * 2 + 2])
+def test_assume_propagate_rejects_out_of_range_literal(code):
+    f = formula(2, [[1, 2]])
+    s = Solver(f)
+    with pytest.raises(ValueError, match="outside"):
+        s.assume_propagate([lit(1), code])
+    assert s.trail == [] and s.decision_level == 0  # nothing was asserted
+    with pytest.raises(ValueError, match="outside"):
+        propagate(f, [code])
+    with pytest.raises(ValueError, match="outside"):
+        s.solve([code])
+
+
 def pigeonhole(holes):
     pigeons = holes + 1
     var = lambda p, h: (p - 1) * holes + h
@@ -185,6 +198,14 @@ def test_conflict_budget_gives_timeout():
     r = solve(pigeonhole(5), max_conflicts=1)
     assert r.status == TIMEOUT
     assert r.model is None
+
+
+def test_negative_conflict_cap_rejected():
+    s = Solver(pigeonhole(3))
+    with pytest.raises(ValueError, match="max_conflicts"):
+        s.solve(max_conflicts=-3)
+    assert s.solve(max_conflicts=0).status == TIMEOUT
+    assert s.solve().status == UNSAT
 
 
 def test_solve_is_deterministic():

@@ -2,32 +2,42 @@
 the plain per-literal loops they replaced.
 
 The reference functions below are the straightforward versions of
-`merge_sums`, the GTE clause emission, `dimacs_str` and the `Solver` clause
-loader.  The fast versions must give exactly the same sums, clauses (order
-and literal order included), variable counts, DIMACS bytes, watch lists and
-root units.
+`merge_sums`, the GTE clause emission, `dimacs_str`, the `Solver` clause
+loader and the `Solver` search loops.  The fast versions must give exactly the
+same sums, clauses (order and literal order included), variable counts, DIMACS
+bytes, watch lists and root units, and the same search: statuses, models,
+learned clauses and trails.
 """
 
 from __future__ import annotations
 
-from heapq import heappush
+from heapq import heappop, heappush
 
 import pytest
 
 from pbcnf import (
+    SAT,
+    TIMEOUT,
+    UNSAT,
     CnfFormula,
     Solver,
+    SolveResult,
     SplitMix64,
     VarPool,
     build_tree,
     compile_constraints,
+    compile_instance,
     dimacs_str,
     encode_gte,
+    gen_bench,
+    lit,
     merge_sums,
     negate,
+    pb12like,
     random_normalized_constraint,
     to_signed,
 )
+from pbcnf.engine import FALSE, TRUE, UNDEF, _luby
 
 # --- reference implementations ------------------------------------------
 
@@ -241,3 +251,224 @@ def test_dimacs_str_matches_reference():
 def test_solver_load_matches_reference():
     for f in hand_built() + compiled_formulas():
         assert_same_load(f)
+
+
+# --- CDCL search loops -------------------------------------------------------
+
+
+class RefSolver(Solver):
+    """The engine with its search loops as they were before the live-entry
+    heap: `_backtrack` re-pushes every unassigned variable, `_propagate` calls
+    `_assign`, and `solve` drains the heap before it reports a model."""
+
+    def _backtrack(self, lvl):
+        if len(self.trail_lim) <= lvl:
+            return
+        lim = self.trail_lim[lvl]
+        for l in reversed(self.trail[lim:]):
+            v = l >> 1
+            self.saved_phase[v] = 1 - (l & 1)
+            self.val[l] = UNDEF
+            self.val[l ^ 1] = UNDEF
+            self.reason[v] = -1
+            heappush(self.prio, (-self.activity[v], v))
+        del self.trail[lim:]
+        del self.trail_lim[lvl:]
+        self.qhead = len(self.trail)
+
+    def _propagate(self):
+        val = self.val
+        clauses = self.clauses
+        watches = self.watches
+        while self.qhead < len(self.trail):
+            p = self.trail[self.qhead]
+            self.qhead += 1
+            falsified = p ^ 1
+            ws = watches[falsified]
+            i = j = 0
+            n = len(ws)
+            while i < n:
+                ci = ws[i]
+                i += 1
+                cl = clauses[ci]
+                if cl[0] == falsified:
+                    cl[0] = cl[1]
+                    cl[1] = falsified
+                first = cl[0]
+                if val[first] == TRUE:
+                    ws[j] = ci
+                    j += 1
+                    continue
+                moved = False
+                for t in range(2, len(cl)):
+                    if val[cl[t]] != FALSE:
+                        cl[1] = cl[t]
+                        cl[t] = falsified
+                        watches[cl[1]].append(ci)
+                        moved = True
+                        break
+                if moved:
+                    continue
+                ws[j] = ci
+                j += 1
+                if val[first] == FALSE:
+                    while i < n:
+                        ws[j] = ws[i]
+                        j += 1
+                        i += 1
+                    del ws[j:]
+                    self.qhead = len(self.trail)
+                    return ci
+                self._assign(first, ci)
+            del ws[j:]
+        return None
+
+    def _bump(self, v):
+        self.activity[v] += self.var_inc
+        if self.activity[v] > 1e100:
+            for u in range(1, self.nvars + 1):
+                self.activity[u] *= 1e-100
+            self.var_inc *= 1e-100
+            self.prio = [(-self.activity[v2], v2) for v2 in range(1, self.nvars + 1) if self.val[2 * v2] == UNDEF]
+            self.prio.sort()
+
+    def _pick_branch(self):
+        prio = self.prio
+        val = self.val
+        activity = self.activity
+        while prio:
+            negact, v = heappop(prio)
+            if val[2 * v] == UNDEF and -negact == activity[v]:
+                return v
+        return None
+
+    def solve(self, assumptions=(), max_conflicts=None):
+        if not self._init_root():
+            return SolveResult(UNSAT)
+        self._backtrack(0)
+        asn = list(assumptions)
+        for a in asn:
+            if not (2 <= a <= 2 * self.nvars + 1):
+                raise ValueError(f"assumption {a} is outside the formula's variables")
+        conflicts = 0
+        restart_idx = 0
+        restart_budget = _luby(restart_idx) * 64
+        since_restart = 0
+        while True:
+            confl = self._propagate()
+            if confl is not None:
+                if len(self.trail_lim) == 0:
+                    return SolveResult(UNSAT)
+                conflicts += 1
+                since_restart += 1
+                if max_conflicts is not None and conflicts > max_conflicts:
+                    self._backtrack(0)
+                    return SolveResult(TIMEOUT)
+                learned, bt = self._analyze(confl)
+                self._backtrack(bt)
+                self._add_learned(learned)
+                self.var_inc *= 1.052
+                continue
+            if since_restart >= restart_budget:
+                since_restart = 0
+                restart_idx += 1
+                restart_budget = _luby(restart_idx) * 64
+                self._backtrack(0)
+                continue
+            lvl = len(self.trail_lim)
+            if lvl < len(asn):
+                a = asn[lvl]
+                if self.val[a] == TRUE:
+                    self.trail_lim.append(len(self.trail))
+                    continue
+                if self.val[a] == FALSE:
+                    self._backtrack(0)
+                    return SolveResult(UNSAT)
+                self.trail_lim.append(len(self.trail))
+                self._assign(a, -1)
+                continue
+            v = self._pick_branch()
+            if v is None:
+                model = [v2 if self.val[2 * v2] == TRUE else -v2 for v2 in range(1, self.nvars + 1)]
+                self._backtrack(0)
+                return SolveResult(SAT, model)
+            self.trail_lim.append(len(self.trail))
+            self._assign(2 * v + (0 if self.saved_phase[v] else 1), -1)
+
+
+def assert_heap_invariant(s):
+    """Each variable has at most one live `prio` entry, keyed `heap_act[v]`,
+    and every unassigned variable has one keyed by its current activity."""
+    entries = set(s.prio)
+    for v in range(1, s.nvars + 1):
+        if s.heap_act[v] != -1.0:
+            assert (-s.heap_act[v], v) in entries, v
+        if s.val[2 * v] == UNDEF:
+            assert s.heap_act[v] == s.activity[v], v
+            assert (-s.activity[v], v) in entries, v
+
+
+def assert_same_state(got, want):
+    assert got.clauses == want.clauses
+    assert got.trail == want.trail
+    assert got.trail_lim == want.trail_lim
+    assert got.activity == want.activity
+    assert got.var_inc == want.var_inc
+    assert got.saved_phase == want.saved_phase
+    assert_heap_invariant(got)
+
+
+def assert_same_solve(got, want, assumptions=(), max_conflicts=None):
+    a = got.solve(assumptions, max_conflicts)
+    b = want.solve(assumptions, max_conflicts)
+    assert (a.status, a.model) == (b.status, b.model)
+    assert_same_state(got, want)
+    return a.status
+
+
+def pb12_formulas(jobs):
+    """The criterion-8 pb12like instances, as (seed offset, encoder) jobs."""
+    for i, enc in jobs:
+        yield compile_instance(gen_bench(pb12like(constraints=6, n=24, seed=100 + i)), enc).formula
+
+
+def test_search_matches_reference_on_pb12like():
+    statuses = set()
+    for f in pb12_formulas((i, enc) for i in range(10) for enc in ("gte", "swc", "adder")):
+        got, want = Solver(f), RefSolver(f)
+        statuses.add(assert_same_solve(got, want, max_conflicts=300))
+    assert statuses == {SAT, UNSAT, TIMEOUT}
+
+
+def test_search_matches_reference_after_rescale():
+    # with activities this close to the 1e100 ceiling, most of these searches
+    # rescale while variables are assigned
+    rescaled = 0
+    for f in pb12_formulas([(0, "gte")] + [(i, "adder") for i in range(10)]):
+        got, want = Solver(f), RefSolver(f)
+        got.var_inc = want.var_inc = 1e98
+        assert_same_solve(got, want, max_conflicts=300)
+        rescaled += got.var_inc < 1e90
+    assert rescaled >= 8
+
+
+@pytest.mark.parametrize("encoding", ["gte", "swc", "adder"])
+def test_assumption_sweeps_match_reference(encoding):
+    """One solver reused across calls, as `oracle_check` and `gac_check` do."""
+    rng = SplitMix64(23)
+    for _ in range(12):
+        c = random_normalized_constraint(rng, 8, 12, 40)
+        variables = c.variables()
+        f = compile_constraints([c], max(variables), encoding).formula
+        got, want = Solver(f), RefSolver(f)
+        for bits in range(1 << len(variables)):
+            asn = [lit(v, negative=not (bits >> i) & 1) for i, v in enumerate(variables)]
+            assert_same_solve(got, want, asn)
+        for _ in range(30):
+            partial = [lit(v, negative=rng.chance(1, 2)) for v in variables if rng.chance(1, 2)]
+            assert got.assume_propagate(partial) == want.assume_propagate(partial)
+            assert_same_state(got, want)
+            got.retract()
+            want.retract()
+            assert_same_state(got, want)
+        assert_same_solve(got, want)
