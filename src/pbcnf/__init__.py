@@ -26,10 +26,12 @@ from .core import (
     CnfFormula,
     EncodingResult,
     EncodingStats,
+    InapplicableEncoding,
     PBConstraint,
     Term,
     VarPool,
     from_signed,
+    gc_paused,
     is_negative,
     lit,
     lit_str,

@@ -8,7 +8,7 @@ from __future__ import annotations
 import time
 from collections import deque
 
-from .core import CnfFormula, EncodingResult, EncodingStats, PBConstraint, VarPool, negate
+from .core import CnfFormula, EncodingResult, EncodingStats, InapplicableEncoding, PBConstraint, VarPool, negate
 from .gte import encode_gte
 
 
@@ -164,5 +164,5 @@ def encode_totalizer(c: PBConstraint, pool: VarPool, out: CnfFormula) -> Encodin
     """Cardinality-only entry point; clause-for-clause identical to the
     generalized encoder on unit weights."""
     if any(w != 1 for w, _ in c.terms):
-        raise ValueError("encode_totalizer requires unit weights; use encode_gte")
+        raise InapplicableEncoding("encode_totalizer requires unit weights; use encode_gte")
     return encode_gte(c, pool, out)

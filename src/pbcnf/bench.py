@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import LE, GE, EQ, PBConstraint, Term, lit
+from .core import LE, GE, EQ, InapplicableEncoding, PBConstraint, Term, lit
 from .engine import Solver
 from .opb import PbInstance
 from .pipeline import compile_instance
@@ -121,7 +121,7 @@ def stats_compare(
         try:
             compiled = compile_instance(instance, enc)
         except ValueError as e:
-            row.result = "inapplicable" if "unit weights" in str(e) else "error"
+            row.result = "inapplicable" if isinstance(e, InapplicableEncoding) else "error"
             rows.append(row)
             continue
         row.aux_vars = compiled.aux_vars

@@ -9,6 +9,8 @@ instead; ``to_signed``/``from_signed`` convert at the boundary.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -16,6 +18,28 @@ LE = "<="
 GE = ">="
 EQ = "="
 RELATIONS = (LE, GE, EQ)
+
+
+class InapplicableEncoding(ValueError):
+    """The requested encoder does not handle this constraint's shape."""
+
+
+@contextmanager
+def gc_paused():
+    """Pause the cyclic garbage collector around a bulk build of objects that
+    hold no reference cycles, above all clause lists of ints, which reference
+    counting frees on its own.  Collections set off by the build would
+    otherwise re-walk every clause built so far.  Only a collector this call
+    disabled is re-enabled, so nesting and callers that disabled it
+    themselves keep their state."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def lit(var: int, negative: bool = False) -> int:

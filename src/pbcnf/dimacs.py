@@ -6,7 +6,8 @@ signed literals separated by single spaces, `0` terminators, LF line endings.
 
 from __future__ import annotations
 
-from .core import CnfFormula, from_signed, to_signed
+from .core import CnfFormula, from_signed, gc_paused, to_signed
+from .opb import _to_text
 
 
 class DimacsError(Exception):
@@ -32,14 +33,12 @@ def write_dimacs(formula: CnfFormula, sink) -> None:
 def parse_dimacs(source) -> CnfFormula:
     """Inverse of `write_dimacs`; also accepts `c` comment lines and clauses
     spanning multiple lines."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8", errors="replace")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
+    text = _to_text(source)
+    with gc_paused():
+        return _parse_text(text)
 
+
+def _parse_text(text: str) -> CnfFormula:
     num_vars = num_clauses = None
     clauses: list[list[int]] = []
     current: list[int] = []

@@ -28,6 +28,8 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from .core import gc_paused
+
 TRUE, FALSE, UNDEF = 1, 0, 2
 
 SAT = "SAT"
@@ -56,66 +58,68 @@ class SolveResult:
 
 class Solver:
     def __init__(self, formula):
-        nv = formula.max_var()
-        self.nvars = nv
-        self.val = bytearray([UNDEF]) * (2 * nv + 2)
-        self.level = [0] * (nv + 1)
-        self.reason = [-1] * (nv + 1)
-        self.activity = [0.0] * (nv + 1)
-        self.saved_phase = bytearray(nv + 1)  # 0 -> try the negative literal first
-        self.seen = bytearray(nv + 1)
-        self.trail: list[int] = []
-        self.trail_lim: list[int] = []
-        self.qhead = 0
-        self.var_inc = 1.0
-        self.clauses: list[list[int] | None] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
-        self.prio = [(0.0, v) for v in range(1, nv + 1)]  # (-activity, var) heap, lazy deletion
-        self.heap_act = [0.0] * (nv + 1)  # key of v's live prio entry; -1.0 when none
-        self.num_original = len(formula.clauses)
-        self.root_done = False
-        self.root_conflict: int | None = None
-        self._root_units: list[tuple[int, int]] = []
+        # lists and tuples of numbers only: nothing here can form a cycle
+        with gc_paused():
+            nv = formula.max_var()
+            self.nvars = nv
+            self.val = bytearray([UNDEF]) * (2 * nv + 2)
+            self.level = [0] * (nv + 1)
+            self.reason = [-1] * (nv + 1)
+            self.activity = [0.0] * (nv + 1)
+            self.saved_phase = bytearray(nv + 1)  # 0 -> try the negative literal first
+            self.seen = bytearray(nv + 1)
+            self.trail: list[int] = []
+            self.trail_lim: list[int] = []
+            self.qhead = 0
+            self.var_inc = 1.0
+            self.clauses: list[list[int] | None] = []
+            self.watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
+            self.prio = [(0.0, v) for v in range(1, nv + 1)]  # (-activity, var) heap, lazy deletion
+            self.heap_act = [0.0] * (nv + 1)  # key of v's live prio entry; -1.0 when none
+            self.num_original = len(formula.clauses)
+            self.root_done = False
+            self.root_conflict: int | None = None
+            self._root_units: list[tuple[int, int]] = []
 
-        clauses = self.clauses
-        watches = self.watches
-        for idx, cl in enumerate(formula.clauses):
-            # fast path: two or three literals over distinct variables need no
-            # dedupe (a ^ b > 1 exactly when a and b differ in variable)
-            n = len(cl)
-            if n == 2:
-                a, b = cl
-                if a ^ b > 1:
-                    clauses.append([a, b])
-                    watches[a].append(idx)
-                    watches[b].append(idx)
+            clauses = self.clauses
+            watches = self.watches
+            for idx, cl in enumerate(formula.clauses):
+                # fast path: two or three literals over distinct variables need no
+                # dedupe (a ^ b > 1 exactly when a and b differ in variable)
+                n = len(cl)
+                if n == 2:
+                    a, b = cl
+                    if a ^ b > 1:
+                        clauses.append([a, b])
+                        watches[a].append(idx)
+                        watches[b].append(idx)
+                        continue
+                elif n == 3:
+                    a, b, c = cl
+                    if a ^ b > 1 and a ^ c > 1 and b ^ c > 1:
+                        clauses.append([a, b, c])
+                        watches[a].append(idx)
+                        watches[b].append(idx)
+                        continue
+                lits: list[int] = []
+                skip = False
+                for l in cl:
+                    if l ^ 1 in lits:
+                        skip = True  # tautology, always satisfied
+                        break
+                    if l not in lits:
+                        lits.append(l)
+                if skip:
+                    clauses.append(None)
                     continue
-            elif n == 3:
-                a, b, c = cl
-                if a ^ b > 1 and a ^ c > 1 and b ^ c > 1:
-                    clauses.append([a, b, c])
-                    watches[a].append(idx)
-                    watches[b].append(idx)
-                    continue
-            lits: list[int] = []
-            skip = False
-            for l in cl:
-                if l ^ 1 in lits:
-                    skip = True  # tautology, always satisfied
-                    break
-                if l not in lits:
-                    lits.append(l)
-            if skip:
-                clauses.append(None)
-                continue
-            clauses.append(lits)
-            if len(lits) >= 2:
-                watches[lits[0]].append(idx)
-                watches[lits[1]].append(idx)
-            elif len(lits) == 1:
-                self._root_units.append((lits[0], idx))
-            else:
-                self.root_conflict = idx
+                clauses.append(lits)
+                if len(lits) >= 2:
+                    watches[lits[0]].append(idx)
+                    watches[lits[1]].append(idx)
+                elif len(lits) == 1:
+                    self._root_units.append((lits[0], idx))
+                else:
+                    self.root_conflict = idx
 
     # -- assignment bookkeeping ------------------------------------------
 
@@ -440,13 +444,17 @@ def solve(formula, assumptions=(), max_conflicts: int | None = None) -> SolveRes
     return Solver(formula).solve(assumptions, max_conflicts)
 
 
+_COMPETITION_STATUS = {"SATISFIABLE": SAT, "UNSATISFIABLE": UNSAT, "UNKNOWN": TIMEOUT}
+
+
 def solve_external(formula, command: str, timeout: float | None = None) -> SolveResult:
     """Run an external solver on the formula.  The command is split with
     shell-style quoting (`shlex.split`) and invoked with a DIMACS file path
-    appended; its stdout must start with SAT or UNSAT, with a following line
-    of signed integers for the model in the SAT case.  A solver that cannot be
-    started raises OSError; a malformed command raises ValueError; output that
-    is empty or not in that form raises RuntimeError."""
+    appended.  Its stdout may take the bare `SAT`/`UNSAT` form or the SAT
+    competition form (see `_read_answer`).  A solver that cannot be started
+    raises OSError; a malformed command raises ValueError; output that is
+    empty, in neither form, or whose model does not assign the formula's
+    variables consistently raises RuntimeError."""
     import shlex
 
     from .dimacs import dimacs_str
@@ -463,21 +471,59 @@ def solve_external(formula, command: str, timeout: float | None = None) -> Solve
             )
         except subprocess.TimeoutExpired:
             return SolveResult(TIMEOUT)
-        tokens = proc.stdout.split()
-        if not tokens:
+        if not proc.stdout.split():
             raise RuntimeError(f"external solver produced no output (exit {proc.returncode})")
-        if tokens[0] == UNSAT:
-            return SolveResult(UNSAT)
-        if tokens[0] == SAT:
-            try:
-                model = [int(t) for t in tokens[1:] if t != "0"]
-            except ValueError:
-                raise RuntimeError(f"unrecognized external solver model: {proc.stdout[:80]!r}") from None
-            got = {abs(n) for n in model}
-            model.extend(-v for v in range(1, formula.num_vars + 1) if v not in got)
-            model.sort(key=abs)
-            return SolveResult(SAT, model)
-        raise RuntimeError(f"unrecognized external solver output: {proc.stdout[:80]!r}")
+        return _read_answer(proc.stdout, formula.num_vars)
     finally:
         if path is not None:
             os.unlink(path)
+
+
+def _read_answer(text: str, num_vars: int) -> SolveResult:
+    """Read a SAT solver's answer in either of two forms, skipping `c`
+    comment lines:
+      - bare: `SAT` or `UNSAT` as the first word, the model's signed
+        literals following;
+      - SAT competition: one `s SATISFIABLE` / `s UNSATISFIABLE` /
+        `s UNKNOWN` line (UNKNOWN reads as TIMEOUT) and `v ...` model lines.
+    The model may end with one `0` and must name each variable of
+    1..`num_vars` at most once; unnamed variables are false.  Anything else
+    raises RuntimeError."""
+    lines = [t for t in map(str.split, text.splitlines()) if t and t[0] != "c"]
+    if not lines:
+        raise RuntimeError("external solver output holds no answer")
+    status = None
+    if lines[0][0] == "s":  # SAT competition form
+        words: list[str] = []
+        for t in lines:
+            if t[0] == "v":
+                words += t[1:]
+            elif t[0] == "s" and status is None and " ".join(t[1:]) in _COMPETITION_STATUS:
+                status = _COMPETITION_STATUS[" ".join(t[1:])]
+            else:
+                raise RuntimeError(f"unrecognized external solver line: {' '.join(t)[:80]!r}")
+    elif lines[0][0] in (SAT, UNSAT):
+        status = lines[0][0]
+        words = [w for t in lines for w in t][1:]
+    else:
+        raise RuntimeError(f"unrecognized external solver output: {text[:80]!r}")
+    if status != SAT:
+        return SolveResult(status)
+    try:
+        model = [int(w) for w in words]
+    except ValueError:
+        raise RuntimeError(f"unrecognized external solver model: {' '.join(words)[:80]!r}") from None
+    if model and model[-1] == 0:
+        model.pop()
+    seen = set()
+    for n in model:
+        if n == 0:
+            raise RuntimeError("external solver model has a 0 before its end")
+        if abs(n) > num_vars:
+            raise RuntimeError(f"external solver model names x{abs(n)}, above the formula's {num_vars} variables")
+        if abs(n) in seen:
+            raise RuntimeError(f"external solver model names x{abs(n)} twice")
+        seen.add(abs(n))
+    model.extend(-v for v in range(1, num_vars + 1) if v not in seen)
+    model.sort(key=abs)
+    return SolveResult(SAT, model)

@@ -87,19 +87,22 @@ def build_tree(c: PBConstraint) -> GteTree:
         for w, l in c.terms
     ]
 
-    def build(lo: int, hi: int) -> GteNode:
-        if hi - lo == 1:
-            return leaves[lo]
-        mid = lo + (hi - lo + 1) // 2
-        left = build(lo, mid)
-        right = build(mid, hi)
-        return GteNode(
-            sums=merge_sums(left.sums, right.sums, cap),
-            node_sum=left.node_sum + right.node_sum,
-            children=(left, right),
-        )
+    return GteTree(root=_build(leaves, cap, 0, len(leaves)), bound=c.bound, leaves=leaves)
 
-    return GteTree(root=build(0, len(leaves)), bound=c.bound, leaves=leaves)
+
+def _build(leaves: list[GteNode], cap: int, lo: int, hi: int) -> GteNode:
+    # a module-level function: a recursive closure would be a reference cycle
+    # that keeps the leaves alive until the cyclic collector runs
+    if hi - lo == 1:
+        return leaves[lo]
+    mid = lo + (hi - lo + 1) // 2
+    left = _build(leaves, cap, lo, mid)
+    right = _build(leaves, cap, mid, hi)
+    return GteNode(
+        sums=merge_sums(left.sums, right.sums, cap),
+        node_sum=left.node_sum + right.node_sum,
+        children=(left, right),
+    )
 
 
 def _emit(node: GteNode, cap: int, pool: VarPool, clauses: list[list[int]]) -> None:

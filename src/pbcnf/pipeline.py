@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass, field
 
 from .baselines import encode_adder, encode_swc, encode_totalizer
-from .core import CnfFormula, EncodingResult, PBConstraint, VarPool, negate
+from .core import CnfFormula, EncodingResult, PBConstraint, VarPool, gc_paused, negate
 from .gte import encode_gte
 from .normalize import NormalizationOutcome, OutcomeKind, normalize
 
@@ -82,12 +82,13 @@ def compile_constraints(
     pool = VarPool(num_input_vars + 1)
     compiled = CompiledInstance(formula=out, input_vars=num_input_vars)
     t0 = time.perf_counter()
-    for c in constraints:
-        before = len(out.clauses)
-        results = compile_constraint(c, encoding, pool, out)
-        compiled.results.extend(results)
-        encoded = sum(r.stats.aux_clauses for r in results)
-        compiled.forced_units += len(out.clauses) - before - encoded
+    with gc_paused():
+        for c in constraints:
+            before = len(out.clauses)
+            results = compile_constraint(c, encoding, pool, out)
+            compiled.results.extend(results)
+            encoded = sum(r.stats.aux_clauses for r in results)
+            compiled.forced_units += len(out.clauses) - before - encoded
     compiled.aux_vars = pool.next_free - 1 - num_input_vars
     compiled.aux_clauses = len(out.clauses)
     compiled.encode_time = time.perf_counter() - t0

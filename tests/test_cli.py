@@ -190,6 +190,39 @@ def test_solve_external_via_env(reference_file, tmp_path, capsys, monkeypatch):
     assert out.splitlines()[1] == "-1 -2 -3 -4"
 
 
+def test_solve_external_rejects_inconsistent_model(tmp_path, capsys, monkeypatch):
+    # a 3-variable instance; the answer names x2 with both signs
+    path = tmp_path / "three.opb"
+    path.write_text("* #variable= 3 #constraint= 1\n+1 x1 +1 x2 +1 x3 >= 1 ;\n")
+    stub = tmp_path / "ext.sh"
+    stub.write_text("#!/bin/sh\necho SAT\necho '1 2 -2 9 0'\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("PBCNF_SOLVER", str(stub))
+    rc = main(["solve", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "answer,rc,out",
+    [
+        ("c solver banner\ns SATISFIABLE\nv -1 -2\nv -3 -4 0\n", 10, "SAT\n-1 -2 -3 -4\n"),
+        ("s UNSATISFIABLE\n", 20, "UNSAT\n"),
+        ("s UNKNOWN\n", 0, "TIMEOUT\n"),
+    ],
+    ids=["sat", "unsat", "unknown"],
+)
+def test_solve_external_competition_output(reference_file, tmp_path, capsys, monkeypatch, answer, rc, out):
+    stub = tmp_path / "ext.sh"
+    stub.write_text(f"#!/bin/sh\ncat <<'EOF'\n{answer}EOF\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("PBCNF_SOLVER", str(stub))
+    assert main(["solve", reference_file]) == rc
+    assert capsys.readouterr().out == out
+
+
 def test_solve_external_path_with_space(reference_file, tmp_path, capsys, monkeypatch):
     folder = tmp_path / "dir with space"
     folder.mkdir()
@@ -210,8 +243,11 @@ def test_solve_external_path_with_space(reference_file, tmp_path, capsys, monkey
         ("echo MAYBE\n", "unrecognized"),
         ("true\n", "no output"),
         ("echo SAT\necho 'one two 0'\n", "unrecognized"),
+        ("echo SAT\necho '1 2 -2 0'\n", "x2 twice"),
+        ("echo SAT\necho '1 0 2 0'\n", "0 before its end"),
+        ("echo 's SATISFIABLE'\necho 'v 1 14 0'\n", "x14, above"),
     ],
-    ids=["missing", "garbage", "empty", "bad-model"],
+    ids=["missing", "garbage", "empty", "bad-model", "twice", "early-zero", "above"],
 )
 def test_solve_external_failure_is_io_error(reference_file, tmp_path, capsys, monkeypatch, script, fragment):
     stub = tmp_path / "ext.sh"

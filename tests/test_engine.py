@@ -320,6 +320,49 @@ def test_external_solver_garbage_raises(tmp_path):
         solve_external(formula(1, [[1]]), cmd)
 
 
+def answer_stub(tmp_path, output):
+    return make_stub(tmp_path, "answer.sh", f"cat <<'EOF'\n{output}EOF\n")
+
+
+@pytest.mark.parametrize(
+    "output,status,model",
+    [
+        ("c bare form with a comment\nSAT\n1 -2 0\n", SAT, [1, -2, -3, -4]),
+        ("c kissat-style\ns SATISFIABLE\nv 1 -2\nv 3 0\n", SAT, [1, -2, 3, -4]),
+        ("s SATISFIABLE\nv -4 2\n", SAT, [-1, 2, -3, -4]),
+        ("s SATISFIABLE\n", SAT, [-1, -2, -3, -4]),
+        ("c\ns UNSATISFIABLE\n", UNSAT, None),
+        ("s UNKNOWN\n", TIMEOUT, None),
+    ],
+    ids=["bare-comment", "competition", "no-terminator", "no-model", "unsat", "unknown"],
+)
+def test_external_solver_reads_both_forms(tmp_path, output, status, model):
+    r = solve_external(formula(4, [[1, 2]]), answer_stub(tmp_path, output))
+    assert (r.status, r.model) == (status, model)
+
+
+@pytest.mark.parametrize(
+    "output,fragment",
+    [
+        ("SAT\n1 5 0\n", "x5, above"),
+        ("s SATISFIABLE\nv 1 -5 0\n", "x5, above"),
+        ("SAT\n1 0 2 0\n", "0 before its end"),
+        ("s SATISFIABLE\nv 1 0\nv 2 0\n", "0 before its end"),
+        ("SAT\n1 2 -2 0\n", "x2 twice"),
+        ("s SATISFIABLE\nv 3\nv 3 0\n", "x3 twice"),
+        ("s MAYBE\n", "unrecognized"),
+        ("s SATISFIABLE\ns UNSATISFIABLE\n", "unrecognized"),
+        ("s SATISFIABLE\n1 2 0\n", "unrecognized"),
+        ("c only a comment\n", "no answer"),
+    ],
+    ids=["above", "above-v", "zero", "zero-v", "twice", "twice-v", "bad-status", "two-status", "stray", "comment-only"],
+)
+def test_external_solver_bad_answer_raises(tmp_path, output, fragment):
+    cmd = answer_stub(tmp_path, output)
+    with pytest.raises(RuntimeError, match=fragment):
+        solve_external(formula(4, [[1, 2]]), cmd)
+
+
 def test_luby_sequence_prefix():
     from pbcnf.engine import _luby
 

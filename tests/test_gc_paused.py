@@ -1,0 +1,153 @@
+"""The bulk CNF builders pause the cyclic garbage collector and give back the
+state they found, whether they return or raise."""
+
+import contextlib
+import gc
+
+import pytest
+
+from pbcnf import (
+    LE,
+    DimacsError,
+    PBConstraint,
+    Solver,
+    compile_constraints,
+    compile_instance,
+    dimacs_str,
+    gc_paused,
+    gen_bench,
+    oracle_check,
+    parse_dimacs,
+    pb12like,
+    pedigreelike,
+)
+from pbcnf import dimacs, engine, pipeline
+
+REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def gc_state(request):
+    """Run the test with the collector enabled, then disabled, and restore it."""
+    was = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def failing_encoder(c, pool, out):
+    out.add_clause([2, 4])
+    raise ValueError("encoder failed")
+
+
+def compile_raising(monkeypatch):
+    monkeypatch.setitem(pipeline.ENCODERS, "gte", failing_encoder)
+    with pytest.raises(ValueError, match="encoder failed"):
+        compile_constraints([REFERENCE], 4, "gte")
+
+
+def test_gc_paused_disables_inside_and_restores(gc_state):
+    with gc_paused():
+        assert not gc.isenabled()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()  # the inner pause left the outer one alone
+    assert gc.isenabled() == gc_state
+
+
+def test_gc_paused_restores_on_exception(gc_state):
+    with pytest.raises(KeyError):
+        with gc_paused():
+            raise KeyError("boom")
+    assert gc.isenabled() == gc_state
+
+
+def test_builders_restore_collector_state(gc_state):
+    compiled = compile_constraints([REFERENCE], 4, "gte")
+    assert gc.isenabled() == gc_state
+    Solver(compiled.formula)
+    assert gc.isenabled() == gc_state
+    parse_dimacs(dimacs_str(compiled.formula))
+    assert gc.isenabled() == gc_state
+
+
+def test_builders_restore_collector_state_when_raising(gc_state, monkeypatch):
+    with pytest.raises(DimacsError):
+        parse_dimacs("p cnf 2 1\n1 3 0\n")
+    assert gc.isenabled() == gc_state
+    compile_raising(monkeypatch)
+    assert gc.isenabled() == gc_state
+
+
+def test_nested_builders_in_oracle_check(gc_state):
+    # oracle_check compiles (one pause) and then loads a Solver (another)
+    assert oracle_check(REFERENCE, "gte")
+    assert gc.isenabled() == gc_state
+    with gc_paused():
+        assert oracle_check(REFERENCE, "swc")
+        assert not gc.isenabled()
+    assert gc.isenabled() == gc_state
+
+
+def test_builders_leave_no_cycles(gc_state):
+    # what the pause leaves uncollected must be freed by reference counting
+    instance = gen_bench(pb12like(constraints=6, n=12, seed=1))
+    gc.collect()
+    gc.disable()
+    for encoding in ("gte", "swc", "adder", "auto"):
+        formula = compile_instance(instance, encoding).formula
+        assert gc.collect() == 0, encoding
+        Solver(formula)
+        assert gc.collect() == 0, encoding
+        parse_dimacs(dimacs_str(formula))
+        assert gc.collect() == 0, encoding
+
+
+def collections_during(build):
+    """Generations of the automatic collections run while `build()` runs with
+    the collector enabled."""
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        build()
+    finally:
+        gc.callbacks.remove(hook)
+        if not was:
+            gc.disable()
+    return starts
+
+
+def test_no_collection_while_loading_or_parsing(monkeypatch):
+    formula = compile_instance(gen_bench(pedigreelike(n=30, seed=3)), "gte").formula
+    text = dimacs_str(formula)
+    assert formula.num_clauses > 4000  # several times the young-generation threshold
+
+    def load():
+        Solver(formula)
+
+    def parse():
+        parse_dimacs(text)
+
+    # Nothing is collected while the lists are built.  Re-enabling leaves them
+    # all in the young generation, so the first allocation after the pause
+    # (inside `gc_paused`'s own exit) runs one collection over them.
+    assert len(collections_during(load)) <= 1
+    assert len(collections_during(parse)) <= 1
+    # without the pause the same builds collect over and over
+    monkeypatch.setattr(engine, "gc_paused", contextlib.nullcontext)
+    monkeypatch.setattr(dimacs, "gc_paused", contextlib.nullcontext)
+    assert len(collections_during(load)) >= 5
+    assert len(collections_during(parse)) >= 5
