@@ -1,7 +1,9 @@
 """pbcnf: compile pseudo-Boolean constraints to CNF and check the result.
 
-Encoders: generalized totalizer (weighted, the default), sequential weight
-counter, adder networks, and the plain totalizer for cardinality constraints.
+Encoders: generalized totalizer (weighted), sequential weight counter, adder
+networks, and the plain totalizer for cardinality constraints.  The default,
+`auto`, is the generalized totalizer for every constraint, which on unit
+weights emits the plain totalizer clause for clause.
 Ships an embedded CDCL solver, OPB/DIMACS I/O, and a verification harness
 (brute-force equisatisfiability, propagation-completeness checking, seeded
 benchmark generators).
@@ -24,8 +26,6 @@ from .core import (
     GE,
     LE,
     CnfFormula,
-    EncodingResult,
-    EncodingStats,
     InapplicableEncoding,
     PBConstraint,
     Term,

@@ -5,10 +5,9 @@ one).
 
 from __future__ import annotations
 
-import time
 from collections import deque
 
-from .core import CnfFormula, EncodingResult, EncodingStats, InapplicableEncoding, PBConstraint, VarPool, negate
+from .core import CnfFormula, InapplicableEncoding, PBConstraint, VarPool, negate
 from .gte import encode_gte
 
 
@@ -17,15 +16,13 @@ def _check(c: PBConstraint, name: str) -> None:
         raise ValueError(f"{name} requires a normalized constraint, got {c}")
 
 
-def encode_swc(c: PBConstraint, pool: VarPool, out: CnfFormula) -> EncodingResult:
+def encode_swc(c: PBConstraint, pool: VarPool, out: CnfFormula) -> None:
     """Sequential weight counter: s[i][j] means the first i literals weigh >= j.
 
     Always allocates the full n*k grid of counter variables (rows are not
     trimmed), so the auxiliary variable count is exactly n*k.
     """
     _check(c, "encode_swc")
-    t0 = time.perf_counter()
-    v0, c0 = pool.next_free, len(out.clauses)
     n, k = len(c.terms), c.bound
 
     if k == 0:
@@ -55,8 +52,6 @@ def encode_swc(c: PBConstraint, pool: VarPool, out: CnfFormula) -> EncodingResul
 
     if pool.next_free - 1 > out.num_vars:
         out.num_vars = pool.next_free - 1
-    stats = EncodingStats(pool.next_free - v0, len(out.clauses) - c0, time.perf_counter() - t0)
-    return EncodingResult(out, {i: t.lit for i, t in enumerate(c.terms)}, stats)
 
 
 def _xor3(a: int, b: int, cin: int, s: int, out: CnfFormula) -> None:
@@ -97,13 +92,11 @@ def _half_adder(a: int, b: int, s: int, cout: int, out: CnfFormula) -> None:
     out.add_clause([b, negate(cout)])
 
 
-def encode_adder(c: PBConstraint, pool: VarPool, out: CnfFormula) -> EncodingResult:
+def encode_adder(c: PBConstraint, pool: VarPool, out: CnfFormula) -> None:
     """Adder network: bucket literals by the set bits of their weights, reduce
     each bucket with full/half adders, then compare the binary sum against the
     bound with a lexicographic clause chain (no comparator variables)."""
     _check(c, "encode_adder")
-    t0 = time.perf_counter()
-    v0, c0 = pool.next_free, len(out.clauses)
     k = c.bound
 
     buckets: dict[int, deque[int]] = {}
@@ -156,13 +149,11 @@ def encode_adder(c: PBConstraint, pool: VarPool, out: CnfFormula) -> EncodingRes
 
     if pool.next_free - 1 > out.num_vars:
         out.num_vars = pool.next_free - 1
-    stats = EncodingStats(pool.next_free - v0, len(out.clauses) - c0, time.perf_counter() - t0)
-    return EncodingResult(out, {i: t.lit for i, t in enumerate(c.terms)}, stats)
 
 
-def encode_totalizer(c: PBConstraint, pool: VarPool, out: CnfFormula) -> EncodingResult:
+def encode_totalizer(c: PBConstraint, pool: VarPool, out: CnfFormula) -> None:
     """Cardinality-only entry point; clause-for-clause identical to the
     generalized encoder on unit weights."""
     if any(w != 1 for w, _ in c.terms):
         raise InapplicableEncoding("encode_totalizer requires unit weights; use encode_gte")
-    return encode_gte(c, pool, out)
+    encode_gte(c, pool, out)

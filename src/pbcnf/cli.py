@@ -1,6 +1,8 @@
 """Command-line front end.
 
 Subcommands: encode, solve, verify, gac-check, stats, gen-bench.
+`--encoding auto` (the default) is the generalized totalizer for every
+constraint.
 Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;
 2 I/O or parse error, or an external solver that cannot be run or answers
 in an unrecognized form; 3 verification failure.  Set PBCNF_SOLVER to hand
@@ -72,14 +74,19 @@ def _encoders_arg(text: str) -> list[str]:
     return names
 
 
-def _conflict_cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, not {cap}")
-    return cap
+def _at_least(lo: int):
+    """argparse type for an integer of at least `lo`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, not {value}")
+        return value
+
+    return parse
 
 
 def _cmd_encode(args) -> int:
@@ -188,8 +195,6 @@ def _cmd_stats(args) -> int:
             jobs.append((f"{args.generate}-{i}", bench.gen_bench(spec)))
     if not jobs:
         raise SystemExit2("no instances: pass OPB files or --generate")
-    if "auto" in args.encoders:
-        print("note: auto picks the plain totalizer for cardinality constraints", file=sys.stderr)
     rows = []
     for label, instance in jobs:
         rows.extend(bench.stats_compare(instance, args.encoders, label, args.max_conflicts))
@@ -233,7 +238,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="compile and decide an OPB instance")
     sp.add_argument("input")
     add_encoding(sp)
-    sp.add_argument("--max-conflicts", type=_conflict_cap, default=None)
+    sp.add_argument("--max-conflicts", type=_at_least(0), default=None)
     sp.add_argument("--time-limit", type=float, default=None, help="external solver only")
     sp.set_defaults(func=_cmd_solve)
 
@@ -241,8 +246,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--encoders", type=_encoders_arg, default=["gte", "swc", "adder"])
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--max-n", type=int, default=8)
-    sp.add_argument("--max-weight", type=int, default=10)
+    sp.add_argument("--max-n", type=_at_least(1), default=8)
+    sp.add_argument("--max-weight", type=_at_least(1), default=10)
     sp.add_argument("--max-bound", type=int, default=30)
     sp.set_defaults(func=_cmd_verify)
 
@@ -251,8 +256,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--constraints", type=int, default=20)
     sp.add_argument("--samples", type=int, default=100, help="partial assignments per constraint")
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--max-n", type=int, default=6)
-    sp.add_argument("--max-weight", type=int, default=8)
+    sp.add_argument("--max-n", type=_at_least(1), default=6)
+    sp.add_argument("--max-weight", type=_at_least(1), default=8)
     sp.add_argument("--max-bound", type=int, default=20)
     sp.set_defaults(func=_cmd_gac_check)
 
@@ -262,21 +267,21 @@ def _build_parser() -> _Parser:
     sp.add_argument("--generate", choices=bench.FAMILIES, default=None)
     sp.add_argument("--count", type=int, default=1)
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--n", type=int, default=24)
+    sp.add_argument("--n", type=_at_least(1), default=24)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--constraints", type=int, default=6)
-    sp.add_argument("--max-weight", type=int, default=12)
+    sp.add_argument("--max-weight", type=_at_least(1), default=12)
     sp.add_argument("--distinct-weights", type=int, default=6)
-    sp.add_argument("--max-conflicts", type=_conflict_cap, default=None)
+    sp.add_argument("--max-conflicts", type=_at_least(0), default=None)
     sp.set_defaults(func=_cmd_stats)
 
     sp = sub.add_parser("gen-bench", help="emit a seeded benchmark instance as OPB")
     sp.add_argument("--family", choices=bench.FAMILIES, required=True)
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--n", type=int, default=50)
+    sp.add_argument("--n", type=_at_least(1), default=50)
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--constraints", type=int, default=10)
-    sp.add_argument("--max-weight", type=int, default=456)
+    sp.add_argument("--max-weight", type=_at_least(1), default=456)
     sp.add_argument("--distinct-weights", type=int, default=7)
     sp.set_defaults(func=_cmd_gen_bench)
     return p

@@ -177,19 +177,3 @@ class VarPool:
     def fresh_lit(self) -> int:
         return 2 * self.fresh()
 
-
-@dataclass
-class EncodingStats:
-    aux_vars: int = 0
-    aux_clauses: int = 0
-    wall_time: float = 0.0
-
-
-@dataclass
-class EncodingResult:
-    """Output of one encoder call: the target formula, where each input term's
-    literal lives in it, and size/time counters for that call."""
-
-    formula: CnfFormula
-    input_map: dict[int, int]
-    stats: EncodingStats

@@ -16,11 +16,10 @@ converse is intentionally left open.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .core import CnfFormula, EncodingResult, EncodingStats, PBConstraint, VarPool, negate
+from .core import CnfFormula, PBConstraint, VarPool, negate
 
 
 @dataclass
@@ -41,7 +40,6 @@ class GteNode:
 class GteTree:
     root: GteNode
     bound: int
-    leaves: list[GteNode]
 
 
 def merge_sums(a: list[int], b: list[int], cap: int) -> list[int]:
@@ -59,21 +57,13 @@ def merge_sums(a: list[int], b: list[int], cap: int) -> list[int]:
 
 
 def node_sums(weights: list[int], k: int) -> list[int]:
-    """Sorted distinct non-empty-subset sums of a weight multiset, clamped at k+1.
-
-    Computed by pairwise merging, mirroring the tree construction.
-    """
+    """Sorted distinct non-empty-subset sums of a weight multiset, clamped at
+    k+1: the root sums of the tree `build_tree` would build over them."""
     if not weights:
         return []
     cap = k + 1
-    sets = [[min(w, cap)] for w in weights]
-    while len(sets) > 1:
-        nxt = [
-            merge_sums(sets[i], sets[i + 1], cap) if i + 1 < len(sets) else sets[i]
-            for i in range(0, len(sets), 2)
-        ]
-        sets = nxt
-    return sets[0]
+    leaves = [GteNode(sums=[min(w, cap)], node_sum=w, weight=w) for w in weights]
+    return _build(leaves, cap, 0, len(leaves)).sums
 
 
 def build_tree(c: PBConstraint) -> GteTree:
@@ -87,7 +77,7 @@ def build_tree(c: PBConstraint) -> GteTree:
         for w, l in c.terms
     ]
 
-    return GteTree(root=_build(leaves, cap, 0, len(leaves)), bound=c.bound, leaves=leaves)
+    return GteTree(root=_build(leaves, cap, 0, len(leaves)), bound=c.bound)
 
 
 def _build(leaves: list[GteNode], cap: int, lo: int, hi: int) -> GteNode:
@@ -130,14 +120,12 @@ def _emit(node: GteNode, cap: int, pool: VarPool, clauses: list[list[int]]) -> N
         clauses.extend([[child.var_of[s] ^ 1, var_of[s]] for s in child.sums])
 
 
-def encode_gte(c: PBConstraint, pool: VarPool, out: CnfFormula) -> EncodingResult:
+def encode_gte(c: PBConstraint, pool: VarPool, out: CnfFormula) -> None:
     """Encode a normalized constraint into `out`, drawing fresh variables from
     `pool`.  A constraint whose full sum cannot exceed the bound emits nothing.
     """
     if not c.is_normalized():
         raise ValueError(f"encode_gte requires a normalized constraint, got {c}")
-    t0 = time.perf_counter()
-    v0, c0 = pool.next_free, len(out.clauses)
     tree = build_tree(c)
     if tree.root.node_sum > c.bound:
         cap = c.bound + 1
@@ -147,9 +135,3 @@ def encode_gte(c: PBConstraint, pool: VarPool, out: CnfFormula) -> EncodingResul
         out.add_clause([negate(tree.root.var_of[cap])])
     if pool.next_free - 1 > out.num_vars:
         out.num_vars = pool.next_free - 1
-    stats = EncodingStats(
-        aux_vars=pool.next_free - v0,
-        aux_clauses=len(out.clauses) - c0,
-        wall_time=time.perf_counter() - t0,
-    )
-    return EncodingResult(out, {i: t.lit for i, t in enumerate(c.terms)}, stats)

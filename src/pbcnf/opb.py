@@ -152,11 +152,14 @@ def parse_opb(source) -> PbInstance:
 
 def write_opb(instance: PbInstance, comments: list[str] | None = None) -> str:
     """Render an instance as OPB text.  Negated literals are folded into
-    negative coefficients with the bound adjusted accordingly."""
+    negative coefficients with the bound adjusted accordingly.  A constraint
+    with no terms has no OPB form and raises ValueError."""
     lines = [f"* #variable= {instance.declared_vars} #constraint= {len(instance.constraints)}"]
     for note in comments or []:
         lines.append(f"* {note}")
     for c in instance.constraints:
+        if not c.terms:
+            raise ValueError(f"cannot write {c} as OPB: a constraint needs at least one term")
         parts = []
         bound = c.bound
         for w, l in c.terms:

@@ -4,12 +4,12 @@ requested encoder, and collect the clauses plus per-run statistics."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .baselines import encode_adder, encode_swc, encode_totalizer
-from .core import CnfFormula, EncodingResult, PBConstraint, VarPool, gc_paused, negate
+from .core import CnfFormula, PBConstraint, VarPool, gc_paused, negate
 from .gte import encode_gte
-from .normalize import NormalizationOutcome, OutcomeKind, normalize
+from .normalize import OutcomeKind, normalize
 
 ENCODERS = {
     "gte": encode_gte,
@@ -17,48 +17,42 @@ ENCODERS = {
     "adder": encode_adder,
     "totalizer": encode_totalizer,
 }
-ENCODING_NAMES = (*ENCODERS, "auto")
+ENCODING_NAMES = (*ENCODERS, "auto")  # auto: the generalized totalizer for every constraint
 
 
 def is_cardinality(c: PBConstraint) -> bool:
     return all(w == 1 for w, _ in c.terms)
 
 
-def select_encoding(c: PBConstraint, requested: str) -> str:
-    """`auto` picks the plain totalizer for cardinality constraints and the
-    generalized one otherwise."""
-    if requested != "auto":
-        return requested
-    return "totalizer" if is_cardinality(c) else "gte"
-
-
 @dataclass
 class CompiledInstance:
     formula: CnfFormula
     input_vars: int
-    results: list[EncodingResult] = field(default_factory=list)
     forced_units: int = 0
     aux_vars: int = 0
     aux_clauses: int = 0
     encode_time: float = 0.0
 
 
-def compile_constraint(c: PBConstraint, encoding: str, pool: VarPool, out: CnfFormula) -> list[EncodingResult]:
+def compile_constraint(c: PBConstraint, encoding: str, pool: VarPool, out: CnfFormula) -> int:
     """Normalize one constraint (splitting equalities) and encode every
     residual piece into `out`.  Forced units become unit clauses; a trivially
-    false piece becomes the empty clause."""
+    false piece becomes the empty clause.  Returns how many of those two
+    kinds of clause it wrote."""
     if encoding not in ENCODING_NAMES:
         raise ValueError(f"unknown encoding {encoding!r}")
-    results = []
+    enc = ENCODERS["gte" if encoding == "auto" else encoding]
+    forced = 0
     for piece in normalize(c).flatten():
         for l in piece.forced_units:
             out.add_clause([negate(l)])
+        forced += len(piece.forced_units)
         if piece.kind is OutcomeKind.TRIVIALLY_FALSE:
             out.add_clause([])
+            forced += 1
         elif piece.kind is OutcomeKind.NORMALIZED:
-            enc = ENCODERS[select_encoding(piece.constraint, encoding)]
-            results.append(enc(piece.constraint, pool, out))
-    return results
+            enc(piece.constraint, pool, out)
+    return forced
 
 
 def compile_constraints(
@@ -84,11 +78,7 @@ def compile_constraints(
     t0 = time.perf_counter()
     with gc_paused():
         for c in constraints:
-            before = len(out.clauses)
-            results = compile_constraint(c, encoding, pool, out)
-            compiled.results.extend(results)
-            encoded = sum(r.stats.aux_clauses for r in results)
-            compiled.forced_units += len(out.clauses) - before - encoded
+            compiled.forced_units += compile_constraint(c, encoding, pool, out)
     compiled.aux_vars = pool.next_free - 1 - num_input_vars
     compiled.aux_clauses = len(out.clauses)
     compiled.encode_time = time.perf_counter() - t0

@@ -6,6 +6,7 @@ neither ~x3 nor ~x4, while the totalizer-family encodings derive both.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,9 +30,13 @@ CARD4_LE2 = PBConstraint.from_signed([(1, 1), (1, 2), (1, 3), (1, 4)], LE, 2)
 
 
 def encode(encoder, c):
-    pool = VarPool(next_free=max(c.variables(), default=0) + 1)
-    out = CnfFormula(num_vars=pool.next_free - 1)
-    return encoder(c, pool, out)
+    """Encode into a fresh formula; the counts come from the pool and `out`."""
+    inputs = max(c.variables(), default=0)
+    pool = VarPool(next_free=inputs + 1)
+    out = CnfFormula(num_vars=inputs)
+    encoder(c, pool, out)
+    stats = SimpleNamespace(aux_vars=pool.next_free - 1 - inputs, aux_clauses=len(out.clauses))
+    return SimpleNamespace(formula=out, stats=stats)
 
 
 def assert_equisatisfiable(encoder, c):

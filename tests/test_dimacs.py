@@ -107,6 +107,11 @@ GOLDEN = [
         pb12like(constraints=6, n=24, seed=100), "gte",
         "f0b92ccc01d31e1979dd102a52ec6ec04b91bb64682c01ae3605c3838669208c", id="pb12-gte",
     ),
+    # auto is gte for every constraint, the one cardinality piece included
+    pytest.param(
+        pb12like(constraints=6, n=24, seed=100), "auto",
+        "f0b92ccc01d31e1979dd102a52ec6ec04b91bb64682c01ae3605c3838669208c", id="pb12-auto",
+    ),
     pytest.param(
         pb12like(constraints=6, n=24, seed=100), "swc",
         "e6cfbf4a05ed67f6bef242f3628edad802937930bb6060a87e22618e61bab5a3", id="pb12-swc",

@@ -132,6 +132,13 @@ def test_write_parse_roundtrip_preserves_semantics():
         assert c.holds(a) == back.holds(a), a
 
 
+def test_write_rejects_constraint_without_terms():
+    # OPB has no form for an empty left-hand side: parse_opb rejects " <= 0 ;"
+    inst = PbInstance(declared_vars=1, constraints=[PBConstraint((), LE, 0)])
+    with pytest.raises(ValueError, match="0 <= 0"):
+        write_opb(inst)
+
+
 def test_write_includes_comments():
     text = write_opb(PbInstance(declared_vars=1), comments=["hello", "world"])
     assert "* hello\n* world\n" in text

@@ -15,7 +15,7 @@ from pbcnf import (
     lit,
     solve,
 )
-from pbcnf.pipeline import ENCODERS, ENCODING_NAMES, is_cardinality, select_encoding
+from pbcnf.pipeline import ENCODERS, ENCODING_NAMES, is_cardinality
 
 
 def test_encoder_registry():
@@ -27,9 +27,6 @@ def test_select_encoding():
     card = PBConstraint.from_signed([(1, 1), (1, 2)], LE, 1)
     weighted = PBConstraint.from_signed([(2, 1), (1, 2)], LE, 2)
     assert is_cardinality(card) and not is_cardinality(weighted)
-    assert select_encoding(card, "auto") == "totalizer"
-    assert select_encoding(weighted, "auto") == "gte"
-    assert select_encoding(card, "swc") == "swc"
 
 
 def test_unknown_encoding_rejected():
@@ -64,6 +61,7 @@ def test_trivially_false_becomes_empty_clause():
     c = PBConstraint.from_signed([(1, 1)], LE, -2)
     compiled = compile_constraints([c], 1, "gte")
     assert [] in compiled.formula.clauses
+    assert compiled.forced_units == 1
     assert solve(compiled.formula).status == UNSAT
 
 
@@ -97,7 +95,6 @@ def test_multiple_constraints_share_the_pool():
     for cl in compiled.formula.clauses:
         seen.update(l >> 1 for l in cl)
     assert max(seen) == 4 + compiled.aux_vars  # aux numbering is contiguous
-    assert len(compiled.results) == 2
 
 
 def test_compile_instance_uses_declared_universe():
@@ -119,6 +116,4 @@ def test_aggregate_counts_add_up():
     ]
     compiled = compile_constraints(constraints, 4, "gte")
     assert compiled.aux_clauses == compiled.formula.num_clauses
-    per_run = sum(r.stats.aux_vars for r in compiled.results)
-    assert compiled.aux_vars == per_run
     assert compiled.encode_time >= 0.0
