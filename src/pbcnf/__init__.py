@@ -2,8 +2,9 @@
 
 Encoders: generalized totalizer (weighted), sequential weight counter, adder
 networks, and the plain totalizer for cardinality constraints.  The default,
-`auto`, is the generalized totalizer for every constraint, which on unit
-weights emits the plain totalizer clause for clause.
+`auto`, is the generalized totalizer over each normalized constraint's terms
+stable-sorted by weight (explicit `gte` keeps input order); on unit weights
+it emits the plain totalizer clause for clause.
 Ships an embedded CDCL solver, OPB/DIMACS I/O, and a verification harness
 (brute-force equisatisfiability, propagation-completeness checking, seeded
 benchmark generators).

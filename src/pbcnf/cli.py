@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: encode, solve, verify, gac-check, stats, gen-bench.
-`--encoding auto` (the default) is the generalized totalizer for every
-constraint.
+`--encoding auto` (the default) is the generalized totalizer over each
+constraint's terms stable-sorted by weight; `--encoding gte` keeps input
+order.
 Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;
 2 I/O or parse error, or an external solver that cannot be run or answers
 in an unrecognized form; 3 verification failure.  Set PBCNF_SOLVER to hand
@@ -244,7 +245,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("verify", help="equisatisfiability spot checks on random constraints")
     sp.add_argument("--encoders", type=_encoders_arg, default=["gte", "swc", "adder"])
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_at_least(1), default=100)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--max-n", type=_at_least(1), default=8)
     sp.add_argument("--max-weight", type=_at_least(1), default=10)
@@ -253,8 +254,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("gac-check", help="propagation-completeness checks")
     sp.add_argument("--encoders", type=_encoders_arg, default=["gte", "swc"])
-    sp.add_argument("--constraints", type=int, default=20)
-    sp.add_argument("--samples", type=int, default=100, help="partial assignments per constraint")
+    sp.add_argument("--constraints", type=_at_least(1), default=20)
+    sp.add_argument("--samples", type=_at_least(1), default=100, help="partial assignments per constraint")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--max-n", type=_at_least(1), default=6)
     sp.add_argument("--max-weight", type=_at_least(1), default=8)
@@ -265,11 +266,11 @@ def _build_parser() -> _Parser:
     sp.add_argument("inputs", nargs="*", help="OPB files")
     sp.add_argument("--encoders", type=_encoders_arg, default=["gte", "swc", "adder"])
     sp.add_argument("--generate", choices=bench.FAMILIES, default=None)
-    sp.add_argument("--count", type=int, default=1)
+    sp.add_argument("--count", type=_at_least(1), default=1)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--n", type=_at_least(1), default=24)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--constraints", type=int, default=6)
+    sp.add_argument("--constraints", type=_at_least(1), default=6)
     sp.add_argument("--max-weight", type=_at_least(1), default=12)
     sp.add_argument("--distinct-weights", type=int, default=6)
     sp.add_argument("--max-conflicts", type=_at_least(0), default=None)
@@ -280,7 +281,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--n", type=_at_least(1), default=50)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--constraints", type=int, default=10)
+    sp.add_argument("--constraints", type=_at_least(1), default=10)
     sp.add_argument("--max-weight", type=_at_least(1), default=456)
     sp.add_argument("--distinct-weights", type=int, default=7)
     sp.set_defaults(func=_cmd_gen_bench)

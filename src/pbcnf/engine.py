@@ -347,6 +347,9 @@ class Solver:
             confl = self._propagate()
             if confl is not None:
                 if len(self.trail_lim) == 0:
+                    # the formula itself is unsatisfiable; remember it, since
+                    # the clash sits behind qhead where no later call looks
+                    self.root_conflict = confl
                     return SolveResult(UNSAT)
                 conflicts += 1
                 since_restart += 1

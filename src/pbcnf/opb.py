@@ -36,7 +36,6 @@ class OpbError(Exception):
 class PbInstance:
     declared_vars: int
     constraints: list[PBConstraint] = field(default_factory=list)
-    objective: list[Term] | None = None
 
 
 def _to_text(source) -> str:

@@ -168,6 +168,13 @@ CAP_ERRORS = {"-3": "must be at least 0, not -3", "many": "not an integer: 'many
     ]
     + [
         pytest.param(
+            ["verify", "--trials", "-2"],
+            "error: argument --trials: must be at least 1, not -2",
+            id="verify-trials--2",
+        )
+    ]
+    + [
+        pytest.param(
             argv,
             f"error: argument {argv[-2]}: must be at least 1, not 0",
             id="-".join(a.lstrip("-") for a in argv),
@@ -181,6 +188,12 @@ CAP_ERRORS = {"-3": "must be at least 0, not -3", "many": "not an integer: 'many
             ["stats", "--generate", "pedigreelike", "--n", "0"],
             ["gen-bench", "--family", "pb12like", "--max-weight", "0"],
             ["gen-bench", "--family", "pedigreelike", "--n", "0"],
+            ["verify", "--trials", "0"],
+            ["gac-check", "--constraints", "0"],
+            ["gac-check", "--samples", "0"],
+            ["stats", "--generate", "pb12like", "--count", "0"],
+            ["stats", "--generate", "pb12like", "--constraints", "0"],
+            ["gen-bench", "--family", "pb12like", "--constraints", "0"],
         )
     ],
 )

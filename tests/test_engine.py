@@ -272,6 +272,41 @@ def test_differential_with_assumptions():
         assert got.status == brute_force_status(g)
 
 
+def test_reused_solver_keeps_a_root_conflict():
+    # every assignment of x1, x2 breaks a clause, but only search finds the
+    # clash: it learns x1 and then conflicts at level 0
+    f = formula(3, [[1, 2], [1, -2], [-1, 2], [-1, -2]])
+    s = Solver(f)
+    assert s.solve().status == UNSAT
+    assert s.solve().status == UNSAT
+    assert s.solve([lit(3)]).status == UNSAT
+    conflict, _ = s.assume_propagate([lit(3)])
+    assert conflict is not None
+
+
+def test_differential_reused_solver():
+    # one solver answers several assumption sets in turn, as oracle_check
+    # does; without unit clauses only search can find a formula unsatisfiable
+    rng = SplitMix64(4711)
+    for _ in range(150):
+        f = random_formula(rng)
+        f.clauses = [cl for cl in f.clauses if len(cl) > 1]
+        n = f.num_vars
+        s = Solver(f)
+        for _ in range(4):
+            assumed = [
+                lit(v, negative=rng.chance(1, 2))
+                for v in rng.sample(1, n, rng.randint(0, min(3, n)))
+            ]
+            got = s.solve(assumed)
+            g = CnfFormula(num_vars=n, clauses=[list(cl) for cl in f.clauses])
+            for a in assumed:
+                g.add_clause([a])
+            assert got.status == brute_force_status(g)
+            if got.status == SAT:
+                assert model_satisfies(g, got.model)
+
+
 # --- external solver hand-off ---
 
 

@@ -10,9 +10,13 @@ from pbcnf import (
     UNSAT,
     PbInstance,
     PBConstraint,
+    SplitMix64,
     compile_constraints,
     compile_instance,
+    dimacs_str,
+    gen_bench,
     lit,
+    pedigreelike,
     solve,
 )
 from pbcnf.pipeline import ENCODERS, ENCODING_NAMES, is_cardinality
@@ -117,3 +121,39 @@ def test_aggregate_counts_add_up():
     compiled = compile_constraints(constraints, 4, "gte")
     assert compiled.aux_clauses == compiled.formula.num_clauses
     assert compiled.encode_time >= 0.0
+
+
+def by_weight(c):
+    return PBConstraint(tuple(sorted(c.terms, key=lambda t: t.weight)), c.relation, c.bound)
+
+
+def test_auto_is_gte_over_weight_sorted_terms():
+    # pedigreelike is one <= constraint over weights 1 and 456, so sorting
+    # its input terms sorts the normalized piece's leaves too
+    inst = gen_bench(pedigreelike(n=200, seed=3))
+    auto = compile_instance(inst, "auto")
+    assert (auto.aux_vars, auto.aux_clauses) == (7_619, 79_302)
+    presorted = PbInstance(inst.declared_vars, [by_weight(c) for c in inst.constraints])
+    assert dimacs_str(auto.formula) == dimacs_str(compile_instance(presorted, "gte").formula)
+
+
+def test_auto_beats_input_order_gte_on_pedigree():
+    inst = gen_bench(pedigreelike(n=70, seed=1))
+    assert compile_instance(inst, "auto").aux_clauses < compile_instance(inst, "gte").aux_clauses
+
+
+def test_auto_on_unit_weights_is_the_totalizer_byte_for_byte():
+    # unit weights stay unit through normalization (>= flips literals, = splits),
+    # and a stable sort of equal weights keeps input order
+    rng = SplitMix64(31)
+    constraints = []
+    for _ in range(40):
+        vs = [v for v in range(1, 13) if rng.chance(1, 2)] or [7]
+        vs.sort(key=lambda v: rng.randint(0, 99))  # not in literal order
+        terms = [(1, -v if rng.chance(1, 3) else v) for v in vs]
+        relation = (LE, GE, EQ)[rng.randint(0, 2)]
+        constraints.append(PBConstraint.from_signed(terms, relation, rng.randint(0, len(vs))))
+    auto = compile_constraints(constraints, 12, "auto")
+    tot = compile_constraints(constraints, 12, "totalizer")
+    assert auto.aux_clauses > 0
+    assert dimacs_str(auto.formula) == dimacs_str(tot.formula)

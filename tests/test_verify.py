@@ -138,6 +138,25 @@ def test_gac_is_deterministic():
     ]
 
 
+def test_auto_sweep_is_sound_and_propagation_complete():
+    # auto reorders each piece's leaves by weight; neither equisatisfiability
+    # nor arc consistency may depend on that order
+    rng = SplitMix64(606)
+    reordered = partials = 0
+    for _ in range(40):
+        c = random_normalized_constraint(rng, max_n=7, max_weight=9, max_bound=24)
+        weights = [w for w, _ in c.terms]
+        reordered += weights != sorted(weights)
+        assert oracle_check(c, "auto"), c
+        reports = gac_check(c, "auto", trials=60, seed=606)
+        partials += len(reports)
+        assert all(r.passed for r in reports), c
+    for _ in range(40):
+        c = random_constraint(rng)  # >=, = and negative weights too
+        assert oracle_check(c, "auto"), c
+    assert reordered >= 20 and partials >= 1000
+
+
 def test_gac_rejects_non_normalized():
     with pytest.raises(ValueError):
         gac_check(PBConstraint.from_signed([(1, 1)], ">=", 1), "gte")
