@@ -3,8 +3,9 @@
 Encoders: generalized totalizer (weighted), sequential weight counter, adder
 networks, and the plain totalizer for cardinality constraints.  The default,
 `auto`, is the generalized totalizer over each normalized constraint's terms
-stable-sorted by weight (explicit `gte` keeps input order); on unit weights
-it emits the plain totalizer clause for clause.
+stable-sorted by weight, with variables only for the sums that can still
+reach bound+1; explicit `gte` keeps input order and every sum, as in the
+paper.
 Ships an embedded CDCL solver, OPB/DIMACS I/O, and a verification harness
 (brute-force equisatisfiability, propagation-completeness checking, seeded
 benchmark generators).
@@ -52,7 +53,7 @@ from .engine import (
     solve,
     solve_external,
 )
-from .gte import GteNode, GteTree, build_tree, encode_gte, merge_sums, node_sums
+from .gte import GteNode, GteTree, build_tree, encode_auto, encode_gte, merge_sums, node_sums
 from .normalize import NormalizationOutcome, OutcomeKind, normalize
 from .opb import OpbError, PbInstance, parse_opb, write_opb
 from .pipeline import ENCODERS, ENCODING_NAMES, compile_constraints, compile_instance

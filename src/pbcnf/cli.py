@@ -2,13 +2,16 @@
 
 Subcommands: encode, solve, verify, gac-check, stats, gen-bench.
 `--encoding auto` (the default) is the generalized totalizer over each
-constraint's terms stable-sorted by weight; `--encoding gte` keeps input
-order.
+constraint's terms stable-sorted by weight, defining only the sums that can
+still reach bound+1; `--encoding gte` is the paper's encoding, in input
+order with every sum.  `solve` checks every SAT model against the input's
+constraints before printing it.
 Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;
 2 I/O or parse error, or an external solver that cannot be run or answers
-in an unrecognized form; 3 verification failure.  Set PBCNF_SOLVER to hand
-solving to an external binary (a command line split with shell-style quoting,
-invoked with a DIMACS path appended; must print SAT/UNSAT and a model line of
+in an unrecognized form; 3 verification failure, or a SAT model that breaks
+one of the input's constraints.  Set PBCNF_SOLVER to hand solving to an
+external binary (a command line split with shell-style quoting, invoked
+with a DIMACS path appended; must print SAT/UNSAT and a model line of
 signed integers).
 """
 
@@ -124,8 +127,13 @@ def _cmd_solve(args) -> int:
     else:
         result = Solver(compiled.formula).solve(max_conflicts=args.max_conflicts)
     if result.status == SAT:
-        print(SAT)
         model = (result.model or [])[: instance.declared_vars]
+        assignment = {abs(n): n > 0 for n in model}
+        for i, c in enumerate(instance.constraints, 1):
+            if not c.holds(assignment):
+                print(f"error: the model violates constraint {i} ({c})", file=sys.stderr)
+                return EXIT_VERIFY
+        print(SAT)
         print(" ".join(str(n) for n in model))
         return EXIT_SAT
     if result.status == UNSAT:
@@ -272,7 +280,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--constraints", type=_at_least(1), default=6)
     sp.add_argument("--max-weight", type=_at_least(1), default=12)
-    sp.add_argument("--distinct-weights", type=int, default=6)
+    sp.add_argument("--distinct-weights", type=_at_least(2), default=6)
     sp.add_argument("--max-conflicts", type=_at_least(0), default=None)
     sp.set_defaults(func=_cmd_stats)
 
@@ -283,7 +291,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--constraints", type=_at_least(1), default=10)
     sp.add_argument("--max-weight", type=_at_least(1), default=456)
-    sp.add_argument("--distinct-weights", type=int, default=7)
+    sp.add_argument("--distinct-weights", type=_at_least(2), default=7)
     sp.set_defaults(func=_cmd_gen_bench)
     return p
 

@@ -12,14 +12,32 @@ Per internal node P with children Q, R the emitted clauses are
 and a single unit clause forbids the root's bound+1 variable.  Only the
 "sum reached implies node variable true" direction is constrained; the
 converse is intentionally left open.
+
+`encode_gte` is the paper's encoding: input order, every reachable sum.
+`encode_auto` sorts the leaves by weight (equal weights side by side reach
+far fewer distinct sums; any leaf order is arc consistent) and gives each
+node a floor: it defines only the sums at or above it.  The root's floor
+is bound+1; a child's floor is its parent's less the sibling's largest sum,
+and never below 0, since a smaller sum of the child cannot reach the
+parent's floor even with everything on the other side.  A sum below its
+node's floor occurs positively only in its own node's clauses and
+negatively only in parent clauses whose head is itself below the parent's
+floor, so dropping those sums is pure-literal elimination from the root
+down.  The CNF stays equisatisfiable, and any model extends to the full
+encoding by setting the dropped variables true.  Arc consistency holds
+too: a propagation chain from the inputs up to the root's unit and back
+down to an input only passes through sums that can reach bound+1 together
+with sums already true, that is, sums at or above their floors, and every
+clause among those is kept.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .core import CnfFormula, PBConstraint, VarPool, negate
+from .core import LE, CnfFormula, PBConstraint, VarPool, negate
 
 
 @dataclass
@@ -95,43 +113,73 @@ def _build(leaves: list[GteNode], cap: int, lo: int, hi: int) -> GteNode:
     )
 
 
-def _emit(node: GteNode, cap: int, pool: VarPool, clauses: list[list[int]]) -> None:
-    """Post-order: allocate this node's sum variables, then emit combination
-    clauses before boundary clauses, sums ascending.  Clauses go straight onto
-    `clauses`; the caller accounts for their variables in `num_vars`."""
+def _emit(node: GteNode, cap: int, floor: int, pool: VarPool, clauses: list[list[int]]) -> None:
+    """Post-order: allocate this node's sum variables at or above `floor`,
+    then emit combination clauses before boundary clauses, sums ascending.
+    A child's floor is this floor less its sibling's largest sum: below
+    that, no sum of the child can reach this floor.  Clauses go straight
+    onto `clauses`; the caller accounts for their variables in `num_vars`."""
     if node.is_leaf:
         return
     left, right = node.children
-    _emit(left, cap, pool, clauses)
-    _emit(right, cap, pool, clauses)
+    lfloor = max(0, floor - right.sums[-1])
+    rfloor = max(0, floor - left.sums[-1])
+    _emit(left, cap, lfloor, pool, clauses)
+    _emit(right, cap, rfloor, pool, clauses)
     var_of = node.var_of
-    for s in node.sums:
+    sums = node.sums
+    for s in sums[bisect_left(sums, floor):]:
         var_of[s] = pool.fresh_lit()
     over = var_of.get(cap)
-    rsums = right.sums
-    rneg = [right.var_of[w2] ^ 1 for w2 in rsums]
-    for w1 in left.sums:
-        nq = left.var_of[w1] ^ 1
-        # sums are sorted, so every pair from `split` on clamps to cap
+    lsums = left.sums[bisect_left(left.sums, lfloor):]
+    rsums = right.sums[bisect_left(right.sums, rfloor):]
+    rvar = right.var_of
+    rneg = [rvar[w2] ^ 1 for w2 in rsums]
+    rpairs = list(zip(rsums, rneg))
+    lvar = left.var_of
+    for w1 in lsums:
+        nq = lvar[w1] ^ 1
+        # sums are sorted: pairs before `lo` stay below the floor, pairs
+        # from `split` on clamp to cap
+        lo = bisect_left(rsums, floor - w1)
         split = bisect_left(rsums, cap - w1)
-        clauses.extend([[nq, nr, var_of[w1 + w2]] for w2, nr in zip(rsums[:split], rneg)])
+        clauses.extend([[nq, nr, var_of[w1 + w2]] for w2, nr in rpairs[lo:split]])
         clauses.extend([[nq, nr, over] for nr in rneg[split:]])
     for child in (left, right):
-        clauses.extend([[child.var_of[s] ^ 1, var_of[s]] for s in child.sums])
+        cvar = child.var_of
+        csums = child.sums
+        clauses.extend([[cvar[s] ^ 1, var_of[s]] for s in csums[bisect_left(csums, floor):]])
 
 
-def encode_gte(c: PBConstraint, pool: VarPool, out: CnfFormula) -> None:
-    """Encode a normalized constraint into `out`, drawing fresh variables from
-    `pool`.  A constraint whose full sum cannot exceed the bound emits nothing.
-    """
-    if not c.is_normalized():
-        raise ValueError(f"encode_gte requires a normalized constraint, got {c}")
+def _encode(c: PBConstraint, pool: VarPool, out: CnfFormula, pruned: bool) -> None:
     tree = build_tree(c)
     if tree.root.node_sum > c.bound:
         cap = c.bound + 1
-        _emit(tree.root, cap, pool, out.clauses)
-        # every input literal lands in a boundary clause (or the root unit)
+        _emit(tree.root, cap, cap if pruned else 0, pool, out.clauses)
+        # every input literal lands in a combination or boundary clause (or
+        # the root unit)
         out.num_vars = max(out.num_vars, max(l for _, l in c.terms) >> 1)
         out.add_clause([negate(tree.root.var_of[cap])])
     if pool.next_free - 1 > out.num_vars:
         out.num_vars = pool.next_free - 1
+
+
+def encode_gte(c: PBConstraint, pool: VarPool, out: CnfFormula) -> None:
+    """Encode a normalized constraint into `out`, drawing fresh variables from
+    `pool`: the paper's encoding, over the terms in input order, with a
+    variable for every reachable sum.  A constraint whose full sum cannot
+    exceed the bound emits nothing.
+    """
+    if not c.is_normalized():
+        raise ValueError(f"encode_gte requires a normalized constraint, got {c}")
+    _encode(c, pool, out, pruned=False)
+
+
+def encode_auto(c: PBConstraint, pool: VarPool, out: CnfFormula) -> None:
+    """Like `encode_gte`, over the terms stable-sorted by ascending weight,
+    and with variables only for the sums that can still reach bound+1 (the
+    root floor; see the module docstring)."""
+    if not c.is_normalized():
+        raise ValueError(f"encode_auto requires a normalized constraint, got {c}")
+    terms = tuple(sorted(c.terms, key=itemgetter(0)))
+    _encode(PBConstraint(terms, LE, c.bound), pool, out, pruned=True)

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .baselines import encode_adder, encode_swc, encode_totalizer
-from .core import LE, CnfFormula, PBConstraint, VarPool, gc_paused, negate
-from .gte import encode_gte
+from .core import CnfFormula, PBConstraint, VarPool, gc_paused, negate
+from .gte import encode_auto, encode_gte
 from .normalize import OutcomeKind, normalize
 
 ENCODERS = {
@@ -17,8 +16,9 @@ ENCODERS = {
     "swc": encode_swc,
     "adder": encode_adder,
     "totalizer": encode_totalizer,
+    "auto": encode_auto,
 }
-ENCODING_NAMES = (*ENCODERS, "auto")  # auto: gte over each piece's weight-sorted terms
+ENCODING_NAMES = tuple(ENCODERS)
 
 
 def is_cardinality(c: PBConstraint) -> bool:
@@ -39,15 +39,10 @@ def compile_constraint(c: PBConstraint, encoding: str, pool: VarPool, out: CnfFo
     """Normalize one constraint (splitting equalities) and encode every
     residual piece into `out`.  Forced units become unit clauses; a trivially
     false piece becomes the empty clause.  Returns how many of those two
-    kinds of clause it wrote.
-
-    `auto` hands `encode_gte` each piece's terms stable-sorted by ascending
-    weight: any leaf order is arc consistent, and neighbouring leaves of
-    equal weight reach far fewer distinct sums than a random mix, so the
-    tree is much smaller.  Explicit `gte` keeps input order."""
-    if encoding not in ENCODING_NAMES:
+    kinds of clause it wrote."""
+    if encoding not in ENCODERS:
         raise ValueError(f"unknown encoding {encoding!r}")
-    enc = ENCODERS["gte" if encoding == "auto" else encoding]
+    enc = ENCODERS[encoding]
     forced = 0
     for piece in normalize(c).flatten():
         for l in piece.forced_units:
@@ -57,10 +52,7 @@ def compile_constraint(c: PBConstraint, encoding: str, pool: VarPool, out: CnfFo
             out.add_clause([])
             forced += 1
         elif piece.kind is OutcomeKind.NORMALIZED:
-            pc = piece.constraint
-            if encoding == "auto":
-                pc = PBConstraint(tuple(sorted(pc.terms, key=itemgetter(0))), LE, pc.bound)
-            enc(pc, pool, out)
+            enc(piece.constraint, pool, out)
     return forced
 
 

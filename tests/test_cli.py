@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from pbcnf import parse_opb
+from pbcnf import SAT, SolveResult, cli, parse_opb
 from pbcnf.cli import main
 
 REFERENCE_OPB = "* #variable= 4 #constraint= 1\n+2 x1 +3 x2 +3 x3 +3 x4 <= 5 ;\n"
@@ -54,10 +54,15 @@ def test_encode_to_stdout(reference_file, capsys):
 def test_encode_to_file_byte_identical_reruns(reference_file, tmp_path, capsys):
     out1 = tmp_path / "a.cnf"
     out2 = tmp_path / "b.cnf"
+    assert main(["encode", reference_file, str(out1), "--encoding", "gte"]) == 0
+    assert main(["encode", reference_file, str(out2), "--encoding", "gte"]) == 0
+    assert out1.read_bytes() == out2.read_bytes() == REFERENCE_DIMACS.encode()
+    # the default, auto, is deterministic too
     assert main(["encode", reference_file, str(out1)]) == 0
     assert main(["encode", reference_file, str(out2)]) == 0
     capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes() == REFERENCE_DIMACS.encode()
+    assert out1.read_bytes() == out2.read_bytes()
+    assert out1.read_bytes().startswith(b"p cnf ")
 
 
 def test_encode_missing_file(capsys):
@@ -195,6 +200,15 @@ CAP_ERRORS = {"-3": "must be at least 0, not -3", "many": "not an integer: 'many
             ["stats", "--generate", "pb12like", "--constraints", "0"],
             ["gen-bench", "--family", "pb12like", "--constraints", "0"],
         )
+    ]
+    + [
+        pytest.param(
+            [*command, "--distinct-weights", value],
+            f"error: argument --distinct-weights: must be at least 2, not {value}",
+            id=f"{command[0]}-distinct-weights-{value}",
+        )
+        for command in (["gen-bench", "--family", "pb12like"], ["stats", "--generate", "pb12like"])
+        for value in ("1", "0", "-1")
     ],
 )
 def test_bad_conflict_cap_is_usage_error(reference_file, argv, message, capsys):
@@ -247,6 +261,40 @@ def test_solve_external_rejects_inconsistent_model(tmp_path, capsys, monkeypatch
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_solve_external_wrong_model_is_verification_failure(reference_file, tmp_path, capsys, monkeypatch):
+    # every x on weighs 11 against the bound 5: the CNF may say what it likes
+    stub = tmp_path / "ext.sh"
+    stub.write_text("#!/bin/sh\necho SAT\necho '1 2 3 4 0'\n")
+    stub.chmod(0o755)
+    monkeypatch.setenv("PBCNF_SOLVER", str(stub))
+    rc = main(["solve", reference_file])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err == "error: the model violates constraint 1 (2 x1 + 3 x2 + 3 x3 + 3 x4 <= 5)\n"
+
+
+def test_solve_embedded_wrong_model_is_verification_failure(tmp_path, capsys, monkeypatch):
+    # the check runs on the embedded engine's models too, against the
+    # constraints as written (here the second, a >=, before normalization)
+    path = tmp_path / "two.opb"
+    path.write_text("* #variable= 3 #constraint= 2\n+1 x1 +1 x2 <= 1 ;\n+2 x2 +1 x3 >= 2 ;\n")
+
+    class WrongEngine:
+        def __init__(self, formula):
+            self.nvars = formula.num_vars
+
+        def solve(self, max_conflicts=None):
+            return SolveResult(SAT, [1, -2, 3] + [-v for v in range(4, self.nvars + 1)])
+
+    monkeypatch.setattr(cli, "Solver", WrongEngine)
+    rc = main(["solve", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err == "error: the model violates constraint 2 (2 x2 + 1 x3 >= 2)\n"
 
 
 @pytest.mark.parametrize(
@@ -420,7 +468,7 @@ def test_gen_bench_feeds_encode(tmp_path, capsys):
 
 def test_module_entry_point_stdin():
     proc = subprocess.run(
-        [sys.executable, "-m", "pbcnf", "encode", "-", "-"],
+        [sys.executable, "-m", "pbcnf", "encode", "-", "-", "--encoding", "gte"],
         input=REFERENCE_OPB,
         capture_output=True,
         text=True,

@@ -107,15 +107,16 @@ GOLDEN = [
         pb12like(constraints=6, n=24, seed=100), "gte",
         "f0b92ccc01d31e1979dd102a52ec6ec04b91bb64682c01ae3605c3838669208c", id="pb12-gte",
     ),
-    # auto is gte over each piece's terms stable-sorted by weight; these two
-    # digests were recorded when that sort was introduced
+    # auto is gte over each piece's terms stable-sorted by weight, keeping
+    # only the sums that can reach bound+1; these two digests were recorded
+    # when that floor was introduced
     pytest.param(
         pb12like(constraints=6, n=24, seed=100), "auto",
-        "22af981203335c8f79f31ba07df52c97c39fb51ceec1683fc3c453196bfabb71", id="pb12-auto",
+        "f92ec7a3208e23d0a2fadfeb3201d7bf85cd8ebc8675c6bc09c89dc6a8b1bc86", id="pb12-auto",
     ),
     pytest.param(
         pedigreelike(n=70, seed=1), "auto",
-        "a14cd4b880c79c99f26d977c00d98b22d3ee47ad212a6fe38d9523f9b44449f7", id="pedigree-auto",
+        "76528a2f8ef82d754886ed42e61937c3dabf8b5ea3f202b58d15d76a634957c3", id="pedigree-auto",
     ),
     pytest.param(
         pb12like(constraints=6, n=24, seed=100), "swc",

@@ -16,13 +16,18 @@ from pbcnf import (
     UNSAT,
     CnfFormula,
     PBConstraint,
+    Solver,
+    SplitMix64,
+    Term,
     VarPool,
     build_tree,
     dimacs_str,
+    encode_auto,
     encode_gte,
     lit,
     merge_sums,
     node_sums,
+    random_normalized_constraint,
     solve,
 )
 
@@ -60,12 +65,12 @@ def subset_sums_oracle(weights, k):
     return sorted(seen)
 
 
-def encode(c):
+def encode(c, encoder=encode_gte):
     """Encode into a fresh formula; the counts come from the pool and `out`."""
     inputs = max(c.variables(), default=0)
     pool = VarPool(next_free=inputs + 1)
     out = CnfFormula(num_vars=inputs)
-    encode_gte(c, pool, out)
+    encoder(c, pool, out)
     stats = SimpleNamespace(aux_vars=pool.next_free - 1 - inputs, aux_clauses=len(out.clauses))
     return SimpleNamespace(formula=out, stats=stats)
 
@@ -201,3 +206,97 @@ def test_semantics_on_all_full_assignments():
         assumptions = [lit(v, negative=not val) for v, val in assignment.items()]
         r = solve(res.formula, assumptions=assumptions)
         assert (r.status == SAT) == REFERENCE.holds(assignment), assignment
+
+
+# --- auto: weight-sorted leaves, only the sums that can reach bound+1 ---
+
+
+def by_weight(c):
+    return PBConstraint(tuple(sorted(c.terms, key=lambda t: t.weight)), LE, c.bound)
+
+
+def floor_sum_count(weights, k, floor):
+    """Sum over the internal nodes of the tree `build_tree` makes over
+    `weights` of |{s in sums : s >= floor}|, with each node's sums found by
+    subset enumeration and each child's floor its parent's less the
+    sibling's largest sum (never below 0)."""
+    if len(weights) < 2:
+        return 0
+    mid = (len(weights) + 1) // 2
+    left, right = weights[:mid], weights[mid:]
+    top = lambda ws: min(sum(ws), k + 1)
+    own = sum(1 for s in subset_sums_oracle(weights, k) if s >= floor)
+    return (
+        own
+        + floor_sum_count(left, k, max(0, floor - top(right)))
+        + floor_sum_count(right, k, max(0, floor - top(left)))
+    )
+
+
+def auto_cases():
+    """Seeded normalized constraints, with the edge cases named: single
+    terms, weights of exactly bound+1, vacuous constraints and unit weights."""
+    cases = [
+        PBConstraint.from_signed([(4, 1)], LE, 3),  # one term of weight k+1
+        PBConstraint.from_signed([(2, -1)], LE, 3),  # one term, vacuous
+        PBConstraint.from_signed([(1, 1), (2, 2)], LE, 3),  # vacuous
+        PBConstraint.from_signed([(4, 1), (1, 2), (4, 3), (2, 4)], LE, 3),
+        PBConstraint.from_signed([(1, v) for v in range(1, 8)], LE, 3),
+        REFERENCE,
+    ]
+    rng = SplitMix64(77)
+    for _ in range(60):
+        cases.append(
+            random_normalized_constraint(rng, max_n=8, max_weight=12, max_bound=30, cardinality_chance=(1, 4))
+        )
+    for _ in range(20):  # many weights of exactly k+1
+        k = rng.randint(0, 6)
+        weights = [k + 1 if rng.chance(1, 3) else rng.randint(1, k + 1) for _ in range(rng.randint(1, 6))]
+        cases.append(PBConstraint(tuple(Term(w, lit(v)) for v, w in enumerate(weights, 1)), LE, k))
+    return cases
+
+
+def test_auto_counts_only_sums_at_or_above_the_floor():
+    weighted = vacuous = 0
+    for c in auto_cases():
+        weights = [w for w, _ in c.terms]
+        auto = encode(c, encode_auto).stats.aux_vars
+        full = encode(c).stats.aux_vars
+        if sum(weights) <= c.bound:
+            vacuous += 1
+            assert auto == full == 0, c
+            continue
+        assert auto == floor_sum_count(sorted(weights), c.bound, c.bound + 1), c
+        assert full == floor_sum_count(weights, c.bound, 0), c
+        weighted += auto < encode(by_weight(c)).stats.aux_vars
+    assert vacuous >= 3 and weighted >= 30
+
+
+def test_auto_propagates_like_unpruned_sorted_gte():
+    # for every partial input assignment, unit propagation on auto's CNF
+    # derives the same input literals as the full encoding over the same
+    # sorted leaves, and runs into a conflict exactly when it does
+    rng = SplitMix64(78)
+    tried = conflicts = derived = 0
+    for c in auto_cases():
+        variables = c.variables()
+        pruned = Solver(encode(c, encode_auto).formula)
+        full = Solver(encode(by_weight(c)).formula)
+        n = len(variables)
+        if 3**n <= 729:
+            samples = itertools.product((0, 1, 2), repeat=n)
+        else:
+            samples = ([rng.randint(0, 2) for _ in range(n)] for _ in range(500))
+        for digits in samples:
+            partial = [lit(v, negative=d == 1) for v, d in zip(variables, digits) if d]
+            seen = []
+            for solver in (pruned, full):
+                confl, _ = solver.assume_propagate(partial)
+                inputs = {l for l in solver.trail if l >> 1 in variables}
+                seen.append((confl is not None, inputs if confl is None else None))
+                solver.retract()
+            assert seen[0] == seen[1], (c, partial)
+            tried += 1
+            conflicts += seen[0][0]
+            derived += not seen[0][0] and len(seen[0][1]) > len(partial)
+    assert tried >= 15_000 and conflicts >= 4_000 and derived >= 3_000

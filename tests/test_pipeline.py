@@ -8,14 +8,18 @@ from pbcnf import (
     LE,
     SAT,
     UNSAT,
+    OutcomeKind,
     PbInstance,
     PBConstraint,
     SplitMix64,
     compile_constraints,
     compile_instance,
     dimacs_str,
+    gac_check,
     gen_bench,
     lit,
+    normalize,
+    oracle_check,
     pedigreelike,
     solve,
 )
@@ -23,7 +27,7 @@ from pbcnf.pipeline import ENCODERS, ENCODING_NAMES, is_cardinality
 
 
 def test_encoder_registry():
-    assert set(ENCODERS) == {"gte", "swc", "adder", "totalizer"}
+    assert set(ENCODERS) == {"gte", "swc", "adder", "totalizer", "auto"}
     assert ENCODING_NAMES == ("gte", "swc", "adder", "totalizer", "auto")
 
 
@@ -129,12 +133,15 @@ def by_weight(c):
 
 def test_auto_is_gte_over_weight_sorted_terms():
     # pedigreelike is one <= constraint over weights 1 and 456, so sorting
-    # its input terms sorts the normalized piece's leaves too
+    # its input terms sorts the normalized piece's leaves too; auto then
+    # keeps only the sums that can still reach bound+1
     inst = gen_bench(pedigreelike(n=200, seed=3))
     auto = compile_instance(inst, "auto")
-    assert (auto.aux_vars, auto.aux_clauses) == (7_619, 79_302)
+    assert (auto.aux_vars, auto.aux_clauses) == (2_506, 35_950)
     presorted = PbInstance(inst.declared_vars, [by_weight(c) for c in inst.constraints])
-    assert dimacs_str(auto.formula) == dimacs_str(compile_instance(presorted, "gte").formula)
+    assert dimacs_str(auto.formula) == dimacs_str(compile_instance(presorted, "auto").formula)
+    full = compile_instance(presorted, "gte")
+    assert (full.aux_vars, full.aux_clauses) == (7_619, 79_302)
 
 
 def test_auto_beats_input_order_gte_on_pedigree():
@@ -142,9 +149,9 @@ def test_auto_beats_input_order_gte_on_pedigree():
     assert compile_instance(inst, "auto").aux_clauses < compile_instance(inst, "gte").aux_clauses
 
 
-def test_auto_on_unit_weights_is_the_totalizer_byte_for_byte():
-    # unit weights stay unit through normalization (>= flips literals, = splits),
-    # and a stable sort of equal weights keeps input order
+def test_auto_on_unit_weights_is_no_larger_than_the_totalizer():
+    # unit weights stay unit through normalization (>= flips literals, = splits);
+    # auto drops the totalizer's sums that cannot reach bound+1
     rng = SplitMix64(31)
     constraints = []
     for _ in range(40):
@@ -155,5 +162,16 @@ def test_auto_on_unit_weights_is_the_totalizer_byte_for_byte():
         constraints.append(PBConstraint.from_signed(terms, relation, rng.randint(0, len(vs))))
     auto = compile_constraints(constraints, 12, "auto")
     tot = compile_constraints(constraints, 12, "totalizer")
-    assert auto.aux_clauses > 0
-    assert dimacs_str(auto.formula) == dimacs_str(tot.formula)
+    assert 0 < auto.aux_clauses < tot.aux_clauses
+    assert auto.aux_vars < tot.aux_vars
+    smaller = 0
+    for c in constraints:
+        one = compile_constraints([c], 12, "auto")
+        ref = compile_constraints([c], 12, "totalizer")
+        assert one.aux_vars <= ref.aux_vars and one.aux_clauses <= ref.aux_clauses, c
+        smaller += one.aux_clauses < ref.aux_clauses
+        assert oracle_check(c, "auto"), c
+        for piece in normalize(c).flatten():
+            if piece.kind is OutcomeKind.NORMALIZED:
+                assert all(r.passed for r in gac_check(piece.constraint, "auto", trials=60, seed=31)), c
+    assert smaller >= 20

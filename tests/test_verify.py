@@ -139,8 +139,9 @@ def test_gac_is_deterministic():
 
 
 def test_auto_sweep_is_sound_and_propagation_complete():
-    # auto reorders each piece's leaves by weight; neither equisatisfiability
-    # nor arc consistency may depend on that order
+    # auto reorders each piece's leaves by weight and drops the sums that
+    # cannot reach bound+1; neither may cost equisatisfiability or arc
+    # consistency
     rng = SplitMix64(606)
     reordered = partials = 0
     for _ in range(40):
