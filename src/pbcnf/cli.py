@@ -6,7 +6,8 @@ constraint's terms stable-sorted by weight, defining only the sums that can
 still reach bound+1; `--encoding gte` is the paper's encoding, in input
 order with every sum.  `solve` checks every SAT model against the input's
 constraints before printing it.
-Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;
+Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error,
+including an `--encoding` that does not apply to one of the constraints;
 2 I/O or parse error, or an external solver that cannot be run or answers
 in an unrecognized form; 3 verification failure, or a SAT model that breaks
 one of the input's constraints.  Set PBCNF_SOLVER to hand solving to an
@@ -22,8 +23,8 @@ import os
 import sys
 
 from . import bench
-from .core import to_signed
-from .dimacs import dimacs_str
+from .core import InapplicableEncoding, to_signed
+from .dimacs import write_dimacs
 from .engine import SAT, TIMEOUT, UNSAT, Solver, solve_external
 from .opb import OpbError, parse_opb, write_opb
 from .pipeline import ENCODING_NAMES, compile_instance, is_cardinality
@@ -93,16 +94,22 @@ def _at_least(lo: int):
     return parse
 
 
-def _cmd_encode(args) -> int:
+def _compile(args):
     instance = _read_instance(args.input)
-    compiled = compile_instance(instance, args.encoding)
-    text = dimacs_str(compiled.formula)
+    try:
+        return instance, compile_instance(instance, args.encoding)
+    except InapplicableEncoding as e:
+        raise SystemExit2(str(e)) from None
+
+
+def _cmd_encode(args) -> int:
+    _, compiled = _compile(args)
     if args.output == "-":
-        sys.stdout.write(text)
+        write_dimacs(compiled.formula, sys.stdout)
     else:
         try:
             with open(args.output, "w") as f:
-                f.write(text)
+                write_dimacs(compiled.formula, f)
         except OSError as e:
             raise _IoFailure(f"cannot write {args.output}: {e.strerror or e}") from e
     print(
@@ -114,8 +121,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = _read_instance(args.input)
-    compiled = compile_instance(instance, args.encoding)
+    instance, compiled = _compile(args)
     external = os.environ.get(SOLVER_ENV)
     if external:
         try:

@@ -2,12 +2,27 @@
 
 Output is byte-deterministic: `p cnf V C` header, one clause per line,
 signed literals separated by single spaces, `0` terminators, LF line endings.
+
+Both directions work a bounded block at a time and leave the per-literal
+work to builtins.  The writer maps each literal code through one table of
+"signed-literal " strings, with code 0 (never a literal) standing for the
+"0\\n" terminator.  The parser splits a block of the body into tokens and
+maps them through one dict from canonical text (`7`, `-7`, `0`) to code;
+a block holding any other token (a comment, a second header, `+3`, `03`,
+garbage, a literal out of range) is read line by line with `int()` and
+every check instead, so errors and their line numbers stay the same.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, count, repeat
+from operator import not_
+
 from .core import CnfFormula, from_signed, gc_paused, to_signed
 from .opb import _to_text
+
+_WRITE_BLOCK = 4096  # clauses per written block
+_READ_BLOCK = 1 << 16  # characters per parsed block, cut after a line feed
 
 
 class DimacsError(Exception):
@@ -17,38 +32,85 @@ class DimacsError(Exception):
         self.message = message
 
 
-def dimacs_str(formula: CnfFormula) -> str:
+def _literal_texts(num_vars: int) -> list[str]:
+    """"signed-literal " for every literal code of variables 1..num_vars;
+    code 0, never a literal, ends a clause."""
+    table = [f"{to_signed(l)} " for l in range(2 * num_vars + 2)]
+    table[0] = "0\n"
+    return table
+
+
+def _terminated(block: list[list[int]]):
+    """The literal codes of `block`, each clause followed by code 0."""
+    return chain.from_iterable(chain.from_iterable(zip(block, repeat((0,)))))
+
+
+def _blocks(formula: CnfFormula):
+    """The DIMACS text of `formula`: the header, then one string per block
+    of clauses."""
     clauses = formula.clauses
-    # one "signed-literal " string per literal code, covering literals above
-    # num_vars too, so each clause is a join of table lookups
-    text = [f"{to_signed(l)} " for l in range(2 * formula.max_var() + 2)].__getitem__
-    body = "".join(["".join(map(text, cl)) + "0\n" for cl in clauses])
-    return f"p cnf {formula.num_vars} {len(clauses)}\n" + body
+    yield f"p cnf {formula.num_vars} {len(clauses)}\n"
+    text = _literal_texts(formula.num_vars).__getitem__
+    for i in range(0, len(clauses), _WRITE_BLOCK):
+        block = clauses[i : i + _WRITE_BLOCK]
+        try:
+            chunk = "".join(map(text, _terminated(block)))
+        except IndexError:  # a literal above num_vars: cover every variable
+            text = _literal_texts(formula.max_var()).__getitem__
+            chunk = "".join(map(text, _terminated(block)))
+        yield chunk
+
+
+def dimacs_str(formula: CnfFormula) -> str:
+    return "".join(_blocks(formula))
 
 
 def write_dimacs(formula: CnfFormula, sink) -> None:
-    sink.write(dimacs_str(formula))
+    """Write the text of `dimacs_str` to `sink` a block at a time, so the
+    whole text never exists at once."""
+    for chunk in _blocks(formula):
+        sink.write(chunk)
 
 
 def parse_dimacs(source) -> CnfFormula:
-    """Inverse of `write_dimacs`; also accepts `c` comment lines and clauses
-    spanning multiple lines."""
+    """Inverse of `write_dimacs`; also accepts `c` comment lines, clauses
+    spanning multiple lines and any integer token `int()` reads (`+3`,
+    `03`)."""
     text = _to_text(source)
     with gc_paused():
         return _parse_text(text)
 
 
-def _parse_text(text: str) -> CnfFormula:
-    num_vars = num_clauses = None
-    clauses: list[list[int]] = []
-    current: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("c"):
-            continue
-        if stripped.startswith("p"):
-            if num_vars is not None:
-                raise DimacsError(lineno, "duplicate header")
+def _cut(text: str, pos: int) -> int:
+    """End of the block starting at `pos`: just past the first line feed
+    `_READ_BLOCK` characters on, or the end of the text.  Every block thus
+    holds whole lines, so `splitlines` of a block splits as the text does."""
+    end = text.find("\n", pos + _READ_BLOCK)
+    return len(text) if end < 0 else end + 1
+
+
+def _literal_codes(top: int) -> dict[str, int]:
+    """Canonical text of every literal of variables 1..top, and of 0, to its
+    code (0 for the clause terminator)."""
+    codes = {"0": 0}
+    codes.update(zip(map(str, range(1, top + 1)), range(2, 2 * top + 2, 2)))
+    codes.update(zip(map(str, range(-1, -top - 1, -1)), range(3, 2 * top + 3, 2)))
+    return codes
+
+
+def _parse_header(text: str) -> tuple[int, int, int, int]:
+    """Find the `p cnf V C` line.  Returns V, C, the header's line number and
+    the offset where the body starts."""
+    pos = lineno = 0
+    while pos < len(text):
+        for raw in text[pos : _cut(text, pos)].splitlines(keepends=True):
+            lineno += 1
+            pos += len(raw)
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("c"):
+                continue
+            if not stripped.startswith("p"):
+                raise DimacsError(lineno, "clause before header")
             fields = stripped.split()
             if len(fields) != 4 or fields[1] != "cnf":
                 raise DimacsError(lineno, f"malformed header {stripped!r}")
@@ -58,9 +120,20 @@ def _parse_text(text: str) -> CnfFormula:
                 raise DimacsError(lineno, f"malformed header {stripped!r}") from None
             if num_vars < 0 or num_clauses < 0:
                 raise DimacsError(lineno, "negative counts in header")
+            return num_vars, num_clauses, lineno, pos
+    raise DimacsError(1, "missing header")
+
+
+def _parse_lines(lines, lineno: int, num_vars: int, clauses: list[list[int]], current: list[int]) -> list[int]:
+    """Read body lines one token at a time, the first numbered `lineno + 1`,
+    appending finished clauses to `clauses`.  Returns the clause still open
+    after the last line."""
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("c"):
             continue
-        if num_vars is None:
-            raise DimacsError(lineno, "clause before header")
+        if stripped.startswith("p"):
+            raise DimacsError(lineno, "duplicate header")
         for tok in stripped.split():
             try:
                 n = int(tok)
@@ -73,10 +146,45 @@ def _parse_text(text: str) -> CnfFormula:
                 if abs(n) > num_vars:
                     raise DimacsError(lineno, f"literal {n} exceeds declared {num_vars} variables")
                 current.append(from_signed(n))
-    if current:
-        raise DimacsError(lineno, "unterminated clause at end of input")
-    if num_vars is None:
-        raise DimacsError(1, "missing header")
-    if num_clauses != len(clauses):
-        raise DimacsError(lineno if text.strip() else 1, f"header declares {num_clauses} clauses, found {len(clauses)}")
+    return current
+
+
+def _parse_text(text: str) -> CnfFormula:
+    num_vars, num_clauses, lineno, pos = _parse_header(text)
+    # the table stops at half the text's length, as many variables as the
+    # text can name, so a huge declared count costs nothing; a literal
+    # beyond the table still parses, through `_parse_lines`
+    code_of = _literal_codes(min(num_vars, len(text) // 2)).__getitem__
+    clauses: list[list[int]] = []
+    current: list[int] = []
+    counted = pos  # `lineno` lines end at offset `counted`
+    while pos < len(text):
+        end = _cut(text, pos)
+        block = text[pos:end]
+        try:
+            codes = list(map(code_of, block.split()))
+        except KeyError:
+            # a token without a canonical in-range form: read the block with
+            # every check, numbering its lines from where it starts
+            lineno += len(text[counted:pos].splitlines())
+            lines = block.splitlines()
+            current = _parse_lines(lines, lineno, num_vars, clauses, current)
+            lineno += len(lines)
+            counted = end
+        else:
+            if current:
+                codes[:0] = current
+            # cut at the terminators: clause i runs from just past zero i-1
+            # up to zero i, and what follows the last zero stays open
+            zeros = list(compress(count(), map(not_, codes)))
+            starts = [0]
+            starts += map((1).__add__, zeros)
+            clauses += map(codes.__getitem__, map(slice, starts, zeros))
+            current = codes[starts[-1] :]
+        pos = end
+    if current or num_clauses != len(clauses):
+        lineno += len(text[counted:].splitlines())
+        if current:
+            raise DimacsError(lineno, "unterminated clause at end of input")
+        raise DimacsError(lineno, f"header declares {num_clauses} clauses, found {len(clauses)}")
     return CnfFormula(num_vars=num_vars, clauses=clauses)

@@ -460,14 +460,14 @@ def solve_external(formula, command: str, timeout: float | None = None) -> Solve
     variables consistently raises RuntimeError."""
     import shlex
 
-    from .dimacs import dimacs_str
+    from .dimacs import write_dimacs
 
     argv = shlex.split(command)
     path = None
     try:
         with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:
             path = f.name
-            f.write(dimacs_str(formula))
+            write_dimacs(formula, f)
         try:
             proc = subprocess.run(
                 [*argv, path], capture_output=True, text=True, timeout=timeout

@@ -28,7 +28,10 @@ encoding by setting the dropped variables true.  Arc consistency holds
 too: a propagation chain from the inputs up to the root's unit and back
 down to an input only passes through sums that can reach bound+1 together
 with sums already true, that is, sums at or above their floors, and every
-clause among those is kept.
+clause among those is kept.  The root itself then keeps no variable:
+resolving its clauses against its unit leaves (~q | ~r) for every pair of
+child sums reaching bound+1 and (~c) for a child's own bound+1 variable,
+which is unit resolution done at compile time and propagates the same.
 """
 
 from __future__ import annotations
@@ -126,17 +129,26 @@ def _emit(node: GteNode, cap: int, floor: int, pool: VarPool, clauses: list[list
     rfloor = max(0, floor - left.sums[-1])
     _emit(left, cap, lfloor, pool, clauses)
     _emit(right, cap, rfloor, pool, clauses)
+    lsums = left.sums[bisect_left(left.sums, lfloor):]
+    rsums = right.sums[bisect_left(right.sums, rfloor):]
+    rvar = right.var_of
+    rneg = [rvar[w2] ^ 1 for w2 in rsums]
+    lvar = left.var_of
+    if floor == cap:
+        # only `auto`'s root has this floor (a child's is always lower): its
+        # one sum, bound+1, is forbidden, so instead of a variable and a
+        # unit clause against it, every way of reaching it is forbidden
+        for w1 in lsums:
+            nq = lvar[w1] ^ 1
+            clauses.extend([[nq, nr] for nr in rneg[bisect_left(rsums, cap - w1):]])
+        clauses.extend([[child.var_of[cap] ^ 1] for child in (left, right) if child.sums[-1] == cap])
+        return
     var_of = node.var_of
     sums = node.sums
     for s in sums[bisect_left(sums, floor):]:
         var_of[s] = pool.fresh_lit()
     over = var_of.get(cap)
-    lsums = left.sums[bisect_left(left.sums, lfloor):]
-    rsums = right.sums[bisect_left(right.sums, rfloor):]
-    rvar = right.var_of
-    rneg = [rvar[w2] ^ 1 for w2 in rsums]
     rpairs = list(zip(rsums, rneg))
-    lvar = left.var_of
     for w1 in lsums:
         nq = lvar[w1] ^ 1
         # sums are sorted: pairs before `lo` stay below the floor, pairs
@@ -152,14 +164,15 @@ def _emit(node: GteNode, cap: int, floor: int, pool: VarPool, clauses: list[list
 
 
 def _encode(c: PBConstraint, pool: VarPool, out: CnfFormula, pruned: bool) -> None:
-    tree = build_tree(c)
-    if tree.root.node_sum > c.bound:
+    root = build_tree(c).root
+    if root.node_sum > c.bound:
         cap = c.bound + 1
-        _emit(tree.root, cap, cap if pruned else 0, pool, out.clauses)
+        _emit(root, cap, cap if pruned else 0, pool, out.clauses)
         # every input literal lands in a combination or boundary clause (or
         # the root unit)
         out.num_vars = max(out.num_vars, max(l for _, l in c.terms) >> 1)
-        out.add_clause([negate(tree.root.var_of[cap])])
+        if cap in root.var_of:  # all but a pruned internal root
+            out.add_clause([negate(root.var_of[cap])])
     if pool.next_free - 1 > out.num_vars:
         out.num_vars = pool.next_free - 1
 

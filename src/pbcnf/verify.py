@@ -120,7 +120,8 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
         if confl is not None:
             report = GacReport(c, encoding, tuple(partial), required, conflicted=True)
         else:
-            derived = tuple(l for l in solver.trail if l not in set(partial))
+            given = set(partial)
+            derived = tuple(l for l in solver.trail if l not in given)
             missing = frozenset(l for l in required if solver.value(l) != 1)
             report = GacReport(c, encoding, tuple(partial), required, derived, missing=missing)
         solver.retract()

@@ -109,6 +109,16 @@ def test_bad_flag_is_usage_error(capsys):
     assert main(["solve", "--frobnicate", "x"]) == 1
 
 
+@pytest.mark.parametrize("command", ["encode", "solve"])
+def test_inapplicable_encoding_is_usage_error(reference_file, command, capsys):
+    # the reference constraint is weighted; the totalizer takes unit weights only
+    rc = main([command, reference_file, "--encoding", "totalizer"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: encode_totalizer requires unit weights; use encode_gte\n"
+
+
 # --- solve ---
 
 

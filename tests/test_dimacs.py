@@ -108,15 +108,15 @@ GOLDEN = [
         "f0b92ccc01d31e1979dd102a52ec6ec04b91bb64682c01ae3605c3838669208c", id="pb12-gte",
     ),
     # auto is gte over each piece's terms stable-sorted by weight, keeping
-    # only the sums that can reach bound+1; these two digests were recorded
-    # when that floor was introduced
+    # only the sums that can reach bound+1, with no variable at the root;
+    # these two digests were recorded when the root variable was dropped
     pytest.param(
         pb12like(constraints=6, n=24, seed=100), "auto",
-        "f92ec7a3208e23d0a2fadfeb3201d7bf85cd8ebc8675c6bc09c89dc6a8b1bc86", id="pb12-auto",
+        "91d11704182a625d43513211dcce0625b2e39aa679d7c119951b45dfe4ed6f62", id="pb12-auto",
     ),
     pytest.param(
         pedigreelike(n=70, seed=1), "auto",
-        "76528a2f8ef82d754886ed42e61937c3dabf8b5ea3f202b58d15d76a634957c3", id="pedigree-auto",
+        "70063d53562e112c3002935dea20a1531c2b4e444c66c0ee81986b91e7c433ec", id="pedigree-auto",
     ),
     pytest.param(
         pb12like(constraints=6, n=24, seed=100), "swc",

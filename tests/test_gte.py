@@ -219,13 +219,14 @@ def floor_sum_count(weights, k, floor):
     """Sum over the internal nodes of the tree `build_tree` makes over
     `weights` of |{s in sums : s >= floor}|, with each node's sums found by
     subset enumeration and each child's floor its parent's less the
-    sibling's largest sum (never below 0)."""
+    sibling's largest sum (never below 0).  A node whose floor is k+1, the
+    root under auto, counts none: its one sum is forbidden outright."""
     if len(weights) < 2:
         return 0
     mid = (len(weights) + 1) // 2
     left, right = weights[:mid], weights[mid:]
     top = lambda ws: min(sum(ws), k + 1)
-    own = sum(1 for s in subset_sums_oracle(weights, k) if s >= floor)
+    own = 0 if floor > k else sum(1 for s in subset_sums_oracle(weights, k) if s >= floor)
     return (
         own
         + floor_sum_count(left, k, max(0, floor - top(right)))

@@ -137,7 +137,7 @@ def test_auto_is_gte_over_weight_sorted_terms():
     # keeps only the sums that can still reach bound+1
     inst = gen_bench(pedigreelike(n=200, seed=3))
     auto = compile_instance(inst, "auto")
-    assert (auto.aux_vars, auto.aux_clauses) == (2_506, 35_950)
+    assert (auto.aux_vars, auto.aux_clauses) == (2_505, 35_949)
     presorted = PbInstance(inst.declared_vars, [by_weight(c) for c in inst.constraints])
     assert dimacs_str(auto.formula) == dimacs_str(compile_instance(presorted, "auto").formula)
     full = compile_instance(presorted, "gte")

@@ -2,15 +2,17 @@
 the plain per-literal loops they replaced.
 
 The reference functions below are the straightforward versions of
-`merge_sums`, the GTE clause emission, `dimacs_str`, the `Solver` clause
-loader and the `Solver` search loops.  The fast versions must give exactly the
-same sums, clauses (order and literal order included), variable counts, DIMACS
-bytes, watch lists and root units, and the same search: statuses, models,
-learned clauses and trails.
+`merge_sums`, the GTE clause emission, `dimacs_str`, the DIMACS parser, the
+`Solver` clause loader and the `Solver` search loops.  The fast versions must
+give exactly the same sums, clauses (order and literal order included),
+variable counts, DIMACS bytes, parsed formulas and parse errors, watch lists
+and root units, and the same search: statuses, models, learned clauses and
+trails.
 """
 
 from __future__ import annotations
 
+import io
 from heapq import heappop, heappush
 
 import pytest
@@ -20,6 +22,7 @@ from pbcnf import (
     TIMEOUT,
     UNSAT,
     CnfFormula,
+    DimacsError,
     Solver,
     SolveResult,
     SplitMix64,
@@ -29,14 +32,19 @@ from pbcnf import (
     compile_instance,
     dimacs_str,
     encode_gte,
+    from_signed,
     gen_bench,
     lit,
     merge_sums,
     negate,
+    parse_dimacs,
     pb12like,
+    pedigreelike,
     random_normalized_constraint,
     to_signed,
+    write_dimacs,
 )
+from pbcnf import dimacs
 from pbcnf.engine import FALSE, TRUE, UNDEF, _luby
 
 # --- reference implementations ------------------------------------------
@@ -94,6 +102,51 @@ def ref_dimacs_str(formula):
         else:
             out.append("0\n")
     return "".join(out)
+
+
+def ref_parse_text(text):
+    """The parser's per-line, per-token loop over the whole text."""
+    num_vars = num_clauses = None
+    clauses = []
+    current = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError(lineno, "duplicate header")
+            fields = stripped.split()
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise DimacsError(lineno, f"malformed header {stripped!r}")
+            try:
+                num_vars, num_clauses = int(fields[2]), int(fields[3])
+            except ValueError:
+                raise DimacsError(lineno, f"malformed header {stripped!r}") from None
+            if num_vars < 0 or num_clauses < 0:
+                raise DimacsError(lineno, "negative counts in header")
+            continue
+        if num_vars is None:
+            raise DimacsError(lineno, "clause before header")
+        for tok in stripped.split():
+            try:
+                n = int(tok)
+            except ValueError:
+                raise DimacsError(lineno, f"expected integer literal, got {tok!r}") from None
+            if n == 0:
+                clauses.append(current)
+                current = []
+            else:
+                if abs(n) > num_vars:
+                    raise DimacsError(lineno, f"literal {n} exceeds declared {num_vars} variables")
+                current.append(from_signed(n))
+    if current:
+        raise DimacsError(lineno, "unterminated clause at end of input")
+    if num_vars is None:
+        raise DimacsError(1, "missing header")
+    if num_clauses != len(clauses):
+        raise DimacsError(lineno if text.strip() else 1, f"header declares {num_clauses} clauses, found {len(clauses)}")
+    return CnfFormula(num_vars=num_vars, clauses=clauses)
 
 
 def ref_load(formula):
@@ -246,6 +299,128 @@ def compiled_formulas():
 def test_dimacs_str_matches_reference():
     for f in hand_built() + compiled_formulas():
         assert dimacs_str(f) == ref_dimacs_str(f), f
+
+
+@pytest.mark.parametrize("block", [1, 4096])
+def test_write_dimacs_matches_dimacs_str(block, monkeypatch):
+    # the writer streams blocks of `block` clauses; literals above num_vars
+    # are written too
+    monkeypatch.setattr(dimacs, "_WRITE_BLOCK", block)
+    for f in hand_built() + compiled_formulas():
+        sink = io.StringIO()
+        write_dimacs(f, sink)
+        assert sink.getvalue() == dimacs_str(f) == ref_dimacs_str(f), f
+
+
+def parse_outcome(parse, text):
+    """The parsed variable count and clauses, or the error's line and message."""
+    try:
+        f = parse(text)
+    except DimacsError as e:
+        return "error", e.line, e.message
+    return f.num_vars, f.clauses
+
+
+MALFORMED_DIMACS = [
+    "",
+    "\n  \n",
+    "c only a comment\n",
+    "1 0\np cnf 1 1\n",
+    "p cnf 1\n",
+    "p cnf x 1\n",
+    "p cnf -1 0\n",
+    "c head\n\np cnf 3 2\n1 -2 0\nc mid-body comment 4 0\n3 0\n",
+    "p cnf 3 2\n1\n-2\n0 3\n0\n",  # clauses spanning lines
+    "p cnf 3 2\r\n1 -2 0\r\n3 0\r\n",  # CRLF
+    "p cnf 3 2\n\t1\t-2 0\t3\t0\t\n",  # tabs
+    "p cnf 3 2\n+3 -2 0\n03 -03 0\n",  # integer tokens int() reads
+    "p cnf 3 3\n0\n1 0 0\n",  # empty clauses
+    "p cnf 3 2\n1 x 0\np cnf 3 2\n3 0\n",  # bad token, then a duplicate header
+    "p cnf 3 2\n1 0\np cnf 3 2\n1 x 0\n",  # duplicate header, then a bad token
+    "p cnf 3 1\n4 0\n",  # out of range
+    "p cnf 3 1\n-4 0\n",
+    "p cnf 3 2\n1 -2 0\n",  # too few clauses
+    "p cnf 3 0\n1 0\n\n",  # too many
+    "p cnf 3 1\n1 2\n",  # unterminated
+    "p cnf 3 1\n1 2\nc trailing\n",
+    "p cnf 3 1\n1 c 0\n",  # a c token mid-line is no comment
+    "p cnf 3 1\n1 -0 0\n",  # -0 ends a clause
+    "p cnf 3 1\n1\x0c2 0\x0b",  # line breaks other than LF
+    "p cnf 3 1\n1\r2 0",
+    "p cnf 1000000000 1\n999999999 -1000000000 0\n",  # beyond the token table
+    "p cnf 2 1\n1 2 0 ",
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_parse_dimacs_matches_reference_on_malformed_input(block, monkeypatch):
+    # with tiny blocks, every clause and comment crosses a block boundary
+    monkeypatch.setattr(dimacs, "_READ_BLOCK", block)
+    for text in MALFORMED_DIMACS:
+        assert parse_outcome(parse_dimacs, text) == parse_outcome(ref_parse_text, text), repr(text)
+
+
+def random_dimacs_text(rng):
+    """Seeded DIMACS text: random whitespace and line splits, comment lines,
+    non-canonical integer tokens and, now and then, one error."""
+    num_vars = rng.randint(0, 9)
+    clauses = [
+        [rng.randint(1, num_vars) * (-1 if rng.chance(1, 2) else 1) for _ in range(rng.randint(0, 4) if num_vars else 0)]
+        for _ in range(rng.randint(0, 8))
+    ]
+    tokens = []
+    for cl in clauses:
+        for n in cl:
+            form = rng.randint(0, 9)
+            tokens.append(f"+{n}" if form == 0 and n > 0 else f"{'-' if n < 0 else ''}0{abs(n)}" if form == 1 else str(n))
+        tokens.append("-0" if rng.chance(1, 10) else "0")
+    declared = len(clauses)
+    fault = rng.randint(0, 9)
+    if fault == 0 and tokens:
+        tokens[rng.randint(0, len(tokens) - 1)] = ("x", "1.5", "c", "p", "--1")[rng.randint(0, 4)]
+    elif fault == 1 and tokens:
+        tokens[rng.randint(0, len(tokens) - 1)] = str(num_vars + 1)
+    elif fault == 2:
+        tokens.insert(rng.randint(0, len(tokens)), "\np cnf 1 1\n")
+    elif fault == 3:
+        declared += rng.randint(-1, 1) or 1
+    elif fault == 4 and tokens:
+        tokens.pop()
+    seps = (" ", " ", " ", "  ", "\t", "\n", "\n", "\r\n", "\n\n", "\nc note 1 0\n", " \n c\n")
+    parts = [("c made by a test\n" if rng.chance(1, 3) else "") + f"p cnf {num_vars} {declared}"]
+    for tok in tokens:
+        parts.append(seps[rng.randint(0, len(seps) - 1)])
+        parts.append(tok)
+    parts.append(("\n", "", "\n\n", "\nc end\n")[rng.randint(0, 3)])
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 16])
+def test_parse_dimacs_matches_reference_on_random_text(block, monkeypatch):
+    monkeypatch.setattr(dimacs, "_READ_BLOCK", block)
+    rng = SplitMix64(821)
+    errors = 0
+    for _ in range(400):
+        text = random_dimacs_text(rng)
+        want = parse_outcome(ref_parse_text, text)
+        assert parse_outcome(parse_dimacs, text) == want, repr(text)
+        errors += want[0] == "error"
+    assert 40 <= errors <= 360
+
+
+def test_parse_dimacs_matches_reference_across_default_blocks():
+    # a formula well beyond one default block, written canonically and with
+    # its clauses run together and split across lines, so clauses cross
+    # block boundaries; then one bad token near its end
+    f = compile_instance(gen_bench(pedigreelike(n=50, seed=3)), "gte").formula
+    text = dimacs_str(f)
+    assert len(text) > 4 * dimacs._READ_BLOCK
+    header, body = text.split("\n", 1)
+    mixed = header + "\n" + body.replace(" 0\n", " 0 ").replace(" -", "\n-")
+    for t in (text, mixed, mixed[:-40] + " 1.5 " + mixed[-40:]):
+        want = parse_outcome(ref_parse_text, t)
+        assert parse_outcome(parse_dimacs, t) == want
+    assert parse_dimacs(text).clauses == f.clauses
 
 
 def test_solver_load_matches_reference():
