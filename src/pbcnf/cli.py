@@ -79,8 +79,8 @@ def _encoders_arg(text: str) -> list[str]:
     return names
 
 
-def _at_least(lo: int):
-    """argparse type for an integer of at least `lo`."""
+def _at_least(lo: int, at_most: int | None = None):
+    """argparse type for an integer of at least `lo` (and at most `at_most`)."""
 
     def parse(text: str) -> int:
         try:
@@ -89,6 +89,8 @@ def _at_least(lo: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be at least {lo}, not {value}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, not {value}")
         return value
 
     return parse
@@ -261,7 +263,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--encoders", type=_encoders_arg, default=["gte", "swc", "adder"])
     sp.add_argument("--trials", type=_at_least(1), default=100)
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--max-n", type=_at_least(1), default=8)
+    sp.add_argument(
+        "--max-n", type=_at_least(1, at_most=16), default=8,
+        help="variables per constraint, at most 16: all 2^n assignments are enumerated",
+    )
     sp.add_argument("--max-weight", type=_at_least(1), default=10)
     sp.add_argument("--max-bound", type=int, default=30)
     sp.set_defaults(func=_cmd_verify)

@@ -6,7 +6,16 @@ identical trails and models.
 
 Assumptions are handled minisat-style: assumption i is the decision of level
 i+1, so learned clauses stay valid across calls and a solver instance can be
-reused for many assumption sets over the same formula.
+reused for many assumption sets over the same formula.  `solve` may return
+with the trail still holding assumption levels (`assumed` lists the
+assumptions they hold), and the next call backtracks only to the longest
+prefix of them that its own assumptions repeat.  This is sound because every
+prefix of the trail that ends at a level boundary is a propagation fixpoint:
+propagation finishes each level before the next decision, and a learned
+clause asserts its literal at its backjump level, so under any shorter
+prefix it is satisfied or has two unassigned literals.  The kept levels thus
+hold exactly the literals that asserting those assumptions again would
+derive.
 
 Branching uses a lazy-deletion heap `prio` of (-activity, var) entries with
 one live entry per variable: `heap_act[v]` is the key of v's live entry, or
@@ -60,22 +69,24 @@ class Solver:
     def __init__(self, formula):
         # lists and tuples of numbers only: nothing here can form a cycle
         with gc_paused():
-            nv = formula.max_var()
-            self.nvars = nv
-            self.val = bytearray([UNDEF]) * (2 * nv + 2)
-            self.level = [0] * (nv + 1)
-            self.reason = [-1] * (nv + 1)
-            self.activity = [0.0] * (nv + 1)
-            self.saved_phase = bytearray(nv + 1)  # 0 -> try the negative literal first
-            self.seen = bytearray(nv + 1)
+            # per-variable arrays for variables 1..nvars; `_grow` sizes them
+            self.nvars = 0
+            self.val = bytearray([UNDEF, UNDEF])
+            self.level = [0]
+            self.reason = [-1]
+            self.activity = [0.0]
+            self.saved_phase = bytearray(1)  # 0 -> try the negative literal first
+            self.seen = bytearray(1)
+            self.watches: list[list[int]] = [[], []]
+            self.prio: list[tuple[float, int]] = []  # (-activity, var) heap, lazy deletion
+            self.heap_act = [0.0]  # key of v's live prio entry; -1.0 when none
+            self._grow(formula.num_vars)
             self.trail: list[int] = []
             self.trail_lim: list[int] = []
+            self.assumed: list[int] = []  # the assumptions levels 1..len(assumed) hold
             self.qhead = 0
             self.var_inc = 1.0
             self.clauses: list[list[int] | None] = []
-            self.watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
-            self.prio = [(0.0, v) for v in range(1, nv + 1)]  # (-activity, var) heap, lazy deletion
-            self.heap_act = [0.0] * (nv + 1)  # key of v's live prio entry; -1.0 when none
             self.num_original = len(formula.clauses)
             self.root_done = False
             self.root_conflict: int | None = None
@@ -83,24 +94,29 @@ class Solver:
 
             clauses = self.clauses
             watches = self.watches
+            top = 2 * self.nvars + 1
             for idx, cl in enumerate(formula.clauses):
-                # fast path: two or three literals over distinct variables need no
-                # dedupe (a ^ b > 1 exactly when a and b differ in variable)
+                # fast path: two or three literals over distinct variables within
+                # num_vars need no dedupe (a ^ b > 1 exactly when a and b
+                # differ in variable)
                 n = len(cl)
                 if n == 2:
                     a, b = cl
-                    if a ^ b > 1:
+                    if a ^ b > 1 and a <= top and b <= top:
                         clauses.append([a, b])
                         watches[a].append(idx)
                         watches[b].append(idx)
                         continue
                 elif n == 3:
                     a, b, c = cl
-                    if a ^ b > 1 and a ^ c > 1 and b ^ c > 1:
+                    if a ^ b > 1 and a ^ c > 1 and b ^ c > 1 and a <= top and b <= top and c <= top:
                         clauses.append([a, b, c])
                         watches[a].append(idx)
                         watches[b].append(idx)
                         continue
+                if cl and max(cl) > top:  # a variable above num_vars
+                    self._grow(max(cl) >> 1)
+                    top = 2 * self.nvars + 1
                 lits: list[int] = []
                 skip = False
                 for l in cl:
@@ -120,6 +136,22 @@ class Solver:
                     self._root_units.append((lits[0], idx))
                 else:
                     self.root_conflict = idx
+
+    def _grow(self, nv: int) -> None:
+        """Extend every per-variable array, in place, to variables 1..nv.
+        Only the loader calls this, while `prio` still holds (0.0, v) for
+        every variable in order, so appending keeps it a heap."""
+        more = nv - self.nvars
+        self.val += bytearray([UNDEF]) * (2 * more)
+        self.level += [0] * more
+        self.reason += [-1] * more
+        self.activity += [0.0] * more
+        self.saved_phase += bytearray(more)
+        self.seen += bytearray(more)
+        self.watches += [[] for _ in range(2 * more)]
+        self.prio += [(0.0, v) for v in range(self.nvars + 1, nv + 1)]
+        self.heap_act += [0.0] * more
+        self.nvars = nv
 
     # -- assignment bookkeeping ------------------------------------------
 
@@ -331,14 +363,25 @@ class Solver:
     def solve(self, assumptions=(), max_conflicts: int | None = None) -> SolveResult:
         """Decide the formula under the assumptions; TIMEOUT once the search
         meets conflict max_conflicts+1.  An assumption outside the formula's
-        variables or a negative max_conflicts raises ValueError."""
+        variables or a negative max_conflicts raises ValueError.
+
+        After SAT, and after UNSAT because an assumption is false, the trail
+        keeps the levels of the assumptions before the failing one (all of
+        them after SAT); the next call starts from the longest prefix of
+        those levels that its own assumptions repeat."""
         if max_conflicts is not None and max_conflicts < 0:
             raise ValueError(f"max_conflicts must be at least 0, not {max_conflicts}")
         asn = list(assumptions)
         self._check_literals(asn)
         if not self._init_root():
             return SolveResult(UNSAT)
-        self._backtrack(0)
+        keep = 0
+        for kept, a in zip(self.assumed, asn):
+            if kept != a:
+                break
+            keep += 1
+        self._backtrack(keep)
+        self.assumed = []
         conflicts = 0
         restart_idx = 0
         restart_budget = _luby(restart_idx) * 64
@@ -374,7 +417,7 @@ class Solver:
                     self.trail_lim.append(len(self.trail))  # keep level indexing aligned
                     continue
                 if self.val[a] == FALSE:
-                    self._backtrack(0)
+                    self.assumed = asn[:lvl]  # levels 1..lvl stay for the next call
                     return SolveResult(UNSAT)
                 self.trail_lim.append(len(self.trail))
                 self._assign(a, -1)
@@ -382,7 +425,8 @@ class Solver:
             if len(self.trail) == self.nvars:  # every variable assigned: a model
                 val = self.val
                 model = [v if val[2 * v] == TRUE else -v for v in range(1, self.nvars + 1)]
-                self._backtrack(0)
+                self._backtrack(len(asn))
+                self.assumed = asn
                 return SolveResult(SAT, model)
             v = self._pick_branch()
             self.trail_lim.append(len(self.trail))
@@ -404,6 +448,7 @@ class Solver:
         if not self._init_root():
             return (self.root_conflict, len(self.trail))
         self._backtrack(0)
+        self.assumed = []
         base = len(self.trail)
         self.trail_lim.append(base)
         for a in asserted:
@@ -416,6 +461,7 @@ class Solver:
 
     def retract(self) -> None:
         self._backtrack(0)
+        self.assumed = []
 
 
 def _luby(x: int) -> int:

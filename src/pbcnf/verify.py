@@ -44,12 +44,14 @@ def oracle_check(c: PBConstraint, encoding: str, max_vars: int = 16) -> OracleOu
 
 
 def oracle_check_formula(c: PBConstraint, formula, encoding: str = "?") -> OracleOutcome:
-    """The enumeration core of `oracle_check`, usable on a hand-modified CNF."""
+    """The enumeration core of `oracle_check`, usable on a hand-modified CNF.
+    The assumptions go most significant bit first, so consecutive assignments
+    share the solver's assumption levels above the highest bit that changed."""
     variables = c.variables()
     solver = Solver(formula)
     for bits in range(1 << len(variables)):
         assignment = {v: bool((bits >> i) & 1) for i, v in enumerate(variables)}
-        assumptions = [lit(v, not assignment[v]) for v in variables]
+        assumptions = [lit(v, not assignment[v]) for v in reversed(variables)]
         expected = c.holds(assignment)
         got = solver.solve(assumptions).status == SAT
         if expected != got:

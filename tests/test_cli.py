@@ -213,6 +213,13 @@ CAP_ERRORS = {"-3": "must be at least 0, not -3", "many": "not an integer: 'many
     ]
     + [
         pytest.param(
+            ["verify", "--max-n", "17"],
+            "error: argument --max-n: must be at most 16, not 17",
+            id="verify-max-n-17",
+        )
+    ]
+    + [
+        pytest.param(
             [*command, "--distinct-weights", value],
             f"error: argument --distinct-weights: must be at least 2, not {value}",
             id=f"{command[0]}-distinct-weights-{value}",

@@ -22,13 +22,16 @@ from pbcnf import (
     Solver,
     SplitMix64,
     VarPool,
+    compile_constraints,
     encode_gte,
     lit,
     negate,
     propagate,
+    random_normalized_constraint,
     solve,
     solve_external,
 )
+from pbcnf.engine import TRUE, UNDEF
 
 REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
 
@@ -305,6 +308,121 @@ def test_differential_reused_solver():
             assert got.status == brute_force_status(g)
             if got.status == SAT:
                 assert model_satisfies(g, got.model)
+
+
+def kept_level_formulas(rng):
+    """Random CNFs with units, duplicate literals and tautologies, then
+    encoder output and pigeonhole formulas.  Half the random CNFs have no
+    units, and a third of those hold all four clauses over two variables, so
+    that only search finds them unsatisfiable."""
+    for _ in range(80):
+        n = rng.randint(2, 10)
+        f = CnfFormula(num_vars=n)
+        for _ in range(rng.randint(n, 5 * n)):
+            width = rng.randint(1, 4)
+            f.add_clause([lit(rng.randint(1, n), negative=rng.chance(1, 2)) for _ in range(width)])
+        if rng.chance(1, 2):
+            f.clauses = [cl for cl in f.clauses if len(set(cl)) > 1]
+            if rng.chance(1, 3):  # every sign pattern over two variables
+                u, v = rng.sample(1, n, 2)
+                f.clauses += [[lit(u, a), lit(v, b)] for a in (False, True) for b in (False, True)]
+        yield f
+    for enc in ("gte", "swc", "adder", "auto"):
+        for _ in range(8):
+            c = random_normalized_constraint(rng, 6, 10, 30)
+            yield compile_constraints([c], max(c.variables()), enc).formula
+    for holes in (3, 4):  # search meets conflicts, with and without an answer
+        f = pigeonhole(holes)
+        yield f
+        yield CnfFormula(num_vars=f.num_vars, clauses=f.clauses[1:])
+
+
+def next_assumptions(rng, prev, n):
+    """A new assumption list that shares a prefix with prev, reorders it,
+    contradicts one of its literals, or starts afresh."""
+    kind = rng.randint(0, 3)
+    if kind == 0 and prev:  # shared prefix, fresh tail
+        asn = prev[: rng.randint(1, len(prev))]
+    elif kind == 1 and prev:  # same literals, another order
+        asn = list(prev)
+        for i in range(len(asn) - 1, 0, -1):
+            j = rng.randint(0, i)
+            asn[i], asn[j] = asn[j], asn[i]
+        return asn
+    elif kind == 2 and prev:  # one literal flipped, or its negation appended
+        i = rng.randint(0, len(prev) - 1)
+        if rng.chance(1, 2):
+            return prev[:i] + [prev[i] ^ 1] + prev[i + 1 :]
+        return prev + [prev[i] ^ 1]
+    else:
+        asn = []
+    for _ in range(rng.randint(0, 3)):
+        asn.append(lit(rng.randint(1, n), negative=rng.chance(1, 2)))
+    return asn
+
+
+def assert_propagation_fixpoint(s):
+    """No clause is falsified or unit under the solver's trail."""
+    for cl in s.clauses:
+        if cl is None or any(s.val[l] == TRUE for l in cl):
+            continue
+        assert sum(s.val[l] == UNDEF for l in cl) >= 2, cl
+
+
+def test_kept_assumption_levels_match_a_fresh_solver():
+    # one solver answers a long sequence of calls whose assumptions share,
+    # reorder and contradict the kept levels; every answer must be the one a
+    # fresh solver gives, and the kept levels must be a propagation fixpoint
+    rng = SplitMix64(90210)
+    reused = root_unsat = timeouts = 0
+    for f in kept_level_formulas(rng):
+        n = f.num_vars
+        s = Solver(f)
+        # whether the formula is unsatisfiable without its units propagating
+        # to a clash, so that only search finds the root-level conflict
+        by_search = s.root_conflict is None and Solver(f)._init_root()
+        asn: list[int] = []
+        for _ in range(20):
+            step = rng.randint(0, 9)
+            if step == 0:
+                partial = [lit(rng.randint(1, n), negative=rng.chance(1, 2)) for _ in range(rng.randint(0, 3))]
+                confl, _ = s.assume_propagate(partial)
+                fresh = propagate(f, partial)
+                if fresh.is_conflict:
+                    assert confl is not None
+                elif confl is None:
+                    assert set(fresh.implied) <= set(s.trail)
+                if rng.chance(1, 2):  # otherwise the next solve pops the level
+                    s.retract()
+                continue
+            if step == 1:
+                asn = []
+            else:
+                asn = next_assumptions(rng, asn, n)
+            shared = 0
+            for kept, a in zip(s.assumed, asn):
+                if kept != a:
+                    break
+                shared += 1
+            reused += shared > 0
+            want = Solver(f).solve(asn).status
+            if step in (2, 3):
+                got = s.solve(asn, max_conflicts=0)
+                assert got.status in (TIMEOUT, want)
+                timeouts += got.status == TIMEOUT
+            else:
+                got = s.solve(asn)
+                assert got.status == want, (f, asn)
+            if got.status == SAT:
+                assert model_satisfies(f, got.model)
+                assert set(asn) <= {lit(abs(v), negative=v < 0) for v in got.model}
+            assert len(s.trail_lim) == len(s.assumed)
+            if s.root_conflict is None:
+                assert_propagation_fixpoint(s)
+        root_unsat += by_search and s.root_conflict is not None
+    assert reused >= 300
+    assert root_unsat >= 10
+    assert timeouts >= 4
 
 
 # --- external solver hand-off ---

@@ -89,6 +89,32 @@ def test_oracle_catches_a_broken_encoding():
     assert not REFERENCE.holds(outcome.assignment)
 
 
+@pytest.mark.parametrize(
+    "drop, extra, first, holds",
+    [
+        (17, None, (0, 1, 1, 0), False),  # the unit clause that enforces the bound
+        (3, None, (0, 0, 1, 1), False),
+        (5, None, (0, 1, 0, 1), False),
+        (16, None, (0, 0, 1, 1), False),
+        (None, [-1, -2], (1, 1, 0, 0), True),
+        (None, [-3], (0, 0, 1, 0), True),
+        (None, [4], (0, 0, 0, 0), True),
+    ],
+)
+def test_oracle_reports_the_first_counterexample(drop, extra, first, holds):
+    # the first failing assignment in counting order (x1 the lowest bit),
+    # whatever order the assumptions reach the solver in
+    broken = compile_constraints([REFERENCE], 4, "gte").formula
+    if drop is not None:
+        del broken.clauses[drop]
+    if extra is not None:
+        broken.add_clause([lit(abs(n), negative=n < 0) for n in extra])
+    outcome = oracle_check_formula(REFERENCE, broken, "gte")
+    assert outcome.assignment == {v: bool(b) for v, b in zip((1, 2, 3, 4), first)}
+    assert outcome.constraint_holds is holds
+    assert outcome.cnf_satisfiable is not holds
+
+
 def test_oracle_refuses_huge_constraints():
     big = PBConstraint.from_signed([(1, v) for v in range(1, 18)], LE, 5)
     with pytest.raises(ValueError):
