@@ -110,10 +110,9 @@ def stats_compare(
     encoders,
     label: str = "instance",
     max_conflicts: int | None = None,
-    solve_fn=None,
 ) -> list[StatRow]:
     """Encode the instance with each requested encoder, solve with the
-    embedded engine (or `solve_fn`), and report one row per encoder.
+    embedded engine, and report one row per encoder.
     Failures stay in their row instead of aborting the comparison."""
     rows = []
     for enc in encoders:
@@ -128,10 +127,7 @@ def stats_compare(
         row.aux_clauses = compiled.aux_clauses
         row.encode_ms = round(compiled.encode_time * 1000.0, 3)
         t0 = time.perf_counter()
-        if solve_fn is not None:
-            res = solve_fn(compiled.formula)
-        else:
-            res = Solver(compiled.formula).solve(max_conflicts=max_conflicts)
+        res = Solver(compiled.formula).solve(max_conflicts=max_conflicts)
         row.solve_ms = round((time.perf_counter() - t0) * 1000.0, 3)
         row.result = res.status
         rows.append(row)

@@ -28,7 +28,7 @@ from .dimacs import write_dimacs
 from .engine import SAT, TIMEOUT, UNSAT, Solver, solve_external
 from .opb import OpbError, parse_opb, write_opb
 from .pipeline import ENCODING_NAMES, compile_instance, is_cardinality
-from .verify import gac_check, oracle_check, random_normalized_constraint
+from .verify import ORACLE_MAX_VARS, gac_check, oracle_check, random_normalized_constraint
 from .rng import SplitMix64
 
 EXIT_OK = 0
@@ -264,8 +264,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--trials", type=_at_least(1), default=100)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument(
-        "--max-n", type=_at_least(1, at_most=16), default=8,
-        help="variables per constraint, at most 16: all 2^n assignments are enumerated",
+        "--max-n", type=_at_least(1, at_most=ORACLE_MAX_VARS), default=8,
+        help=f"variables per constraint, at most {ORACLE_MAX_VARS}: all 2^n assignments are enumerated",
     )
     sp.add_argument("--max-weight", type=_at_least(1), default=10)
     sp.add_argument("--max-bound", type=int, default=30)

@@ -155,10 +155,6 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def max_var(self) -> int:
-        """`num_vars`, or the largest variable in a clause if that is higher."""
-        return max(self.num_vars, max(map(max, filter(None, self.clauses)), default=0) >> 1)
-
     def has_empty_clause(self) -> bool:
         return any(not cl for cl in self.clauses)
 

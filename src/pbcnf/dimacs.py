@@ -50,14 +50,20 @@ def _blocks(formula: CnfFormula):
     of clauses."""
     clauses = formula.clauses
     yield f"p cnf {formula.num_vars} {len(clauses)}\n"
-    text = _literal_texts(formula.num_vars).__getitem__
+    # the table covers no more variables than the clauses hold literals
+    # (counted only when there are fewer clauses than variables), so a huge
+    # declared count costs nothing; a block naming a variable beyond the
+    # table is formatted literal by literal
+    top = formula.num_vars
+    if top > len(clauses):
+        top = min(top, sum(map(len, clauses)))
+    text = _literal_texts(top).__getitem__
     for i in range(0, len(clauses), _WRITE_BLOCK):
         block = clauses[i : i + _WRITE_BLOCK]
         try:
             chunk = "".join(map(text, _terminated(block)))
-        except IndexError:  # a literal above num_vars: cover every variable
-            text = _literal_texts(formula.max_var()).__getitem__
-            chunk = "".join(map(text, _terminated(block)))
+        except IndexError:
+            chunk = "".join(f"{to_signed(l)} " if l else "0\n" for l in _terminated(block))
         yield chunk
 
 

@@ -4,8 +4,9 @@ The accepted grammar per constraint line is
     (<signed integer> x<digits>)+  (>=|<=|=)  <signed integer> ;
 with `*` starting a comment line.  The optional header comment
     * #variable= N #constraint= M
-declares the variable universe.  An objective line (`min: ... ;`) is parsed
-for well-formedness but rejected: this toolkit handles decision problems only.
+declares the variable universe.  An objective line (`min: ... ;` or
+`max: ... ;`) is rejected at its first token: this toolkit handles decision
+problems only.
 The parser is total: any input yields either an instance or an `OpbError`
 carrying a line and column.
 """
@@ -22,6 +23,7 @@ _HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)")
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+\Z")
 _VAR = re.compile(r"x(\d+)\Z")
+_RELATIONS = (LE, GE, EQ)
 
 
 class OpbError(Exception):
@@ -66,51 +68,16 @@ def parse_opb(source) -> PbInstance:
             continue
 
         tokens = [(t.group(), t.start() + 1) for t in _TOKEN.finditer(raw)]
-        is_objective = tokens[0][0] in ("min:", "max:")
-        if is_objective:
-            tokens = tokens[1:]
-            if not tokens:
-                raise OpbError(lineno, 1, "empty objective")
+        if tokens[0][0] in ("min:", "max:"):
+            raise OpbError(lineno, 1, "objective found; this toolkit handles decision problems only")
 
+        # phase 1: coefficient/variable pairs up to the first relation
         terms: list[Term] = []
-        relation: str | None = None
-        bound: int | None = None
-        done = False
         i = 0
-        while i < len(tokens):
+        while i < len(tokens) and tokens[i][0] not in _RELATIONS:
             tok, col = tokens[i]
-            if done:
-                raise OpbError(lineno, col, f"unexpected token {tok!r} after ';'")
             if tok == ";":
-                if is_objective:
-                    done = True
-                    i += 1
-                    continue
                 raise OpbError(lineno, col, "';' before relation and bound")
-            if relation is None and tok in (LE, GE, EQ) and not is_objective:
-                if not terms:
-                    raise OpbError(lineno, col, "relation with no terms before it")
-                relation = tok
-                i += 1
-                continue
-            if relation is not None:
-                # bound, possibly with the terminator attached
-                body = tok[:-1] if tok.endswith(";") else tok
-                if not _INT.match(body):
-                    raise OpbError(lineno, col, f"expected integer bound, got {tok!r}")
-                bound = int(body)
-                if tok.endswith(";"):
-                    done = True
-                    i += 1
-                    continue
-                i += 1
-                if i < len(tokens) and tokens[i][0] == ";":
-                    done = True
-                    i += 1
-                    continue
-                where = tokens[i] if i < len(tokens) else (tok, col)
-                raise OpbError(lineno, where[1], "expected ';' after bound")
-            # expect a coefficient then a variable
             if not _INT.match(tok):
                 if _VAR.match(tok):
                     raise OpbError(lineno, col, f"variable {tok!r} without a coefficient (products are not supported)")
@@ -127,16 +94,27 @@ def parse_opb(source) -> PbInstance:
             max_var = max(max_var, idx)
             terms.append(Term(int(tok), lit(idx)))
             i += 2
-
-        if is_objective:
-            if not done:
-                raise OpbError(lineno, len(raw) + 1, "objective missing ';'")
-            raise OpbError(lineno, 1, "objective found; this toolkit handles decision problems only")
-        if relation is None:
+        if i == len(tokens):
             raise OpbError(lineno, len(raw) + 1, "constraint missing relation")
-        if not done:
+        relation, col = tokens[i]
+        if not terms:
+            raise OpbError(lineno, col, "relation with no terms before it")
+
+        # phase 2: the bound, then ';' (attached or standing alone), then the end
+        if i + 1 == len(tokens):
             raise OpbError(lineno, len(raw) + 1, "constraint missing ';'")
-        constraints.append(PBConstraint(tuple(terms), relation, bound))
+        tok, col = tokens[i + 1]
+        body = tok[:-1] if tok.endswith(";") else tok
+        if not _INT.match(body):
+            raise OpbError(lineno, col, f"expected integer bound, got {tok!r}")
+        rest = tokens[i + 2 :]
+        if body == tok:
+            if not rest or rest[0][0] != ";":
+                raise OpbError(lineno, rest[0][1] if rest else col, "expected ';' after bound")
+            rest = rest[1:]
+        if rest:
+            raise OpbError(lineno, rest[0][1], f"unexpected token {rest[0][0]!r} after ';'")
+        constraints.append(PBConstraint(tuple(terms), relation, int(body)))
 
     if declared is None:
         declared = max_var

@@ -9,7 +9,8 @@ from the weights alone and compares against what unit propagation derives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
 from .core import LE, PBConstraint, Term, lit, negate
 from .engine import SAT, Solver
@@ -31,12 +32,15 @@ class OracleOutcome:
         return self.equisatisfiable
 
 
-def oracle_check(c: PBConstraint, encoding: str, max_vars: int = 16) -> OracleOutcome:
+ORACLE_MAX_VARS = 16  # oracle_check enumerates all 2^n assignments
+
+
+def oracle_check(c: PBConstraint, encoding: str) -> OracleOutcome:
     """Brute-force equisatisfiability: for every full assignment of the
     constraint's variables, the compiled CNF must be satisfiable exactly when
     the assignment satisfies the constraint."""
     variables = c.variables()
-    if len(variables) > max_vars:
+    if len(variables) > ORACLE_MAX_VARS:
         raise ValueError(f"{len(variables)} variables is too many to enumerate")
     num_inputs = max(variables, default=0)
     compiled = compile_constraints([c], num_inputs, encoding)
@@ -65,25 +69,12 @@ class GacReport:
     encoding: str
     partial: tuple[int, ...]  # asserted input literals
     required: frozenset[int]  # literals a propagation-complete encoding must derive
-    propagated: tuple[int, ...] = ()
     conflicted: bool = False
     missing: frozenset[int] = frozenset()
 
     @property
     def passed(self) -> bool:
         return not self.conflicted and not self.missing
-
-
-def _partial_assignments(n: int):
-    """All assignments in {unset, false, true}^n as base-3 digit vectors."""
-    total = 3**n
-    for code in range(total):
-        digits = []
-        x = code
-        for _ in range(n):
-            digits.append(x % 3)
-            x //= 3
-        yield digits
 
 
 def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) -> list[GacReport]:
@@ -122,16 +113,15 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
         if confl is not None:
             report = GacReport(c, encoding, tuple(partial), required, conflicted=True)
         else:
-            given = set(partial)
-            derived = tuple(l for l in solver.trail if l not in given)
             missing = frozenset(l for l in required if solver.value(l) != 1)
-            report = GacReport(c, encoding, tuple(partial), required, derived, missing=missing)
+            report = GacReport(c, encoding, tuple(partial), required, missing=missing)
         solver.retract()
         return report
 
     if 3**n <= 4096:
-        for digits in _partial_assignments(n):
-            report = run_case(digits)
+        # every {unset, false, true}^n vector, first term fastest
+        for digits in product(range(3), repeat=n):
+            report = run_case(digits[::-1])
             if report is not None:
                 reports.append(report)
     else:
@@ -189,19 +179,15 @@ def random_normalized_constraint(
     return PBConstraint(terms, LE, k)
 
 
-def random_constraint(
-    rng: SplitMix64,
-    max_n: int = 6,
-    weight_range: tuple[int, int] = (-10, 10),
-    bound_range: tuple[int, int] = (-20, 20),
-) -> PBConstraint:
+def random_constraint(rng: SplitMix64) -> PBConstraint:
     """Unrestricted constraint for normalizer torture: any relation, negative
-    and zero weights, repeated variables."""
-    n = rng.randint(1, max_n)
+    and zero weights, repeated variables.  1 to 6 terms over x1..x6, weights
+    in -10..10, bound in -20..20."""
+    n = rng.randint(1, 6)
     terms = []
     for _ in range(n):
-        w = rng.randint(*weight_range)
-        v = rng.randint(1, max_n)
+        w = rng.randint(-10, 10)
+        v = rng.randint(1, 6)
         terms.append(Term(w, lit(v, negative=rng.chance(1, 2))))
     relation = rng.choice(("<=", ">=", "="))
-    return PBConstraint(tuple(terms), relation, rng.randint(*bound_range))
+    return PBConstraint(tuple(terms), relation, rng.randint(-20, 20))

@@ -3,31 +3,41 @@ the plain per-literal loops they replaced.
 
 The reference functions below are the straightforward versions of
 `merge_sums`, the GTE clause emission, `dimacs_str`, the DIMACS parser, the
-`Solver` clause loader and the `Solver` search loops.  The fast versions must
-give exactly the same sums, clauses (order and literal order included),
-variable counts, DIMACS bytes, parsed formulas and parse errors, watch lists
-and root units, and the same search: statuses, models, learned clauses and
-trails.  Across assumption sweeps, where the engine keeps assumption levels
-between calls, the trail may differ and the learned clauses are compared up
-to the order of their literals.
+OPB reader, the `Solver` clause loader and the `Solver` search loops.  The
+fast versions must give exactly the same sums, clauses (order and literal
+order included), variable counts, DIMACS bytes, parsed formulas and parse
+errors, watch lists and root units, and the same search: statuses, models,
+learned clauses and trails.  Across assumption sweeps, where the engine keeps
+assumption levels between calls, the trail may differ and the learned clauses
+are compared up to the order of their literals.  The OPB reader rejects an
+objective line at its first token, and reports a `;` right after the relation
+as a missing bound; those are the only errors it reports differently.
 """
 
 from __future__ import annotations
 
 import io
+import warnings
 from heapq import heappop, heappush
 
 import pytest
 
 from pbcnf import (
+    EQ,
+    GE,
+    LE,
     SAT,
     TIMEOUT,
     UNSAT,
     CnfFormula,
     DimacsError,
+    OpbError,
+    PBConstraint,
+    PbInstance,
     Solver,
     SolveResult,
     SplitMix64,
+    Term,
     VarPool,
     build_tree,
     compile_constraints,
@@ -40,14 +50,17 @@ from pbcnf import (
     merge_sums,
     negate,
     parse_dimacs,
+    parse_opb,
     pb12like,
     pedigreelike,
     random_normalized_constraint,
     to_signed,
     write_dimacs,
+    write_opb,
 )
 from pbcnf import dimacs
 from pbcnf.engine import FALSE, TRUE, UNDEF, _luby
+from pbcnf.opb import _HEADER, _INT, _TOKEN, _VAR, _to_text
 
 # --- reference implementations ------------------------------------------
 
@@ -149,6 +162,109 @@ def ref_parse_text(text):
     if num_clauses != len(clauses):
         raise DimacsError(lineno if text.strip() else 1, f"header declares {num_clauses} clauses, found {len(clauses)}")
     return CnfFormula(num_vars=num_vars, clauses=clauses)
+
+
+def ref_parse_opb(source) -> PbInstance:
+    """The OPB reader's single token loop with its four state flags, which
+    checked an objective line's syntax before rejecting it."""
+    text = _to_text(source)
+    declared: int | None = None
+    constraints: list[PBConstraint] = []
+    max_var = 0
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("*"):
+            if declared is None and not constraints:
+                m = _HEADER.match(stripped)
+                if m:
+                    declared = int(m.group(1))
+            continue
+
+        tokens = [(t.group(), t.start() + 1) for t in _TOKEN.finditer(raw)]
+        is_objective = tokens[0][0] in ("min:", "max:")
+        if is_objective:
+            tokens = tokens[1:]
+            if not tokens:
+                raise OpbError(lineno, 1, "empty objective")
+
+        terms: list[Term] = []
+        relation: str | None = None
+        bound: int | None = None
+        done = False
+        i = 0
+        while i < len(tokens):
+            tok, col = tokens[i]
+            if done:
+                raise OpbError(lineno, col, f"unexpected token {tok!r} after ';'")
+            if tok == ";":
+                if is_objective:
+                    done = True
+                    i += 1
+                    continue
+                raise OpbError(lineno, col, "';' before relation and bound")
+            if relation is None and tok in (LE, GE, EQ) and not is_objective:
+                if not terms:
+                    raise OpbError(lineno, col, "relation with no terms before it")
+                relation = tok
+                i += 1
+                continue
+            if relation is not None:
+                # bound, possibly with the terminator attached
+                body = tok[:-1] if tok.endswith(";") else tok
+                if not _INT.match(body):
+                    raise OpbError(lineno, col, f"expected integer bound, got {tok!r}")
+                bound = int(body)
+                if tok.endswith(";"):
+                    done = True
+                    i += 1
+                    continue
+                i += 1
+                if i < len(tokens) and tokens[i][0] == ";":
+                    done = True
+                    i += 1
+                    continue
+                where = tokens[i] if i < len(tokens) else (tok, col)
+                raise OpbError(lineno, where[1], "expected ';' after bound")
+            # expect a coefficient then a variable
+            if not _INT.match(tok):
+                if _VAR.match(tok):
+                    raise OpbError(lineno, col, f"variable {tok!r} without a coefficient (products are not supported)")
+                raise OpbError(lineno, col, f"expected integer coefficient, got {tok!r}")
+            if i + 1 >= len(tokens):
+                raise OpbError(lineno, col, "coefficient at end of line")
+            vtok, vcol = tokens[i + 1]
+            vm = _VAR.match(vtok)
+            if not vm:
+                raise OpbError(lineno, vcol, f"expected variable after coefficient, got {vtok!r}")
+            idx = int(vm.group(1))
+            if idx < 1:
+                raise OpbError(lineno, vcol, "variable index must be >= 1")
+            max_var = max(max_var, idx)
+            terms.append(Term(int(tok), lit(idx)))
+            i += 2
+
+        if is_objective:
+            if not done:
+                raise OpbError(lineno, len(raw) + 1, "objective missing ';'")
+            raise OpbError(lineno, 1, "objective found; this toolkit handles decision problems only")
+        if relation is None:
+            raise OpbError(lineno, len(raw) + 1, "constraint missing relation")
+        if not done:
+            raise OpbError(lineno, len(raw) + 1, "constraint missing ';'")
+        constraints.append(PBConstraint(tuple(terms), relation, bound))
+
+    if declared is None:
+        declared = max_var
+    elif max_var > declared:
+        warnings.warn(
+            f"instance uses x{max_var} beyond the declared {declared} variables; extending",
+            stacklevel=2,
+        )
+        declared = max_var
+    return PbInstance(declared_vars=declared, constraints=constraints)
 
 
 def ref_load(formula):
@@ -312,6 +428,12 @@ def test_write_dimacs_matches_dimacs_str(block, monkeypatch):
         sink = io.StringIO()
         write_dimacs(f, sink)
         assert sink.getvalue() == dimacs_str(f) == ref_dimacs_str(f), f
+
+
+def test_dimacs_str_of_a_huge_declared_count():
+    # the literal table is sized by the clauses, not by num_vars
+    f = CnfFormula(num_vars=10**9, clauses=[[2, 2 * 10**9 + 1]])
+    assert dimacs_str(f) == ref_dimacs_str(f) == "p cnf 1000000000 1\n1 -1000000000 0\n"
 
 
 def parse_outcome(parse, text):
@@ -670,3 +792,76 @@ def test_assumption_sweeps_match_reference(encoding):
             want.retract()
             assert_heap_invariant(got)
         assert_same_answer(got, want)
+
+
+# --- OPB reader --------------------------------------------------------------
+
+OPB_TOKENS = (
+    "+1", "-2", "3", "x1", "x0", "x10", "<=", ">=", "=", ";", "1;", "-4;",
+    "junk", "++2", "x", "+1x1", "<=1", "min:", "max:",
+)
+
+
+def random_opb_line(rng):
+    """Either random tokens, or a well-formed constraint with one token
+    replaced, inserted or deleted (or none), joined by random blanks."""
+    if rng.chance(1, 2):
+        tokens = [rng.choice(OPB_TOKENS) for _ in range(rng.randint(1, 8))]
+    else:
+        tokens = []
+        for _ in range(rng.randint(1, 3)):
+            tokens += [rng.choice(("+1", "-2", "3")), rng.choice(("x1", "x2", "x10"))]
+        tokens.append(rng.choice((LE, GE, EQ)))
+        tokens += rng.choice(([rng.choice(("1", "-4")), ";"], [rng.choice(("1;", "-4;"))]))
+        i = rng.randint(0, len(tokens) - 1)
+        edit = rng.randint(0, 3)
+        if edit == 1:
+            tokens[i] = rng.choice(OPB_TOKENS)
+        elif edit == 2:
+            tokens.insert(i, rng.choice(OPB_TOKENS))
+        elif edit == 3 and len(tokens) > 1:
+            del tokens[i]
+    gaps = [rng.choice((" ", "  ", "\t")) for _ in tokens]
+    return rng.choice(("", " ")) + "".join(g + t for g, t in zip(gaps, tokens))[1:]
+
+
+def opb_outcome(parse, text):
+    """The declared count and constraints, or the error's line, column and
+    message."""
+    try:
+        inst = parse(text)
+    except OpbError as e:
+        return (e.line, e.column, e.message)
+    return (inst.declared_vars, inst.constraints)
+
+
+def test_parse_opb_matches_reference_on_random_lines():
+    rng = SplitMix64(41)
+    objective = reworded = 0
+    for _ in range(12000):
+        line = random_opb_line(rng)
+        text = rng.choice(("", "* c\n", "+1 x2 <= 1 ;\n")) + line + "\n"
+        lineno = text.count("\n")
+        got, want = opb_outcome(parse_opb, text), opb_outcome(ref_parse_opb, text)
+        tokens = line.split()
+        if tokens[0] in ("min:", "max:"):
+            # both reject the line; the new reader without reading past the
+            # first token
+            assert len(want) == 3 and want[0] == lineno, text
+            assert got == (lineno, 1, "objective found; this toolkit handles decision problems only")
+            objective += 1
+        elif got != want:
+            # a ';' right after the relation is a missing bound
+            line_no, column, message = want
+            assert message == "';' before relation and bound", text
+            assert got == (line_no, column, "expected integer bound, got ';'"), text
+            at = next(i for i, t in enumerate(_TOKEN.finditer(line)) if t.start() + 1 == column)
+            assert tokens[at] == ";" and tokens[at - 1] in (LE, GE, EQ), text
+            reworded += 1
+    assert objective > 0 and reworded > 0
+
+
+def test_parse_opb_matches_reference_on_files():
+    for spec in (pb12like(constraints=40, n=12, seed=1), pedigreelike(n=30, seed=3)):
+        text = write_opb(gen_bench(spec))
+        assert opb_outcome(parse_opb, text) == opb_outcome(ref_parse_opb, text)
