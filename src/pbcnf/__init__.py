@@ -31,7 +31,6 @@ from .core import (
     InapplicableEncoding,
     PBConstraint,
     Term,
-    VarPool,
     from_signed,
     gc_paused,
     is_negative,

@@ -8,9 +8,10 @@ order with every sum.  `solve` checks every SAT model against the input's
 constraints before printing it.
 Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error,
 including an `--encoding` that does not apply to one of the constraints;
-2 I/O or parse error, or an external solver that cannot be run or answers
-in an unrecognized form; 3 verification failure, or a SAT model that breaks
-one of the input's constraints.  Set PBCNF_SOLVER to hand solving to an
+2 I/O or parse error, an external solver that cannot be run or answers
+in an unrecognized form, or a reader that closes stdout early;
+3 verification failure, or a SAT model that breaks one of the input's
+constraints.  Set PBCNF_SOLVER to hand solving to an
 external binary (a command line split with shell-style quoting, invoked
 with a DIMACS path appended; must print SAT/UNSAT and a model line of
 signed integers).
@@ -94,6 +95,21 @@ def _at_least(lo: int, at_most: int | None = None):
         return value
 
     return parse
+
+
+MAX_TIME_LIMIT = 1_000_000  # seconds; far larger waits overflow subprocess's poll
+
+
+def _seconds(text: str) -> float:
+    """argparse type for a number of seconds above 0, at most MAX_TIME_LIMIT."""
+    try:
+        if 0 < float(text) <= MAX_TIME_LIMIT:  # nan fails every comparison
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be a number of seconds above 0 and at most {MAX_TIME_LIMIT}, not {text}"
+    )
 
 
 def _compile(args):
@@ -256,7 +272,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("input")
     add_encoding(sp)
     sp.add_argument("--max-conflicts", type=_at_least(0), default=None)
-    sp.add_argument("--time-limit", type=float, default=None, help="external solver only")
+    sp.add_argument("--time-limit", type=_seconds, default=None, help="external solver only")
     sp.set_defaults(func=_cmd_solve)
 
     sp = sub.add_parser("verify", help="equisatisfiability spot checks on random constraints")
@@ -321,4 +337,15 @@ def main(argv=None) -> int:
 
 
 def console() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit does not fail once more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        code = EXIT_IO
+    raise SystemExit(code)

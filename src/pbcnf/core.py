@@ -1,4 +1,4 @@
-"""Shared data model: literals, weighted terms, constraints, CNF formulas, variable pools.
+"""Shared data model: literals, weighted terms, constraints, CNF formulas.
 
 Literals are stored as dense integer codes: ``2*var`` for the positive literal
 and ``2*var + 1`` for the negated one, so negation is a single XOR and arrays
@@ -138,10 +138,19 @@ class PBConstraint:
 
 @dataclass
 class CnfFormula:
-    """Clause list over variables 1..num_vars; literals are integer codes."""
+    """Clause list over variables 1..num_vars; literals are integer codes.
+
+    The formula numbers its own variables: `fresh_lit` hands out the next
+    one above `num_vars`, so an encoder needs nothing besides the formula it
+    appends to."""
 
     num_vars: int = 0
     clauses: list[list[int]] = field(default_factory=list)
+
+    def fresh_lit(self) -> int:
+        """Positive literal of a new variable, num_vars + 1."""
+        self.num_vars += 1
+        return 2 * self.num_vars
 
     def add_clause(self, lits: Iterable[int]) -> None:
         cl = list(lits)
@@ -159,17 +168,12 @@ class CnfFormula:
         return any(not cl for cl in self.clauses)
 
 
-@dataclass
-class VarPool:
-    """Monotone source of fresh variable indices."""
-
-    next_free: int = 1
-
-    def fresh(self) -> int:
-        v = self.next_free
-        self.next_free += 1
-        return v
-
-    def fresh_lit(self) -> int:
-        return 2 * self.fresh()
-
+def reserve_inputs(c: PBConstraint, out: CnfFormula, name: str) -> None:
+    """What every encoder does first: raise ValueError unless `c` is
+    normalized, then raise `out.num_vars` to c's highest variable, so that
+    no fresh variable can alias an input."""
+    if not c.is_normalized():
+        raise ValueError(f"{name} requires a normalized constraint, got {c}")
+    top = max((l for _, l in c.terms), default=0) >> 1
+    if top > out.num_vars:
+        out.num_vars = top

@@ -67,20 +67,22 @@ class SolveResult:
 
 class Solver:
     def __init__(self, formula):
+        """Load the formula's clauses.  A clause that names a variable above
+        `formula.num_vars` raises ValueError."""
         # lists and tuples of numbers only: nothing here can form a cycle
         with gc_paused():
-            # per-variable arrays for variables 1..nvars; `_grow` sizes them
-            self.nvars = 0
-            self.val = bytearray([UNDEF, UNDEF])
-            self.level = [0]
-            self.reason = [-1]
-            self.activity = [0.0]
-            self.saved_phase = bytearray(1)  # 0 -> try the negative literal first
-            self.seen = bytearray(1)
-            self.watches: list[list[int]] = [[], []]
-            self.prio: list[tuple[float, int]] = []  # (-activity, var) heap, lazy deletion
-            self.heap_act = [0.0]  # key of v's live prio entry; -1.0 when none
-            self._grow(formula.num_vars)
+            # per-variable arrays for variables 1..nvars
+            nv = self.nvars = formula.num_vars
+            self.val = bytearray([UNDEF]) * (2 * nv + 2)
+            self.level = [0] * (nv + 1)
+            self.reason = [-1] * (nv + 1)
+            self.activity = [0.0] * (nv + 1)
+            self.saved_phase = bytearray(nv + 1)  # 0 -> try the negative literal first
+            self.seen = bytearray(nv + 1)
+            self.watches: list[list[int]] = [[] for _ in range(2 * nv + 2)]
+            # (-activity, var) heap, lazy deletion; sorted, so already a heap
+            self.prio: list[tuple[float, int]] = [(0.0, v) for v in range(1, nv + 1)]
+            self.heap_act = [0.0] * (nv + 1)  # key of v's live prio entry; -1.0 when none
             self.trail: list[int] = []
             self.trail_lim: list[int] = []
             self.assumed: list[int] = []  # the assumptions levels 1..len(assumed) hold
@@ -94,7 +96,7 @@ class Solver:
 
             clauses = self.clauses
             watches = self.watches
-            top = 2 * self.nvars + 1
+            top = 2 * nv + 1
             for idx, cl in enumerate(formula.clauses):
                 # fast path: two or three literals over distinct variables within
                 # num_vars need no dedupe (a ^ b > 1 exactly when a and b
@@ -114,9 +116,10 @@ class Solver:
                         watches[a].append(idx)
                         watches[b].append(idx)
                         continue
-                if cl and max(cl) > top:  # a variable above num_vars
-                    self._grow(max(cl) >> 1)
-                    top = 2 * self.nvars + 1
+                if cl and max(cl) > top:
+                    raise ValueError(
+                        f"clause {idx} names x{max(cl) >> 1}, above the formula's {nv} variables"
+                    )
                 lits: list[int] = []
                 skip = False
                 for l in cl:
@@ -136,22 +139,6 @@ class Solver:
                     self._root_units.append((lits[0], idx))
                 else:
                     self.root_conflict = idx
-
-    def _grow(self, nv: int) -> None:
-        """Extend every per-variable array, in place, to variables 1..nv.
-        Only the loader calls this, while `prio` still holds (0.0, v) for
-        every variable in order, so appending keeps it a heap."""
-        more = nv - self.nvars
-        self.val += bytearray([UNDEF]) * (2 * more)
-        self.level += [0] * more
-        self.reason += [-1] * more
-        self.activity += [0.0] * more
-        self.saved_phase += bytearray(more)
-        self.seen += bytearray(more)
-        self.watches += [[] for _ in range(2 * more)]
-        self.prio += [(0.0, v) for v in range(self.nvars + 1, nv + 1)]
-        self.heap_act += [0.0] * more
-        self.nvars = nv
 
     # -- assignment bookkeeping ------------------------------------------
 

@@ -4,7 +4,8 @@ A balanced binary tree is built over the weighted input literals.  Each node
 carries the set of distinct weighted sums its subtree can reach, clamped at
 bound+1 (every overflowing sum collapses onto the single value bound+1, which
 is all the constraint needs to distinguish).  One auxiliary variable per
-reachable sum per internal node; leaves reuse the input literals directly.
+reachable sum per internal node, drawn from the output formula with
+`fresh_lit`; leaves reuse the input literals directly.
 
 Per internal node P with children Q, R the emitted clauses are
   (~q_w1 | ~r_w2 | p_w3)   with w3 = min(w1+w2, bound+1)   -- combination
@@ -40,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .core import LE, CnfFormula, PBConstraint, VarPool, negate
+from .core import LE, CnfFormula, PBConstraint, reserve_inputs
 
 
 @dataclass
@@ -116,19 +117,19 @@ def _build(leaves: list[GteNode], cap: int, lo: int, hi: int) -> GteNode:
     )
 
 
-def _emit(node: GteNode, cap: int, floor: int, pool: VarPool, clauses: list[list[int]]) -> None:
+def _emit(node: GteNode, cap: int, floor: int, out: CnfFormula) -> None:
     """Post-order: allocate this node's sum variables at or above `floor`,
     then emit combination clauses before boundary clauses, sums ascending.
     A child's floor is this floor less its sibling's largest sum: below
-    that, no sum of the child can reach this floor.  Clauses go straight
-    onto `clauses`; the caller accounts for their variables in `num_vars`."""
+    that, no sum of the child can reach this floor."""
     if node.is_leaf:
         return
     left, right = node.children
     lfloor = max(0, floor - right.sums[-1])
     rfloor = max(0, floor - left.sums[-1])
-    _emit(left, cap, lfloor, pool, clauses)
-    _emit(right, cap, rfloor, pool, clauses)
+    _emit(left, cap, lfloor, out)
+    _emit(right, cap, rfloor, out)
+    clauses = out.clauses
     lsums = left.sums[bisect_left(left.sums, lfloor):]
     rsums = right.sums[bisect_left(right.sums, rfloor):]
     rvar = right.var_of
@@ -145,8 +146,9 @@ def _emit(node: GteNode, cap: int, floor: int, pool: VarPool, clauses: list[list
         return
     var_of = node.var_of
     sums = node.sums
+    fresh_lit = out.fresh_lit
     for s in sums[bisect_left(sums, floor):]:
-        var_of[s] = pool.fresh_lit()
+        var_of[s] = fresh_lit()
     over = var_of.get(cap)
     rpairs = list(zip(rsums, rneg))
     for w1 in lsums:
@@ -163,36 +165,29 @@ def _emit(node: GteNode, cap: int, floor: int, pool: VarPool, clauses: list[list
         clauses.extend([[cvar[s] ^ 1, var_of[s]] for s in csums[bisect_left(csums, floor):]])
 
 
-def _encode(c: PBConstraint, pool: VarPool, out: CnfFormula, pruned: bool) -> None:
+def _encode(c: PBConstraint, out: CnfFormula, pruned: bool) -> None:
     root = build_tree(c).root
     if root.node_sum > c.bound:
         cap = c.bound + 1
-        _emit(root, cap, cap if pruned else 0, pool, out.clauses)
-        # every input literal lands in a combination or boundary clause (or
-        # the root unit)
-        out.num_vars = max(out.num_vars, max(l for _, l in c.terms) >> 1)
+        _emit(root, cap, cap if pruned else 0, out)
         if cap in root.var_of:  # all but a pruned internal root
-            out.add_clause([negate(root.var_of[cap])])
-    if pool.next_free - 1 > out.num_vars:
-        out.num_vars = pool.next_free - 1
+            out.clauses.append([root.var_of[cap] ^ 1])
 
 
-def encode_gte(c: PBConstraint, pool: VarPool, out: CnfFormula) -> None:
-    """Encode a normalized constraint into `out`, drawing fresh variables from
-    `pool`: the paper's encoding, over the terms in input order, with a
-    variable for every reachable sum.  A constraint whose full sum cannot
-    exceed the bound emits nothing.
+def encode_gte(c: PBConstraint, out: CnfFormula) -> None:
+    """Encode a normalized constraint into `out`, numbering fresh variables
+    above `out.num_vars` and c's own: the paper's encoding, over the terms
+    in input order, with a variable for every reachable sum.  A constraint
+    whose full sum cannot exceed the bound emits nothing.
     """
-    if not c.is_normalized():
-        raise ValueError(f"encode_gte requires a normalized constraint, got {c}")
-    _encode(c, pool, out, pruned=False)
+    reserve_inputs(c, out, "encode_gte")
+    _encode(c, out, pruned=False)
 
 
-def encode_auto(c: PBConstraint, pool: VarPool, out: CnfFormula) -> None:
+def encode_auto(c: PBConstraint, out: CnfFormula) -> None:
     """Like `encode_gte`, over the terms stable-sorted by ascending weight,
     and with variables only for the sums that can still reach bound+1 (the
     root floor; see the module docstring)."""
-    if not c.is_normalized():
-        raise ValueError(f"encode_auto requires a normalized constraint, got {c}")
+    reserve_inputs(c, out, "encode_auto")
     terms = tuple(sorted(c.terms, key=itemgetter(0)))
-    _encode(PBConstraint(terms, LE, c.bound), pool, out, pruned=True)
+    _encode(PBConstraint(terms, LE, c.bound), out, pruned=True)

@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 
 from .baselines import encode_adder, encode_swc, encode_totalizer
-from .core import CnfFormula, PBConstraint, VarPool, gc_paused, negate
+from .core import CnfFormula, PBConstraint, gc_paused, negate
 from .gte import encode_auto, encode_gte
 from .normalize import OutcomeKind, normalize
 
@@ -35,7 +35,7 @@ class CompiledInstance:
     encode_time: float = 0.0
 
 
-def compile_constraint(c: PBConstraint, encoding: str, pool: VarPool, out: CnfFormula) -> int:
+def compile_constraint(c: PBConstraint, encoding: str, out: CnfFormula) -> int:
     """Normalize one constraint (splitting equalities) and encode every
     residual piece into `out`.  Forced units become unit clauses; a trivially
     false piece becomes the empty clause.  Returns how many of those two
@@ -52,7 +52,7 @@ def compile_constraint(c: PBConstraint, encoding: str, pool: VarPool, out: CnfFo
             out.add_clause([])
             forced += 1
         elif piece.kind is OutcomeKind.NORMALIZED:
-            enc(piece.constraint, pool, out)
+            enc(piece.constraint, out)
     return forced
 
 
@@ -61,9 +61,9 @@ def compile_constraints(
 ) -> CompiledInstance:
     """Encode every constraint into one formula.
 
-    Input variables are 1..`num_input_vars`; auxiliary variables are numbered
-    from `num_input_vars + 1` on, so every variable the constraints mention
-    must lie in 1..`num_input_vars`.  A larger one would alias an auxiliary
+    Input variables are 1..`num_input_vars`; the formula numbers auxiliary
+    variables from `num_input_vars + 1` on, so every variable the
+    constraints mention must lie in 1..`num_input_vars`.  A larger one would alias an auxiliary
     variable and silently change the meaning of the CNF (and x0 has no DIMACS
     name), so either raises ValueError instead.
     """
@@ -74,13 +74,12 @@ def compile_constraints(
                     f"constraint {c} uses x{l >> 1}, outside 1..num_input_vars={num_input_vars}"
                 )
     out = CnfFormula(num_vars=num_input_vars)
-    pool = VarPool(num_input_vars + 1)
     compiled = CompiledInstance(formula=out, input_vars=num_input_vars)
     t0 = time.perf_counter()
     with gc_paused():
         for c in constraints:
-            compiled.forced_units += compile_constraint(c, encoding, pool, out)
-    compiled.aux_vars = pool.next_free - 1 - num_input_vars
+            compiled.forced_units += compile_constraint(c, encoding, out)
+    compiled.aux_vars = out.num_vars - num_input_vars
     compiled.aux_clauses = len(out.clauses)
     compiled.encode_time = time.perf_counter() - t0
     return compiled

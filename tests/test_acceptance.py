@@ -35,7 +35,6 @@ from pbcnf import (
     PBConstraint,
     SplitMix64,
     Term,
-    VarPool,
     build_tree,
     compile_constraints,
     encode_gte,
@@ -71,9 +70,8 @@ def test_criterion_1_reference_encoding():
         and sorted(b.sums) == [3, 6]
         and sorted(tree.root.sums) == [2, 3, 5, 6]
     )
-    pool = VarPool(next_free=5)
     out = CnfFormula(num_vars=4)
-    encode_gte(REFERENCE, pool, out)
+    encode_gte(REFERENCE, out)
     unit_ok = out.clauses[-1] == [lit(13, negative=True)]  # root's bound+1 var, off
     elapsed = time.perf_counter() - t0
     report(
@@ -243,10 +241,9 @@ def test_criterion_7_unit_weights_reduce_to_plain_totalizer():
             for v in rng.sample(1, 8, n)
         )
         c = PBConstraint(terms, LE, k)
-        pool_a, out_a = VarPool(9), CnfFormula(8)
-        pool_b, out_b = VarPool(9), CnfFormula(8)
-        encode_gte(c, pool_a, out_a)
-        encode_totalizer(c, pool_b, out_b)
+        out_a, out_b = CnfFormula(8), CnfFormula(8)
+        encode_gte(c, out_a)
+        encode_totalizer(c, out_b)
         if out_a.clauses != out_b.clauses:
             differing += 1
     elapsed = time.perf_counter() - t0

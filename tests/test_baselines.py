@@ -15,7 +15,6 @@ from pbcnf import (
     SAT,
     CnfFormula,
     PBConstraint,
-    VarPool,
     dimacs_str,
     encode_adder,
     encode_gte,
@@ -30,12 +29,11 @@ CARD4_LE2 = PBConstraint.from_signed([(1, 1), (1, 2), (1, 3), (1, 4)], LE, 2)
 
 
 def encode(encoder, c):
-    """Encode into a fresh formula; the counts come from the pool and `out`."""
+    """Encode into a fresh formula; the counts come from `out`."""
     inputs = max(c.variables(), default=0)
-    pool = VarPool(next_free=inputs + 1)
     out = CnfFormula(num_vars=inputs)
-    encoder(c, pool, out)
-    stats = SimpleNamespace(aux_vars=pool.next_free - 1 - inputs, aux_clauses=len(out.clauses))
+    encoder(c, out)
+    stats = SimpleNamespace(aux_vars=out.num_vars - inputs, aux_clauses=len(out.clauses))
     return SimpleNamespace(formula=out, stats=stats)
 
 

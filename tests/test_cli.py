@@ -226,6 +226,16 @@ CAP_ERRORS = {"-3": "must be at least 0, not -3", "many": "not an integer: 'many
         )
         for command in (["gen-bench", "--family", "pb12like"], ["stats", "--generate", "pb12like"])
         for value in ("1", "0", "-1")
+    ]
+    + [
+        pytest.param(
+            ["solve", "REF", "--time-limit", value],
+            "error: argument --time-limit: must be a number of seconds above 0 and at most 1000000, "
+            f"not {value}",
+            id=f"solve-time-limit-{value}",
+        )
+        # 1e400 reads as inf; finite waits beyond the bound overflow subprocess's poll
+        for value in ("inf", "nan", "1e400", "0", "-1", "2e6")
     ],
 )
 def test_bad_conflict_cap_is_usage_error(reference_file, argv, message, capsys):
@@ -501,3 +511,25 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     for cmd in ("encode", "solve", "verify", "gac-check", "stats", "gen-bench"):
         assert cmd in proc.stdout
+
+
+@pytest.mark.parametrize("command", [["encode", "--encoding", "gte", "-"], ["solve", "-"]])
+def test_closed_stdout_is_io_error(command):
+    # 20000 forced units: a DIMACS text and a model line each larger than a
+    # pipe buffer, read only in part; the write that meets the closed pipe
+    # must end in exit 2, not a traceback
+    n = 20000
+    opb = f"* #variable= {n} #constraint= {n}\n" + "".join(f"+1 x{v} >= 1 ;\n" for v in range(1, n + 1))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pbcnf", *command],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdin.write(opb)
+    proc.stdin.close()
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert "Traceback" not in err
+    assert "error: stdout was closed" in err

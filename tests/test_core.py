@@ -9,7 +9,6 @@ from pbcnf import (
     CnfFormula,
     PBConstraint,
     Term,
-    VarPool,
     from_signed,
     is_negative,
     lit,
@@ -58,14 +57,11 @@ def test_lit_str():
     assert lit_str(lit(4, negative=True)) == "~x4"
 
 
-def test_varpool_monotone():
-    pool = VarPool(next_free=5)
-    a = pool.fresh()
-    b = pool.fresh()
-    c = pool.fresh_lit()
-    assert (a, b) == (5, 6)
-    assert c == lit(7)
-    assert pool.next_free == 8
+def test_fresh_lit_numbers_above_num_vars():
+    out = CnfFormula(num_vars=4)
+    assert [out.fresh_lit() for _ in range(3)] == [lit(5), lit(6), lit(7)]
+    assert out.num_vars == 7
+    assert out.clauses == []
 
 
 def test_constraint_from_signed():

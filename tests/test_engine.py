@@ -21,7 +21,6 @@ from pbcnf import (
     PBConstraint,
     Solver,
     SplitMix64,
-    VarPool,
     compile_constraints,
     encode_gte,
     lit,
@@ -44,9 +43,8 @@ def formula(num_vars, signed_clauses):
 
 
 def encode_reference():
-    pool = VarPool(next_free=5)
     out = CnfFormula(num_vars=4)
-    encode_gte(REFERENCE, pool, out)
+    encode_gte(REFERENCE, out)
     return out
 
 

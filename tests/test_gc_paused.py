@@ -41,7 +41,7 @@ def gc_state(request):
         gc.disable()
 
 
-def failing_encoder(c, pool, out):
+def failing_encoder(c, out):
     out.add_clause([2, 4])
     raise ValueError("encoder failed")
 

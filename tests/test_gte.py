@@ -19,7 +19,6 @@ from pbcnf import (
     Solver,
     SplitMix64,
     Term,
-    VarPool,
     build_tree,
     dimacs_str,
     encode_auto,
@@ -66,12 +65,11 @@ def subset_sums_oracle(weights, k):
 
 
 def encode(c, encoder=encode_gte):
-    """Encode into a fresh formula; the counts come from the pool and `out`."""
+    """Encode into a fresh formula; the counts come from `out`."""
     inputs = max(c.variables(), default=0)
-    pool = VarPool(next_free=inputs + 1)
     out = CnfFormula(num_vars=inputs)
-    encoder(c, pool, out)
-    stats = SimpleNamespace(aux_vars=pool.next_free - 1 - inputs, aux_clauses=len(out.clauses))
+    encoder(c, out)
+    stats = SimpleNamespace(aux_vars=out.num_vars - inputs, aux_clauses=len(out.clauses))
     return SimpleNamespace(formula=out, stats=stats)
 
 

@@ -8,6 +8,7 @@ from pbcnf import (
     LE,
     SAT,
     UNSAT,
+    CnfFormula,
     OutcomeKind,
     PbInstance,
     PBConstraint,
@@ -20,10 +21,32 @@ from pbcnf import (
     lit,
     normalize,
     oracle_check,
+    oracle_check_formula,
     pedigreelike,
     solve,
 )
 from pbcnf.pipeline import ENCODERS, ENCODING_NAMES, is_cardinality
+
+
+@pytest.mark.parametrize("encoding", ENCODING_NAMES)
+def test_encoders_number_fresh_variables_above_the_inputs(encoding):
+    # the formula is declared with no variables: the encoder must still keep
+    # its own variables clear of the inputs x1..x4
+    weights = (1, 1, 1, 1) if encoding == "totalizer" else (2, 3, 3, 3)
+    c = PBConstraint.from_signed(zip(weights, (1, 2, 3, 4)), LE, 2)
+    out = CnfFormula()
+    drawn = []
+    draw = out.fresh_lit
+
+    def fresh_lit():
+        drawn.append(draw() >> 1)
+        return 2 * drawn[-1]
+
+    out.fresh_lit = fresh_lit
+    ENCODERS[encoding](c, out)
+    assert drawn and min(drawn) > 4
+    assert out.num_vars == max(l >> 1 for cl in out.clauses for l in cl)
+    assert oracle_check_formula(c, out)
 
 
 def test_encoder_registry():

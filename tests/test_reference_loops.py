@@ -38,7 +38,6 @@ from pbcnf import (
     SolveResult,
     SplitMix64,
     Term,
-    VarPool,
     build_tree,
     compile_constraints,
     compile_instance,
@@ -53,7 +52,9 @@ from pbcnf import (
     parse_opb,
     pb12like,
     pedigreelike,
+    propagate,
     random_normalized_constraint,
+    solve,
     to_signed,
     write_dimacs,
     write_opb,
@@ -74,39 +75,31 @@ def ref_merge_sums(a, b, cap):
     return sorted(out)
 
 
-def ref_add_clause(out, lits):
-    cl = list(lits)
-    for l in cl:
-        if l >> 1 > out.num_vars:
-            out.num_vars = l >> 1
-    out.clauses.append(cl)
-
-
-def ref_emit(node, cap, pool, out):
+def ref_emit(node, cap, out):
     if node.is_leaf:
         return
     left, right = node.children
-    ref_emit(left, cap, pool, out)
-    ref_emit(right, cap, pool, out)
+    ref_emit(left, cap, out)
+    ref_emit(right, cap, out)
     for s in node.sums:
-        node.var_of[s] = pool.fresh_lit()
+        node.var_of[s] = out.fresh_lit()
     for w1 in left.sums:
         q = left.var_of[w1]
         for w2 in right.sums:
-            ref_add_clause(out, [negate(q), negate(right.var_of[w2]), node.var_of[min(w1 + w2, cap)]])
+            out.clauses.append([negate(q), negate(right.var_of[w2]), node.var_of[min(w1 + w2, cap)]])
     for child in (left, right):
         for s in child.sums:
-            ref_add_clause(out, [negate(child.var_of[s]), node.var_of[s]])
+            out.clauses.append([negate(child.var_of[s]), node.var_of[s]])
 
 
-def ref_encode_gte(c, pool, out):
+def ref_encode_gte(c, out):
+    for _, l in c.terms:
+        out.num_vars = max(out.num_vars, l >> 1)
     tree = build_tree(c)
     if tree.root.node_sum > c.bound:
         cap = c.bound + 1
-        ref_emit(tree.root, cap, pool, out)
-        ref_add_clause(out, [negate(tree.root.var_of[cap])])
-    if pool.next_free - 1 > out.num_vars:
-        out.num_vars = pool.next_free - 1
+        ref_emit(tree.root, cap, out)
+        out.clauses.append([negate(tree.root.var_of[cap])])
 
 
 def ref_dimacs_str(formula):
@@ -270,10 +263,6 @@ def ref_parse_opb(source) -> PbInstance:
 def ref_load(formula):
     """The loader's per-literal dedupe loop, applied to every clause."""
     nv = formula.num_vars
-    for cl in formula.clauses:
-        for l in cl:
-            if l >> 1 > nv:
-                nv = l >> 1
     clauses, root_units, root_conflict = [], [], None
     watches = [[] for _ in range(2 * nv + 2)]
     for idx, cl in enumerate(formula.clauses):
@@ -353,29 +342,25 @@ def test_gte_emission_matches_reference(seed):
     kinds = set()
     for c in random_constraints(seed):
         kinds |= clamp_kinds(c)
-        top = max(c.variables())
-        # a pool starting at 1 overlaps the inputs, so there only the clauses
-        # bring the input variables into num_vars
-        for num_vars, start in ((0, top + 1), (top, top + 1), (0, 1)):
+        # declared with the inputs, or under-declared: fresh variables come
+        # after the inputs either way
+        for num_vars in (0, max(c.variables())):
             got, want = CnfFormula(num_vars=num_vars), CnfFormula(num_vars=num_vars)
-            got_pool, want_pool = VarPool(start), VarPool(start)
-            encode_gte(c, got_pool, got)
-            ref_encode_gte(c, want_pool, want)
+            encode_gte(c, got)
+            ref_encode_gte(c, want)
             assert got.clauses == want.clauses, str(c)
             assert got.num_vars == want.num_vars, str(c)
-            assert got_pool.next_free == want_pool.next_free
     assert kinds == {True, False}, "sample must hold nodes that clamp and nodes that do not"
 
 
 def test_gte_emission_appends_like_reference():
     # several constraints into one formula, as compile_constraints does
     constraints = random_constraints(4, count=30)
-    start = max(max(c.variables()) for c in constraints) + 1
-    got, want = CnfFormula(), CnfFormula()
-    got_pool, want_pool = VarPool(start), VarPool(start)
+    top = max(max(c.variables()) for c in constraints)
+    got, want = CnfFormula(num_vars=top), CnfFormula(num_vars=top)
     for c in constraints:
-        encode_gte(c, got_pool, got)
-        ref_encode_gte(c, want_pool, want)
+        encode_gte(c, got)
+        ref_encode_gte(c, want)
     assert got.clauses == want.clauses
     assert got.num_vars == want.num_vars
 
@@ -398,7 +383,8 @@ def hand_built():
         CnfFormula(
             num_vars=3, clauses=[[2, 3], [3, 2, 4], [2, 4, 3], [2, 4, 5], [6, 2, 4, 7], [5, 4, 2]]
         ),
-        # literals above num_vars, in every clause length
+        # literals above num_vars, in every clause length: the writer takes
+        # them, the solver rejects them
         CnfFormula(num_vars=2, clauses=[[9], [2, 11], [4, 12, 14], [15, 2, 4, 16], [20, 21]]),
         CnfFormula(num_vars=0, clauses=[[40, 41], [43]]),
         # long clauses and units mixed with the fast-path lengths
@@ -547,9 +533,23 @@ def test_parse_dimacs_matches_reference_across_default_blocks():
     assert parse_dimacs(text).clauses == f.clauses
 
 
+def under_declared(f):
+    return any(l >> 1 > f.num_vars for cl in f.clauses for l in cl)
+
+
 def test_solver_load_matches_reference():
     for f in hand_built() + compiled_formulas():
-        assert_same_load(f)
+        if not under_declared(f):
+            assert_same_load(f)
+
+
+def test_solver_rejects_literals_above_num_vars():
+    formulas = [f for f in hand_built() if under_declared(f)]
+    assert len(formulas) == 2
+    for f in [CnfFormula(num_vars=2, clauses=[[9]]), *formulas]:
+        for load in (Solver, solve, propagate):
+            with pytest.raises(ValueError, match=r"clause \d+ names x\d+, above the formula's"):
+                load(f)
 
 
 # --- CDCL search loops -------------------------------------------------------
