@@ -67,8 +67,11 @@ class SolveResult:
 
 class Solver:
     def __init__(self, formula):
-        """Load the formula's clauses.  A clause that names a variable above
-        `formula.num_vars` raises ValueError."""
+        """Load the formula's clauses, assert its unit clauses and propagate
+        them once.  `root_conflict` is then the index of the last empty
+        clause, else of the first unit clash or root propagation conflict,
+        else None.  A clause that names a variable above `formula.num_vars`
+        raises ValueError."""
         # lists and tuples of numbers only: nothing here can form a cycle
         with gc_paused():
             # per-variable arrays for variables 1..nvars
@@ -90,9 +93,8 @@ class Solver:
             self.var_inc = 1.0
             self.clauses: list[list[int] | None] = []
             self.num_original = len(formula.clauses)
-            self.root_done = False
             self.root_conflict: int | None = None
-            self._root_units: list[tuple[int, int]] = []
+            units: list[tuple[int, int]] = []
 
             clauses = self.clauses
             watches = self.watches
@@ -136,9 +138,18 @@ class Solver:
                     watches[lits[0]].append(idx)
                     watches[lits[1]].append(idx)
                 elif len(lits) == 1:
-                    self._root_units.append((lits[0], idx))
+                    units.append((lits[0], idx))
                 else:
                     self.root_conflict = idx
+        if self.root_conflict is None:
+            for l, idx in units:
+                if self.val[l] == FALSE:
+                    self.root_conflict = idx
+                    break
+                if self.val[l] == UNDEF:
+                    self._assign(l, idx)
+            else:
+                self.root_conflict = self._propagate()
 
     # -- assignment bookkeeping ------------------------------------------
 
@@ -181,26 +192,6 @@ class Solver:
         del trail[lim:]
         del trail_lim[lvl:]
         self.qhead = lim
-
-    def _init_root(self) -> bool:
-        """Assert the formula's unit clauses and propagate once; False if the
-        formula is unsatisfiable outright."""
-        if self.root_done:
-            return self.root_conflict is None
-        self.root_done = True
-        if self.root_conflict is not None:
-            return False
-        for l, idx in self._root_units:
-            if self.val[l] == FALSE:
-                self.root_conflict = idx
-                return False
-            if self.val[l] == UNDEF:
-                self._assign(l, idx)
-        confl = self._propagate()
-        if confl is not None:
-            self.root_conflict = confl
-            return False
-        return True
 
     # -- propagation ------------------------------------------------------
 
@@ -360,7 +351,7 @@ class Solver:
             raise ValueError(f"max_conflicts must be at least 0, not {max_conflicts}")
         asn = list(assumptions)
         self._check_literals(asn)
-        if not self._init_root():
+        if self.root_conflict is not None:
             return SolveResult(UNSAT)
         keep = 0
         for kept, a in zip(self.assumed, asn):
@@ -432,7 +423,7 @@ class Solver:
         """
         asserted = tuple(asserted)
         self._check_literals(asserted)
-        if not self._init_root():
+        if self.root_conflict is not None:
             return (self.root_conflict, len(self.trail))
         self._backtrack(0)
         self.assumed = []

@@ -14,44 +14,44 @@ and a single unit clause forbids the root's bound+1 variable.  Only the
 "sum reached implies node variable true" direction is constrained; the
 converse is intentionally left open.
 
-`encode_gte` is the paper's encoding: input order, every reachable sum.
-`encode_auto` sorts the leaves by weight (equal weights side by side reach
-far fewer distinct sums; any leaf order is arc consistent) and gives each
-node a floor: it defines only the sums at or above it.  The root's floor
-is bound+1; a child's floor is its parent's less the sibling's largest sum,
-and never below 0, since a smaller sum of the child cannot reach the
-parent's floor even with everything on the other side.  A sum below its
-node's floor occurs positively only in its own node's clauses and
-negatively only in parent clauses whose head is itself below the parent's
-floor, so dropping those sums is pure-literal elimination from the root
-down.  The CNF stays equisatisfiable, and any model extends to the full
-encoding by setting the dropped variables true.  Arc consistency holds
-too: a propagation chain from the inputs up to the root's unit and back
-down to an input only passes through sums that can reach bound+1 together
-with sums already true, that is, sums at or above their floors, and every
-clause among those is kept.  The root itself then keeps no variable:
-resolving its clauses against its unit leaves (~q | ~r) for every pair of
-child sums reaching bound+1 and (~c) for a child's own bound+1 variable,
-which is unit resolution done at compile time and propagates the same.
+`encode_gte` is the paper's encoding: input order, every reachable sum, the
+full tree `build_tree` returns.  `encode_auto` sorts the leaves by weight
+(equal weights side by side reach far fewer distinct sums; any leaf order is
+arc consistent) and gives each node a floor, applied top down as the tree is
+built: a node holds only its sums at or above it.  The root's floor is
+bound+1; a child's floor is its parent's less the sibling span's largest
+sum, min(bound+1, span weight), and never below 0, since a smaller sum of
+the child cannot reach the parent's floor even with everything on the other
+side.  A sum below its node's floor occurs positively only in its own node's
+clauses and negatively only in parent clauses whose head is itself below the
+parent's floor, so dropping those sums is pure-literal elimination from the
+root down.  The CNF stays equisatisfiable, and any model extends to the full
+encoding by setting the dropped variables true.  Arc consistency holds too:
+a propagation chain from the inputs up to the root's unit and back down to
+an input only passes through sums that can reach bound+1 together with sums
+already true, that is, sums at or above their floors, and every clause among
+those is kept.  The root itself then keeps no variable: resolving its
+clauses against its unit leaves (~q | ~r) for every pair of child sums
+reaching bound+1 and (~c) for a child's own bound+1 variable, which is unit
+resolution done at compile time and propagates the same.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 
-from .core import LE, CnfFormula, PBConstraint, reserve_inputs
+from .core import CnfFormula, PBConstraint, reserve_inputs
 
 
 @dataclass
 class GteNode:
-    sums: list[int]
+    sums: list[int]  # sorted; only those at or above `floor`
     var_of: dict[int, int] = field(default_factory=dict)
-    node_sum: int = 0  # unclamped maximum the subtree can reach
     children: tuple["GteNode", "GteNode"] | None = None
-    lit: int | None = None  # leaves only
-    weight: int | None = None
+    floor: int = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -83,58 +83,57 @@ def node_sums(weights: list[int], k: int) -> list[int]:
     k+1: the root sums of the tree `build_tree` would build over them."""
     if not weights:
         return []
-    cap = k + 1
-    leaves = [GteNode(sums=[min(w, cap)], node_sum=w, weight=w) for w in weights]
-    return _build(leaves, cap, 0, len(leaves)).sums
+    return _tree([(w, 0) for w in weights], k + 1, 0).sums
 
 
 def build_tree(c: PBConstraint) -> GteTree:
-    """Balanced tree over the constraint's terms in input order; spans split at
-    ceil(len/2)."""
-    if not c.terms:
+    """The full tree over the constraint's terms in input order."""
+    return GteTree(root=_tree(c.terms, c.bound + 1, 0), bound=c.bound)
+
+
+def _tree(terms, cap: int, floor: int) -> GteNode:
+    """Balanced tree over (weight, literal) pairs in their order, spans split
+    at ceil(len/2), with root floor `floor`."""
+    if not terms:
         raise ValueError("cannot build a tree over an empty constraint")
-    cap = c.bound + 1
-    leaves = [
-        GteNode(sums=[min(w, cap)], var_of={min(w, cap): l}, node_sum=w, lit=l, weight=w)
-        for w, l in c.terms
-    ]
-
-    return GteTree(root=_build(leaves, cap, 0, len(leaves)), bound=c.bound)
+    pre = list(accumulate([w for w, _ in terms], initial=0))
+    return _build(terms, pre, cap, 0, len(terms), floor)
 
 
-def _build(leaves: list[GteNode], cap: int, lo: int, hi: int) -> GteNode:
+def _build(terms, pre: list[int], cap: int, lo: int, hi: int, floor: int) -> GteNode:
+    """The subtree over terms[lo:hi], holding its sums at or above `floor`.
+    A child's floor is this one less its sibling span's largest sum, found
+    from the prefix sums `pre`.  A leaf keeps its one sum: under a root
+    floor the root can reach, no floor exceeds its node's largest sum."""
     # a module-level function: a recursive closure would be a reference cycle
     # that keeps the leaves alive until the cyclic collector runs
     if hi - lo == 1:
-        return leaves[lo]
+        w, l = terms[lo]
+        s = min(w, cap)
+        return GteNode([s], {s: l}, floor=floor)
     mid = lo + (hi - lo + 1) // 2
-    left = _build(leaves, cap, lo, mid)
-    right = _build(leaves, cap, mid, hi)
-    return GteNode(
-        sums=merge_sums(left.sums, right.sums, cap),
-        node_sum=left.node_sum + right.node_sum,
-        children=(left, right),
-    )
+    left = _build(terms, pre, cap, lo, mid, max(0, floor - min(pre[hi] - pre[mid], cap)))
+    right = _build(terms, pre, cap, mid, hi, max(0, floor - min(pre[mid] - pre[lo], cap)))
+    sums = merge_sums(left.sums, right.sums, cap)
+    del sums[: bisect_left(sums, floor)]
+    return GteNode(sums, children=(left, right), floor=floor)
 
 
-def _emit(node: GteNode, cap: int, floor: int, out: CnfFormula) -> None:
-    """Post-order: allocate this node's sum variables at or above `floor`,
-    then emit combination clauses before boundary clauses, sums ascending.
-    A child's floor is this floor less its sibling's largest sum: below
-    that, no sum of the child can reach this floor."""
+def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:
+    """Post-order: allocate one variable per sum this node holds, then emit
+    combination clauses before boundary clauses, sums ascending.  A pair of
+    child sums below this node's floor has no head and no clause."""
     if node.is_leaf:
         return
     left, right = node.children
-    lfloor = max(0, floor - right.sums[-1])
-    rfloor = max(0, floor - left.sums[-1])
-    _emit(left, cap, lfloor, out)
-    _emit(right, cap, rfloor, out)
+    _emit(left, cap, out)
+    _emit(right, cap, out)
     clauses = out.clauses
-    lsums = left.sums[bisect_left(left.sums, lfloor):]
-    rsums = right.sums[bisect_left(right.sums, rfloor):]
+    lsums, rsums = left.sums, right.sums
     rvar = right.var_of
     rneg = [rvar[w2] ^ 1 for w2 in rsums]
     lvar = left.var_of
+    floor = node.floor
     if floor == cap:
         # only `auto`'s root has this floor (a child's is always lower): its
         # one sum, bound+1, is forbidden, so instead of a variable and a
@@ -145,9 +144,8 @@ def _emit(node: GteNode, cap: int, floor: int, out: CnfFormula) -> None:
         clauses.extend([[child.var_of[cap] ^ 1] for child in (left, right) if child.sums[-1] == cap])
         return
     var_of = node.var_of
-    sums = node.sums
     fresh_lit = out.fresh_lit
-    for s in sums[bisect_left(sums, floor):]:
+    for s in node.sums:
         var_of[s] = fresh_lit()
     over = var_of.get(cap)
     rpairs = list(zip(rsums, rneg))
@@ -165,12 +163,12 @@ def _emit(node: GteNode, cap: int, floor: int, out: CnfFormula) -> None:
         clauses.extend([[cvar[s] ^ 1, var_of[s]] for s in csums[bisect_left(csums, floor):]])
 
 
-def _encode(c: PBConstraint, out: CnfFormula, pruned: bool) -> None:
-    root = build_tree(c).root
-    if root.node_sum > c.bound:
-        cap = c.bound + 1
-        _emit(root, cap, cap if pruned else 0, out)
-        if cap in root.var_of:  # all but a pruned internal root
+def _encode(terms, bound: int, floor: int, out: CnfFormula) -> None:
+    cap = bound + 1
+    root = _tree(terms, cap, floor)
+    if root.sums[-1:] == [cap]:  # the full sum can exceed the bound
+        _emit(root, cap, out)
+        if cap in root.var_of:  # all but auto's internal root
             out.clauses.append([root.var_of[cap] ^ 1])
 
 
@@ -181,7 +179,7 @@ def encode_gte(c: PBConstraint, out: CnfFormula) -> None:
     whose full sum cannot exceed the bound emits nothing.
     """
     reserve_inputs(c, out, "encode_gte")
-    _encode(c, out, pruned=False)
+    _encode(c.terms, c.bound, 0, out)
 
 
 def encode_auto(c: PBConstraint, out: CnfFormula) -> None:
@@ -189,5 +187,4 @@ def encode_auto(c: PBConstraint, out: CnfFormula) -> None:
     and with variables only for the sums that can still reach bound+1 (the
     root floor; see the module docstring)."""
     reserve_inputs(c, out, "encode_auto")
-    terms = tuple(sorted(c.terms, key=itemgetter(0)))
-    _encode(PBConstraint(terms, LE, c.bound), out, pruned=True)
+    _encode(sorted(c.terms, key=itemgetter(0)), c.bound, c.bound + 1, out)

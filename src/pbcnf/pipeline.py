@@ -21,10 +21,6 @@ ENCODERS = {
 ENCODING_NAMES = tuple(ENCODERS)
 
 
-def is_cardinality(c: PBConstraint) -> bool:
-    return all(w == 1 for w, _ in c.terms)
-
-
 @dataclass
 class CompiledInstance:
     formula: CnfFormula

@@ -111,12 +111,9 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
         required = frozenset(negate(l) for w, l in open_terms if w + true_sum > k)
         confl, base = solver.assume_propagate(partial)
         if confl is not None:
-            report = GacReport(c, encoding, tuple(partial), required, conflicted=True)
-        else:
-            missing = frozenset(l for l in required if solver.value(l) != 1)
-            report = GacReport(c, encoding, tuple(partial), required, missing=missing)
-        solver.retract()
-        return report
+            return GacReport(c, encoding, tuple(partial), required, conflicted=True)
+        missing = frozenset(l for l in required if solver.value(l) != 1)
+        return GacReport(c, encoding, tuple(partial), required, missing=missing)
 
     if 3**n <= 4096:
         # every {unset, false, true}^n vector, first term fastest

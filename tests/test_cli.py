@@ -401,6 +401,15 @@ def test_verify_passes_and_reports(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_and_gac_check_skip_exactly_what_the_totalizer_rejects(capsys):
+    # constraints that normalize to unit weights are checked, not skipped
+    assert main(["verify", "--encoders", "totalizer"]) == 0
+    assert capsys.readouterr().out == "encoder totalizer: 28/28 equisatisfiable\n"
+    assert main(["gac-check", "--encoders", "totalizer"]) == 0
+    out = capsys.readouterr().out
+    assert out == "encoder totalizer: 262/262 partial assignments fully propagated\n"
+
+
 def test_gac_check_clean_encoders(capsys):
     rc = main(["gac-check", "--constraints", "8", "--seed", "2", "--max-n", "5"])
     out, _ = capsys.readouterr()

@@ -376,9 +376,9 @@ def test_kept_assumption_levels_match_a_fresh_solver():
     for f in kept_level_formulas(rng):
         n = f.num_vars
         s = Solver(f)
-        # whether the formula is unsatisfiable without its units propagating
-        # to a clash, so that only search finds the root-level conflict
-        by_search = s.root_conflict is None and Solver(f)._init_root()
+        # whether loading (which propagates the units) found no clash, so
+        # that only search can find a root-level conflict
+        by_search = s.root_conflict is None
         asn: list[int] = []
         for _ in range(20):
             step = rng.randint(0, 9)

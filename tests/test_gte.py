@@ -29,6 +29,7 @@ from pbcnf import (
     random_normalized_constraint,
     solve,
 )
+from pbcnf import gte
 
 REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
 
@@ -76,11 +77,10 @@ def encode(c, encoder=encode_gte):
 def test_reference_tree_sums():
     tree = build_tree(REFERENCE)
     a, b = tree.root.children
-    assert a.children[0].weight == 2 and a.children[1].weight == 3
+    assert a.children[0].var_of == {2: lit(1)} and a.children[1].var_of == {3: lit(2)}
     assert sorted(a.sums) == [2, 3, 5]
     assert sorted(b.sums) == [3, 6]
     assert sorted(tree.root.sums) == [2, 3, 5, 6]
-    assert tree.root.node_sum == 11
 
 
 def test_reference_encoding_counts_and_root_unit():
@@ -162,8 +162,8 @@ def test_split_point_puts_extra_leaf_left():
     c = PBConstraint.from_signed([(1, 1), (1, 2), (2, 3)], LE, 2)
     tree = build_tree(c)
     left, right = tree.root.children
-    assert not left.is_leaf and left.children[0].lit == lit(1)
-    assert right.is_leaf and right.lit == lit(3)
+    assert not left.is_leaf and left.children[0].var_of == {1: lit(1)}
+    assert right.is_leaf and right.var_of == {2: lit(3)}
 
 
 def test_vacuous_constraint_emits_nothing():
@@ -255,18 +255,54 @@ def auto_cases():
     return cases
 
 
-def test_auto_counts_only_sums_at_or_above_the_floor():
+def encode_auto_tree(c, monkeypatch):
+    """`encode(c, encode_auto)` and the root of the tree encode_auto built."""
+    built = []
+    tree = gte._tree
+
+    def spy(*args):
+        built.append(tree(*args))
+        return built[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(gte, "_tree", spy)
+        res = encode(c, encode_auto)
+    (root,) = built
+    return root, res
+
+
+def internal_nodes(root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            yield node
+            stack.extend(node.children)
+
+
+def held(root):
+    """How many sums the internal nodes of a tree hold."""
+    return sum(len(node.sums) for node in internal_nodes(root))
+
+
+def test_auto_counts_only_sums_at_or_above_the_floor(monkeypatch):
     weighted = vacuous = 0
     for c in auto_cases():
         weights = [w for w, _ in c.terms]
-        auto = encode(c, encode_auto).stats.aux_vars
+        root, res = encode_auto_tree(c, monkeypatch)
+        auto = res.stats.aux_vars
         full = encode(c).stats.aux_vars
+        assert held(build_tree(c).root) == floor_sum_count(weights, c.bound, 0), c
         if sum(weights) <= c.bound:
             vacuous += 1
-            assert auto == full == 0, c
+            assert auto == full == held(root) == 0, c
             continue
         assert auto == floor_sum_count(sorted(weights), c.bound, c.bound + 1), c
         assert full == floor_sum_count(weights, c.bound, 0), c
+        # auto's tree holds exactly the sums it gives variables, plus an
+        # internal root's bound+1, which is forbidden without one
+        assert held(root) == auto + (not root.is_leaf), c
+        assert all(list(n.var_of) == n.sums for n in internal_nodes(root) if n is not root), c
         weighted += auto < encode(by_weight(c)).stats.aux_vars
     assert vacuous >= 3 and weighted >= 30
 
@@ -299,3 +335,15 @@ def test_auto_propagates_like_unpruned_sorted_gte():
             conflicts += seen[0][0]
             derived += not seen[0][0] and len(seen[0][1]) > len(partial)
     assert tried >= 15_000 and conflicts >= 4_000 and derived >= 3_000
+
+
+def test_auto_on_a_wide_weight_row(monkeypatch):
+    # 20 weights from 1..10^6, bound half their sum: few sums of the full
+    # tree can still reach bound+1
+    rng = SplitMix64(5)
+    weights = [rng.randint(1, 10**6) for _ in range(20)]
+    c = PBConstraint(tuple(Term(w, lit(v)) for v, w in enumerate(weights, 1)), LE, sum(weights) // 2)
+    root, res = encode_auto_tree(c, monkeypatch)
+    assert (res.formula.num_vars, res.formula.num_clauses) == (1_836, 318_435)
+    assert held(root) == 1_817
+    assert held(build_tree(by_weight(c)).root) == 444_737

@@ -9,6 +9,7 @@ from pbcnf import (
     SAT,
     UNSAT,
     CnfFormula,
+    InapplicableEncoding,
     OutcomeKind,
     PbInstance,
     PBConstraint,
@@ -25,7 +26,7 @@ from pbcnf import (
     pedigreelike,
     solve,
 )
-from pbcnf.pipeline import ENCODERS, ENCODING_NAMES, is_cardinality
+from pbcnf.pipeline import ENCODERS, ENCODING_NAMES
 
 
 @pytest.mark.parametrize("encoding", ENCODING_NAMES)
@@ -55,9 +56,12 @@ def test_encoder_registry():
 
 
 def test_select_encoding():
+    # the totalizer takes unit weights only, and says so by raising
     card = PBConstraint.from_signed([(1, 1), (1, 2)], LE, 1)
     weighted = PBConstraint.from_signed([(2, 1), (1, 2)], LE, 2)
-    assert is_cardinality(card) and not is_cardinality(weighted)
+    assert compile_constraints([card], 2, "totalizer").aux_clauses > 0
+    with pytest.raises(InapplicableEncoding):
+        compile_constraints([weighted], 2, "totalizer")
 
 
 def test_unknown_encoding_rejected():

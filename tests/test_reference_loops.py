@@ -96,7 +96,7 @@ def ref_encode_gte(c, out):
     for _, l in c.terms:
         out.num_vars = max(out.num_vars, l >> 1)
     tree = build_tree(c)
-    if tree.root.node_sum > c.bound:
+    if tree.root.sums[-1] == c.bound + 1:
         cap = c.bound + 1
         ref_emit(tree.root, cap, out)
         out.clauses.append([negate(tree.root.var_of[cap])])
@@ -261,7 +261,8 @@ def ref_parse_opb(source) -> PbInstance:
 
 
 def ref_load(formula):
-    """The loader's per-literal dedupe loop, applied to every clause."""
+    """The loader's per-literal dedupe loop, applied to every clause, then
+    `ref_root`."""
     nv = formula.num_vars
     clauses, root_units, root_conflict = [], [], None
     watches = [[] for _ in range(2 * nv + 2)]
@@ -288,16 +289,59 @@ def ref_load(formula):
     prio = []
     for v in range(1, nv + 1):
         heappush(prio, (0.0, v))
-    return nv, clauses, watches, root_units, root_conflict, prio
+    trail, root_conflict = ref_root(nv, clauses, watches, root_units, root_conflict)
+    return nv, clauses, watches, trail, root_conflict, prio
+
+
+def ref_root(nv, clauses, watches, root_units, root_conflict):
+    """Level 0 as loading leaves it: (trail, root conflict).  An empty clause
+    wins outright; otherwise the units are asserted in clause order, the
+    first clash wins, and the rest is propagated clause by clause with the
+    watch moves of the engine."""
+    if root_conflict is not None:
+        return [], root_conflict
+    val = [UNDEF] * (2 * nv + 2)
+    trail = []
+
+    def assign(l):
+        val[l], val[l ^ 1] = TRUE, FALSE
+        trail.append(l)
+
+    for l, idx in root_units:
+        if val[l] == FALSE:
+            return trail, idx
+        if val[l] == UNDEF:
+            assign(l)
+    for p in trail:  # grows while it is walked
+        falsified = p ^ 1
+        pending = watches[falsified]
+        watches[falsified] = []
+        for pos, ci in enumerate(pending):
+            cl = clauses[ci]
+            if cl[0] == falsified:
+                cl[0], cl[1] = cl[1], cl[0]
+            free = [t for t in range(2, len(cl)) if val[cl[t]] != FALSE]
+            if val[cl[0]] != TRUE and free:
+                t = free[0]
+                cl[1], cl[t] = cl[t], cl[1]
+                watches[cl[1]].append(ci)
+                continue
+            watches[falsified].append(ci)
+            if val[cl[0]] == FALSE:
+                watches[falsified] += pending[pos + 1 :]
+                return trail, ci
+            if val[cl[0]] == UNDEF:
+                assign(cl[0])
+    return trail, None
 
 
 def assert_same_load(formula):
     s = Solver(formula)
-    nv, clauses, watches, root_units, root_conflict, prio = ref_load(formula)
+    nv, clauses, watches, trail, root_conflict, prio = ref_load(formula)
     assert s.nvars == nv
     assert s.clauses == clauses
     assert s.watches == watches
-    assert s._root_units == root_units
+    assert s.trail == trail
     assert s.root_conflict == root_conflict
     assert s.prio == prio
     assert s.num_original == len(formula.clauses)
@@ -389,6 +433,8 @@ def hand_built():
         CnfFormula(num_vars=0, clauses=[[40, 41], [43]]),
         # long clauses and units mixed with the fast-path lengths
         CnfFormula(num_vars=6, clauses=[[2, 4, 6, 8, 10, 12], [3], [5, 7], [9, 11, 13], [2]]),
+        # a unit whose propagation moves a watch, then ends in a conflict
+        CnfFormula(num_vars=3, clauses=[[2], [3, 6, 4], [3, 7], [5, 3, 6]]),
     ]
 
 
@@ -642,7 +688,7 @@ class RefSolver(Solver):
         return None
 
     def solve(self, assumptions=(), max_conflicts=None):
-        if not self._init_root():
+        if self.root_conflict is not None:
             return SolveResult(UNSAT)
         self._backtrack(0)
         asn = list(assumptions)
