@@ -111,16 +111,15 @@ def stats_compare(
     label: str = "instance",
     max_conflicts: int | None = None,
 ) -> list[StatRow]:
-    """Encode the instance with each requested encoder, solve with the
-    embedded engine, and report one row per encoder.
-    Failures stay in their row instead of aborting the comparison."""
+    """One row per encoder: the instance encoded and solved with the embedded
+    engine, or "inapplicable"; an unknown encoder name raises ValueError."""
     rows = []
     for enc in encoders:
         row = StatRow(instance=label, encoder=enc)
         try:
             compiled = compile_instance(instance, enc)
-        except ValueError as e:
-            row.result = "inapplicable" if isinstance(e, InapplicableEncoding) else "error"
+        except InapplicableEncoding:
+            row.result = "inapplicable"
             rows.append(row)
             continue
         row.aux_vars = compiled.aux_vars

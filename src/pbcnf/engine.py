@@ -70,8 +70,8 @@ class Solver:
         """Load the formula's clauses, assert its unit clauses and propagate
         them once.  `root_conflict` is then the index of the last empty
         clause, else of the first unit clash or root propagation conflict,
-        else None.  A clause that names a variable above `formula.num_vars`
-        raises ValueError."""
+        else None.  A clause that names a variable above `formula.num_vars`,
+        or holds a literal code below 2, raises ValueError."""
         # lists and tuples of numbers only: nothing here can form a cycle
         with gc_paused():
             # per-variable arrays for variables 1..nvars
@@ -100,20 +100,20 @@ class Solver:
             watches = self.watches
             top = 2 * nv + 1
             for idx, cl in enumerate(formula.clauses):
-                # fast path: two or three literals over distinct variables within
-                # num_vars need no dedupe (a ^ b > 1 exactly when a and b
+                # fast path: two or three literals over distinct variables in
+                # 1..num_vars need no dedupe (a ^ b > 1 exactly when a and b
                 # differ in variable)
                 n = len(cl)
                 if n == 2:
                     a, b = cl
-                    if a ^ b > 1 and a <= top and b <= top:
+                    if a ^ b > 1 and 1 < a <= top and 1 < b <= top:
                         clauses.append([a, b])
                         watches[a].append(idx)
                         watches[b].append(idx)
                         continue
                 elif n == 3:
                     a, b, c = cl
-                    if a ^ b > 1 and a ^ c > 1 and b ^ c > 1 and a <= top and b <= top and c <= top:
+                    if a ^ b > 1 and a ^ c > 1 and b ^ c > 1 and 1 < a <= top and 1 < b <= top and 1 < c <= top:
                         clauses.append([a, b, c])
                         watches[a].append(idx)
                         watches[b].append(idx)
@@ -122,6 +122,8 @@ class Solver:
                     raise ValueError(
                         f"clause {idx} names x{max(cl) >> 1}, above the formula's {nv} variables"
                     )
+                if cl and min(cl) < 2:
+                    raise ValueError(f"clause {idx} holds literal code {min(cl)}, below 2, the code of x1")
                 lits: list[int] = []
                 skip = False
                 for l in cl:

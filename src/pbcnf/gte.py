@@ -18,7 +18,7 @@ converse is intentionally left open.
 full tree `build_tree` returns.  `encode_auto` sorts the leaves by weight
 (equal weights side by side reach far fewer distinct sums; any leaf order is
 arc consistent) and gives each node a floor, applied top down as the tree is
-built: a node holds only its sums at or above it.  The root's floor is
+built: a node's merge forms only its sums at or above it.  The root's floor is
 bound+1; a child's floor is its parent's less the sibling span's largest
 sum, min(bound+1, span weight), and never below 0, since a smaller sum of
 the child cannot reach the parent's floor even with everything on the other
@@ -64,17 +64,16 @@ class GteTree:
     bound: int
 
 
-def merge_sums(a: list[int], b: list[int], cap: int) -> list[int]:
-    """Distinct clamped sums reachable from two children: each side alone plus
-    every pairwise combination, all clamped at cap."""
-    out = set(a)
-    out.update(b)
-    top = max(b, default=None)
+def merge_sums(a: list[int], b: list[int], cap: int, floor: int = 0) -> list[int]:
+    """Distinct sums at or above `floor` reachable from two children's sorted
+    sums: each side alone, each x + y with y in b's window [floor - x, cap - x)
+    and, when a[-1] + b[-1] reaches it, cap, the clamp of every larger sum."""
+    out = set(a[bisect_left(a, floor) :])
+    out.update(b[bisect_left(b, floor) :])
     for x in a:
-        lim = cap - x
-        out.update([x + y for y in b if y < lim])
-        if top is not None and top >= lim:
-            out.add(cap)
+        out.update([x + y for y in b[bisect_left(b, floor - x) : bisect_left(b, cap - x)]])
+    if a and b and a[-1] + b[-1] >= cap:
+        out.add(cap)
     return sorted(out)
 
 
@@ -101,9 +100,9 @@ def _tree(terms, cap: int, floor: int) -> GteNode:
 
 
 def _build(terms, pre: list[int], cap: int, lo: int, hi: int, floor: int) -> GteNode:
-    """The subtree over terms[lo:hi], holding its sums at or above `floor`.
-    A child's floor is this one less its sibling span's largest sum, found
-    from the prefix sums `pre`.  A leaf keeps its one sum: under a root
+    """The subtree over terms[lo:hi]; its merge forms only its sums at or above
+    `floor`.  A child's floor is this one less its sibling span's largest sum,
+    found from the prefix sums `pre`.  A leaf keeps its one sum: under a root
     floor the root can reach, no floor exceeds its node's largest sum."""
     # a module-level function: a recursive closure would be a reference cycle
     # that keeps the leaves alive until the cyclic collector runs
@@ -114,9 +113,7 @@ def _build(terms, pre: list[int], cap: int, lo: int, hi: int, floor: int) -> Gte
     mid = lo + (hi - lo + 1) // 2
     left = _build(terms, pre, cap, lo, mid, max(0, floor - min(pre[hi] - pre[mid], cap)))
     right = _build(terms, pre, cap, mid, hi, max(0, floor - min(pre[mid] - pre[lo], cap)))
-    sums = merge_sums(left.sums, right.sums, cap)
-    del sums[: bisect_left(sums, floor)]
-    return GteNode(sums, children=(left, right), floor=floor)
+    return GteNode(merge_sums(left.sums, right.sums, cap, floor), children=(left, right), floor=floor)
 
 
 def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:

@@ -343,7 +343,18 @@ def test_auto_on_a_wide_weight_row(monkeypatch):
     rng = SplitMix64(5)
     weights = [rng.randint(1, 10**6) for _ in range(20)]
     c = PBConstraint(tuple(Term(w, lit(v)) for v, w in enumerate(weights, 1)), LE, sum(weights) // 2)
+    formed = []
+    merge = gte.merge_sums
+
+    def counted(*args):
+        sums = merge(*args)
+        formed.append(len(sums))
+        return sums
+
+    monkeypatch.setattr(gte, "merge_sums", counted)
     root, res = encode_auto_tree(c, monkeypatch)
     assert (res.formula.num_vars, res.formula.num_clauses) == (1_836, 318_435)
     assert held(root) == 1_817
+    # the merges form no sum below a node's floor: only the sums held
+    assert sum(formed) == 1_817
     assert held(build_tree(by_weight(c)).root) == 444_737

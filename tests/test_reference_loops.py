@@ -379,6 +379,10 @@ def test_merge_sums_matches_reference_on_random_lists():
         b = sorted({rng.randint(1, cap) for _ in range(rng.randint(0, 8))})
         assert merge_sums(a, b, cap) == ref_merge_sums(a, b, cap), (a, b, cap)
         assert merge_sums(b, a, cap) == ref_merge_sums(b, a, cap), (b, a, cap)
+        f = rng.randint(0, cap)
+        want = [s for s in ref_merge_sums(a, b, cap) if s >= f]
+        assert merge_sums(a, b, cap, f) == want, (a, b, cap, f)
+        assert merge_sums(b, a, cap, f) == want, (b, a, cap, f)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -596,6 +600,14 @@ def test_solver_rejects_literals_above_num_vars():
         for load in (Solver, solve, propagate):
             with pytest.raises(ValueError, match=r"clause \d+ names x\d+, above the formula's"):
                 load(f)
+
+
+def test_solver_rejects_literal_codes_below_2():
+    # code 1 would be the negation of a variable 0, and 0 or a negative code
+    # names no literal at all
+    for clauses in ([[1, 4], [5, 3]], [[0, 4]], [[-2, 4]], [[1]]):
+        with pytest.raises(ValueError, match=r"clause 0 holds literal code -?\d+, below 2"):
+            Solver(CnfFormula(num_vars=2, clauses=clauses))
 
 
 # --- CDCL search loops -------------------------------------------------------

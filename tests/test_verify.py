@@ -274,6 +274,13 @@ def test_stats_compare_reference():
     assert all(r.instance == "ref" for r in rows)
 
 
+def test_stats_compare_raises_on_an_unknown_encoder():
+    from pbcnf import PbInstance
+
+    with pytest.raises(ValueError):
+        stats_compare(PbInstance(4, [REFERENCE]), ["nope"])
+
+
 def test_stats_csv_shape():
     from pbcnf import PbInstance
 
