@@ -340,6 +340,10 @@ def main(argv=None) -> int:
 
 
 def console() -> None:
+    import warnings
+
+    # `warning: ...` lines, like `error: ...`; callers of `main` keep Python's format
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         code = main()
         sys.stdout.flush()

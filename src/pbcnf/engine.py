@@ -30,10 +30,6 @@ heap.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import tempfile
-import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -484,7 +480,10 @@ def solve_external(formula, command: str, timeout: float | None = None) -> Solve
     raises OSError; a malformed command raises ValueError; output that is
     empty, in neither form, or whose model does not assign the formula's
     variables consistently raises RuntimeError."""
+    import os
     import shlex
+    import subprocess
+    import tempfile
 
     from .dimacs import write_dimacs
 

@@ -1,11 +1,13 @@
 """Rewrite arbitrary linear pseudo-Boolean constraints into the canonical
 less-or-equal form with positive integer weights over distinct variables.
 
-Rewrite steps, in order: split equalities; flip >= to <= over negated
-literals; flip negative weights; drop zero weights; merge repeated variables
-(opposite polarities cancel against the bound); detect trivial outcomes;
-extract literals whose weight alone exceeds the bound as forced units.
-Weights are plain Python integers, so sums cannot overflow.
+One pass sums each variable's net coefficient a_v, using w*~x = w - w*x to
+move a negated literal's constant into the bound: sum(a_v * x_v) <rel> K.
+A <= keeps that, a >= takes its negation sum(-a_v * x_v) <= -K, and an
+equality splits into both.  Then a_v < 0 becomes |a_v| * ~x_v with the bound
+raised by |a_v|, a_v = 0 drops, trivial outcomes are detected, and literals
+whose weight alone exceeds the bound become forced units.  Weights are plain
+Python integers, so sums cannot overflow.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EQ, GE, LE, PBConstraint, Term, negate
+from .core import GE, LE, PBConstraint, Term
 
 
 class OutcomeKind(Enum):
@@ -30,52 +32,43 @@ class NormalizationOutcome:
     constraint: PBConstraint | None = None
     # literals that must be 0; callers emit the unit clause of each negation
     forced_units: tuple[int, ...] = ()
-    # for EQUALITY_SPLIT: the outcomes of the <= and >= halves
+    # for EQUALITY_SPLIT: the outcomes of the <= and >= halves, never splits
     parts: tuple["NormalizationOutcome", ...] = ()
 
     def flatten(self) -> tuple["NormalizationOutcome", ...]:
-        if self.kind is OutcomeKind.EQUALITY_SPLIT:
-            return tuple(p for part in self.parts for p in part.flatten())
-        return (self,)
+        return self.parts or (self,)
 
 
 def normalize(c: PBConstraint) -> NormalizationOutcome:
-    if c.relation == EQ:
-        lower = normalize(PBConstraint(c.terms, LE, c.bound))
-        upper = normalize(PBConstraint(c.terms, GE, c.bound))
-        return NormalizationOutcome(OutcomeKind.EQUALITY_SPLIT, parts=(lower, upper))
-
-    terms = list(c.terms)
+    # net coefficient of each variable's positive literal, first occurrence first
+    coef: dict[int, int] = {}
     k = c.bound
+    for w, l in c.terms:
+        if w:
+            if l & 1:  # w*~x = w - w*x: the constant w moves into the bound
+                k -= w
+                w = -w
+            coef[l >> 1] = coef.get(l >> 1, 0) + w
+    if c.relation == LE:
+        return _canonical(coef, k, 1)
     if c.relation == GE:
-        # sum(w*l) >= k  <=>  sum(w*~l) <= sum(w) - k
-        k = sum(w for w, _ in terms) - k
-        terms = [Term(w, negate(l)) for w, l in terms]
+        return _canonical(coef, k, -1)
+    return NormalizationOutcome(
+        OutcomeKind.EQUALITY_SPLIT, parts=(_canonical(coef, k, 1), _canonical(coef, k, -1))
+    )
 
-    # negative weights flip the literal and relax the bound; zero weights drop
-    positive: list[Term] = []
-    for w, l in terms:
-        if w < 0:
-            k += -w
-            positive.append(Term(-w, negate(l)))
-        elif w > 0:
-            positive.append(Term(w, l))
 
-    # merge repeated variables, keeping first-occurrence order
-    acc: dict[int, list[int]] = {}
-    for w, l in positive:
-        slot = acc.setdefault(l >> 1, [0, 0])
-        slot[l & 1] += w
+def _canonical(coef: dict[int, int], k: int, sign: int) -> NormalizationOutcome:
+    """The outcome of sign * sum(a_v * x_v) <= sign * k over positive weights."""
+    k *= sign
     merged: list[Term] = []
-    for var, (on_pos, on_neg) in acc.items():
-        if on_pos > on_neg:
-            merged.append(Term(on_pos - on_neg, 2 * var))
-            k -= on_neg
-        elif on_neg > on_pos:
-            merged.append(Term(on_neg - on_pos, 2 * var + 1))
-            k -= on_pos
-        else:
-            k -= on_pos
+    for v, a in coef.items():
+        a *= sign
+        if a > 0:
+            merged.append(Term(a, 2 * v))
+        elif a < 0:
+            merged.append(Term(-a, 2 * v + 1))
+            k -= a
 
     if k < 0:
         return NormalizationOutcome(OutcomeKind.TRIVIALLY_FALSE)

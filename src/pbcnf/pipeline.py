@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 
 from .baselines import encode_adder, encode_swc, encode_totalizer
-from .core import CnfFormula, PBConstraint, gc_paused, negate
+from .core import CnfFormula, PBConstraint, gc_paused
 from .gte import encode_auto, encode_gte
 from .normalize import OutcomeKind, normalize
 
@@ -31,38 +31,26 @@ class CompiledInstance:
     encode_time: float = 0.0
 
 
-def compile_constraint(c: PBConstraint, encoding: str, out: CnfFormula) -> int:
-    """Normalize one constraint (splitting equalities) and encode every
-    residual piece into `out`.  Forced units become unit clauses; a trivially
-    false piece becomes the empty clause.  Returns how many of those two
-    kinds of clause it wrote."""
-    if encoding not in ENCODERS:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    enc = ENCODERS[encoding]
-    forced = 0
-    for piece in normalize(c).flatten():
-        for l in piece.forced_units:
-            out.add_clause([negate(l)])
-        forced += len(piece.forced_units)
-        if piece.kind is OutcomeKind.TRIVIALLY_FALSE:
-            out.add_clause([])
-            forced += 1
-        elif piece.kind is OutcomeKind.NORMALIZED:
-            enc(piece.constraint, out)
-    return forced
-
-
 def compile_constraints(
     constraints: list[PBConstraint], num_input_vars: int, encoding: str
 ) -> CompiledInstance:
     """Encode every constraint into one formula.
 
+    Each constraint is normalized, an equality into two pieces.  A piece's
+    forced units become unit clauses (counted in `forced_units`, as is the
+    empty clause a trivially false piece becomes), and a normalized piece
+    goes to the encoder.  An unknown `encoding` raises ValueError first,
+    even with no constraints.
+
     Input variables are 1..`num_input_vars`; the formula numbers auxiliary
     variables from `num_input_vars + 1` on, so every variable the
-    constraints mention must lie in 1..`num_input_vars`.  A larger one would alias an auxiliary
-    variable and silently change the meaning of the CNF (and x0 has no DIMACS
-    name), so either raises ValueError instead.
+    constraints mention must lie in 1..`num_input_vars`.  A larger one would
+    alias an auxiliary variable and silently change the meaning of the CNF
+    (and x0 has no DIMACS name), so either raises ValueError instead.
     """
+    if encoding not in ENCODERS:
+        raise ValueError(f"unknown encoding {encoding!r}")
+    enc = ENCODERS[encoding]
     for c in constraints:
         for _, l in c.terms:
             if not 1 <= l >> 1 <= num_input_vars:
@@ -74,7 +62,15 @@ def compile_constraints(
     t0 = time.perf_counter()
     with gc_paused():
         for c in constraints:
-            compiled.forced_units += compile_constraint(c, encoding, out)
+            for piece in normalize(c).flatten():
+                for l in piece.forced_units:
+                    out.add_clause([l ^ 1])
+                compiled.forced_units += len(piece.forced_units)
+                if piece.kind is OutcomeKind.TRIVIALLY_FALSE:
+                    out.add_clause([])
+                    compiled.forced_units += 1
+                elif piece.kind is OutcomeKind.NORMALIZED:
+                    enc(piece.constraint, out)
     compiled.aux_vars = out.num_vars - num_input_vars
     compiled.aux_clauses = len(out.clauses)
     compiled.encode_time = time.perf_counter() - t0

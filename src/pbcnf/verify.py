@@ -84,7 +84,7 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
     with weighted true-sum <= bound, every unassigned literal whose weight no
     longer fits must be propagated to false by unit propagation alone.
     """
-    if c.relation != LE or not c.is_normalized():
+    if not c.is_normalized():
         raise ValueError("gac_check expects a normalized constraint")
     terms = c.terms
     n = len(terms)

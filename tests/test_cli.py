@@ -522,6 +522,25 @@ def test_module_entry_point_help():
         assert cmd in proc.stdout
 
 
+def test_warning_is_one_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbcnf", "encode", "-"],
+        input="* #variable= 1 #constraint= 1\n+1 x1 +1 x2 <= 1 ;\n",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines()[0] == "warning: instance uses x2 beyond the declared 1 variables; extending"
+    assert "UserWarning" not in proc.stderr
+
+
+def test_import_starts_no_subprocess_machinery():
+    # only an external solve needs subprocess; importing pbcnf stays cheap
+    code = "import sys; b = set(sys.modules); import pbcnf; print(*sorted(set(sys.modules) - b))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert not {"subprocess", "signal", "selectors"} & set(proc.stdout.split())
+
+
 @pytest.mark.parametrize("command", [["encode", "--encoding", "gte", "-"], ["solve", "-"]])
 def test_closed_stdout_is_io_error(command):
     # 20000 forced units: a DIMACS text and a model line each larger than a

@@ -68,6 +68,8 @@ def test_unknown_encoding_rejected():
     c = PBConstraint.from_signed([(1, 1)], LE, 0)
     with pytest.raises(ValueError, match="unknown encoding"):
         compile_constraints([c], 1, "nosuch")
+    with pytest.raises(ValueError, match="unknown encoding"):
+        compile_constraints([], 0, "nope")
 
 
 def test_input_variable_outside_num_input_vars_rejected():

@@ -3,10 +3,11 @@ the plain per-literal loops they replaced.
 
 The reference functions below are the straightforward versions of
 `merge_sums`, the GTE clause emission, `dimacs_str`, the DIMACS parser, the
-OPB reader, the `Solver` clause loader and the `Solver` search loops.  The
-fast versions must give exactly the same sums, clauses (order and literal
-order included), variable counts, DIMACS bytes, parsed formulas and parse
-errors, watch lists and root units, and the same search: statuses, models,
+OPB reader, the staged normalizer, the `Solver` clause loader and the
+`Solver` search loops.  The fast versions must give exactly the same sums,
+clauses (order and literal order included), variable counts, DIMACS bytes,
+parsed formulas and parse errors, normalization outcomes, watch lists and
+root units, and the same search: statuses, models,
 learned clauses and trails.  Across assumption sweeps, where the engine keeps
 assumption levels between calls, the trail may differ and the learned clauses
 are compared up to the order of their literals.  The OPB reader rejects an
@@ -31,7 +32,9 @@ from pbcnf import (
     UNSAT,
     CnfFormula,
     DimacsError,
+    NormalizationOutcome,
     OpbError,
+    OutcomeKind,
     PBConstraint,
     PbInstance,
     Solver,
@@ -48,11 +51,13 @@ from pbcnf import (
     lit,
     merge_sums,
     negate,
+    normalize,
     parse_dimacs,
     parse_opb,
     pb12like,
     pedigreelike,
     propagate,
+    random_constraint,
     random_normalized_constraint,
     solve,
     to_signed,
@@ -258,6 +263,62 @@ def ref_parse_opb(source) -> PbInstance:
         )
         declared = max_var
     return PbInstance(declared_vars=declared, constraints=constraints)
+
+
+def ref_normalize(c: PBConstraint) -> NormalizationOutcome:
+    """The normalizer's three rewrite stages (a >= flip, a negative-weight
+    flip and a merge of repeated variables), with each half of an equality
+    normalized from scratch."""
+    if c.relation == EQ:
+        lower = ref_normalize(PBConstraint(c.terms, LE, c.bound))
+        upper = ref_normalize(PBConstraint(c.terms, GE, c.bound))
+        return NormalizationOutcome(OutcomeKind.EQUALITY_SPLIT, parts=(lower, upper))
+
+    terms = list(c.terms)
+    k = c.bound
+    if c.relation == GE:
+        # sum(w*l) >= k  <=>  sum(w*~l) <= sum(w) - k
+        k = sum(w for w, _ in terms) - k
+        terms = [Term(w, negate(l)) for w, l in terms]
+
+    # negative weights flip the literal and relax the bound; zero weights drop
+    positive: list[Term] = []
+    for w, l in terms:
+        if w < 0:
+            k += -w
+            positive.append(Term(-w, negate(l)))
+        elif w > 0:
+            positive.append(Term(w, l))
+
+    # merge repeated variables, keeping first-occurrence order
+    acc: dict[int, list[int]] = {}
+    for w, l in positive:
+        slot = acc.setdefault(l >> 1, [0, 0])
+        slot[l & 1] += w
+    merged: list[Term] = []
+    for var, (on_pos, on_neg) in acc.items():
+        if on_pos > on_neg:
+            merged.append(Term(on_pos - on_neg, 2 * var))
+            k -= on_neg
+        elif on_neg > on_pos:
+            merged.append(Term(on_neg - on_pos, 2 * var + 1))
+            k -= on_pos
+        else:
+            k -= on_pos
+
+    if k < 0:
+        return NormalizationOutcome(OutcomeKind.TRIVIALLY_FALSE)
+    if sum(w for w, _ in merged) <= k:
+        return NormalizationOutcome(OutcomeKind.TRIVIALLY_TRUE)
+
+    units = tuple(l for w, l in merged if w > k)
+    kept = tuple(t for t in merged if t.weight <= k)
+    if not kept or sum(w for w, _ in kept) <= k:
+        # residual constraint is vacuous; only the forced units carry meaning
+        return NormalizationOutcome(OutcomeKind.UNITS_ONLY, forced_units=units)
+    return NormalizationOutcome(
+        OutcomeKind.NORMALIZED, constraint=PBConstraint(kept, LE, k), forced_units=units
+    )
 
 
 def ref_load(formula):
@@ -923,3 +984,29 @@ def test_parse_opb_matches_reference_on_files():
     for spec in (pb12like(constraints=40, n=12, seed=1), pedigreelike(n=30, seed=3)):
         text = write_opb(gen_bench(spec))
         assert opb_outcome(parse_opb, text) == opb_outcome(ref_parse_opb, text)
+
+
+# --- normalization -------------------------------------------------------
+
+
+def test_normalize_matches_reference_on_random_constraints():
+    rng = SplitMix64(11)
+    for _ in range(300_000):
+        c = random_constraint(rng)
+        assert normalize(c) == ref_normalize(c), c
+
+
+def test_normalize_matches_reference_on_repeated_variables():
+    # up to 12 terms over x1..x5, so variables repeat in both polarities
+    rng = SplitMix64(12)
+    kinds = set()
+    for _ in range(100_000):
+        terms = [
+            Term(rng.randint(-50, 50), lit(rng.randint(1, 5), negative=rng.chance(1, 2)))
+            for _ in range(rng.randint(1, 12))
+        ]
+        c = PBConstraint(tuple(terms), rng.choice((LE, GE, EQ)), rng.randint(-200, 200))
+        got = normalize(c)
+        assert got == ref_normalize(c), c
+        kinds.update(p.kind for p in got.flatten())
+    assert kinds == set(OutcomeKind) - {OutcomeKind.EQUALITY_SPLIT}
