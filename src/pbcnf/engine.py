@@ -26,10 +26,27 @@ whose activity moved and the first live, unassigned entry popped is the
 highest-activity unassigned variable, ties going to the lowest index.  Once
 the trail holds every variable, `solve` takes the model without draining the
 heap.
+
+Clauses live in one flat list `lits`, the arena of MiniSat (Een & Sorensson,
+SAT 2003): each clause's literals followed by a 0, the formula's clauses in
+order and then the learned ones.  Code 0 is never a literal, so it ends the
+clause; a tautology is kept as the code 1, which is never a literal either,
+and its 0.  Inside the engine a clause is named by its offset, the position
+of its first literal: watch lists and `reason` hold offsets, and the watched
+literals are the first two.  Wherever the API reports a clause
+(`root_conflict`, `assume_propagate`, `PropagationResult.conflict_clause`)
+it gives the clause's index instead: its position in `formula.clauses`, and
+past those, the order in which it was learned.  The offsets of the formula's
+clauses are listed only when one is first mapped to an index.  `clauses` is
+a read-only view that builds the clauses asked for.  A plain list, not an
+`array('i')`, holds the literals: an array boxes a new int object on every
+read, and propagation reads literals in its innermost loop, while the list
+shares the formula's own int objects.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -68,13 +85,13 @@ class Solver:
         clause, else of the first unit clash or root propagation conflict,
         else None.  A clause that names a variable above `formula.num_vars`,
         or holds a literal code below 2, raises ValueError."""
-        # lists and tuples of numbers only: nothing here can form a cycle
+        # one literal list and lists of offsets: nothing here can form a cycle
         with gc_paused():
             # per-variable arrays for variables 1..nvars
             nv = self.nvars = formula.num_vars
             self.val = bytearray([UNDEF]) * (2 * nv + 2)
             self.level = [0] * (nv + 1)
-            self.reason = [-1] * (nv + 1)
+            self.reason = [-1] * (nv + 1)  # offset of the clause that implied v; -1 for a decision
             self.activity = [0.0] * (nv + 1)
             self.saved_phase = bytearray(nv + 1)  # 0 -> try the negative literal first
             self.seen = bytearray(nv + 1)
@@ -87,32 +104,39 @@ class Solver:
             self.assumed: list[int] = []  # the assumptions levels 1..len(assumed) hold
             self.qhead = 0
             self.var_inc = 1.0
-            self.clauses: list[list[int] | None] = []
+            self.lits: list[int] = []  # every clause's literals, each followed by 0
             self.num_original = len(formula.clauses)
+            self._learned: list[int] = []  # offsets of the learned clauses, in order
+            self._starts: list[int] | None = None  # offsets of the formula's clauses, built on first use
             self.root_conflict: int | None = None
-            units: list[tuple[int, int]] = []
+            units: list[tuple[int, int, int]] = []  # (literal, offset, index)
 
-            clauses = self.clauses
+            lits = self.lits
             watches = self.watches
             top = 2 * nv + 1
+            o = 0
             for idx, cl in enumerate(formula.clauses):
-                # fast path: two or three literals over distinct variables in
+                # fast path: three or two literals over distinct variables in
                 # 1..num_vars need no dedupe (a ^ b > 1 exactly when a and b
                 # differ in variable)
                 n = len(cl)
-                if n == 2:
-                    a, b = cl
-                    if a ^ b > 1 and 1 < a <= top and 1 < b <= top:
-                        clauses.append([a, b])
-                        watches[a].append(idx)
-                        watches[b].append(idx)
-                        continue
-                elif n == 3:
+                if n == 3:
                     a, b, c = cl
                     if a ^ b > 1 and a ^ c > 1 and b ^ c > 1 and 1 < a <= top and 1 < b <= top and 1 < c <= top:
-                        clauses.append([a, b, c])
-                        watches[a].append(idx)
-                        watches[b].append(idx)
+                        lits += cl
+                        lits.append(0)
+                        watches[a].append(o)
+                        watches[b].append(o)
+                        o += 4
+                        continue
+                elif n == 2:
+                    a, b = cl
+                    if a ^ b > 1 and 1 < a <= top and 1 < b <= top:
+                        lits += cl
+                        lits.append(0)
+                        watches[a].append(o)
+                        watches[b].append(o)
+                        o += 3
                         continue
                 if cl and max(cl) > top:
                     raise ValueError(
@@ -120,34 +144,67 @@ class Solver:
                     )
                 if cl and min(cl) < 2:
                     raise ValueError(f"clause {idx} holds literal code {min(cl)}, below 2, the code of x1")
-                lits: list[int] = []
-                skip = False
+                kept: list[int] = []
                 for l in cl:
-                    if l ^ 1 in lits:
-                        skip = True  # tautology, always satisfied
+                    if l ^ 1 in kept:
+                        lits += (1, 0)  # a tautology, always satisfied
+                        o += 2
                         break
-                    if l not in lits:
-                        lits.append(l)
-                if skip:
-                    clauses.append(None)
-                    continue
-                clauses.append(lits)
-                if len(lits) >= 2:
-                    watches[lits[0]].append(idx)
-                    watches[lits[1]].append(idx)
-                elif len(lits) == 1:
-                    units.append((lits[0], idx))
+                    if l not in kept:
+                        kept.append(l)
                 else:
-                    self.root_conflict = idx
+                    lits += kept
+                    lits.append(0)
+                    if len(kept) >= 2:
+                        watches[kept[0]].append(o)
+                        watches[kept[1]].append(o)
+                    elif kept:
+                        units.append((kept[0], o, idx))
+                    else:
+                        self.root_conflict = idx
+                    o += len(kept) + 1
         if self.root_conflict is None:
-            for l, idx in units:
+            for l, o, idx in units:
                 if self.val[l] == FALSE:
                     self.root_conflict = idx
                     break
                 if self.val[l] == UNDEF:
-                    self._assign(l, idx)
+                    self._assign(l, o)
             else:
-                self.root_conflict = self._propagate()
+                self.root_conflict = self._index(self._propagate())
+
+    # -- the clause store ---------------------------------------------------
+
+    @property
+    def clauses(self) -> ClauseView:
+        """The clauses by index: the formula's, then the learned ones."""
+        return ClauseView(self)
+
+    def _formula_starts(self) -> list[int]:
+        """The offset of each of the formula's clauses, listed on first use."""
+        if self._starts is None:
+            find = self.lits.index
+            starts = []
+            o = 0
+            for _ in range(self.num_original):
+                starts.append(o)
+                o = find(0, o) + 1
+            self._starts = starts
+        return self._starts
+
+    def _start(self, i: int) -> int:
+        """The offset of clause i."""
+        n = self.num_original
+        return self._learned[i - n] if i >= n else self._formula_starts()[i]
+
+    def _index(self, o: int | None) -> int | None:
+        """The index of the clause at offset o; None stays None."""
+        if o is None:
+            return None
+        learned = self._learned
+        if learned and o >= learned[0]:
+            return self.num_original + bisect_left(learned, o)
+        return bisect_left(self._formula_starts(), o)
 
     # -- assignment bookkeeping ------------------------------------------
 
@@ -194,8 +251,9 @@ class Solver:
     # -- propagation ------------------------------------------------------
 
     def _propagate(self) -> int | None:
+        """Propagate the trail from qhead; the offset of a falsified clause, or None."""
         val = self.val
-        clauses = self.clauses
+        lits = self.lits
         watches = self.watches
         trail = self.trail
         level = self.level
@@ -209,36 +267,40 @@ class Solver:
             i = j = 0
             n = len(ws)
             while i < n:
-                ci = ws[i]
+                o = ws[i]
                 i += 1
-                cl = clauses[ci]
-                if cl[0] == falsified:
-                    cl[0] = cl[1]
-                    cl[1] = falsified
-                first = cl[0]
+                first = lits[o]
+                if first == falsified:
+                    first = lits[o + 1]
+                    lits[o] = first
+                    lits[o + 1] = falsified
                 if val[first] == TRUE:
-                    ws[j] = ci
+                    ws[j] = o
                     j += 1
                     continue
-                for t in range(2, len(cl)):
-                    if val[cl[t]] != FALSE:
-                        cl[1] = cl[t]
-                        cl[t] = falsified
-                        watches[cl[1]].append(ci)
+                t = o + 2
+                other = lits[t]
+                while other:  # up to the clause's 0
+                    if val[other] != FALSE:
+                        lits[o + 1] = other
+                        lits[t] = falsified
+                        watches[other].append(o)
                         break
+                    t += 1
+                    other = lits[t]
                 else:
-                    ws[j] = ci
+                    ws[j] = o
                     j += 1
                     if val[first] == FALSE:
                         del ws[j:i]
                         self.qhead = len(trail)
-                        return ci
-                    # the bookkeeping of _assign(first, ci), inlined
+                        return o
+                    # the bookkeeping of _assign(first, o), inlined
                     val[first] = TRUE
                     val[first ^ 1] = FALSE
                     v = first >> 1
                     level[v] = lvl
-                    reason[v] = ci
+                    reason[v] = o
                     trail.append(first)
             del ws[j:]
         self.qhead = qhead
@@ -266,7 +328,10 @@ class Solver:
             self.prio = prio
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
-        """First unique implication point; returns (learned clause, backjump level)."""
+        """First unique implication point for the clause at offset confl;
+        returns (learned clause, backjump level)."""
+        lits = self.lits
+        find = lits.index
         seen = self.seen
         trail = self.trail
         cur_level = len(self.trail_lim)
@@ -274,7 +339,7 @@ class Solver:
         counter = 0
         idx = len(trail) - 1
         p = -1
-        reason_cl = self.clauses[confl]
+        reason_cl = lits[confl : find(0, confl)]
         while True:
             for q in reason_cl:
                 if q == p:
@@ -297,7 +362,8 @@ class Solver:
             if counter == 0:
                 learned[0] = p ^ 1
                 break
-            reason_cl = self.clauses[self.reason[v]]
+            o = self.reason[v]
+            reason_cl = lits[o : find(0, o)]
         for q in learned[1:]:
             seen[q >> 1] = 0
         if len(learned) == 1:
@@ -308,12 +374,15 @@ class Solver:
         return learned, self.level[learned[1] >> 1]
 
     def _add_learned(self, learned: list[int]) -> None:
-        idx = len(self.clauses)
-        self.clauses.append(learned)
+        lits = self.lits
+        o = len(lits)
+        lits += learned
+        lits.append(0)
+        self._learned.append(o)
         if len(learned) >= 2:
-            self.watches[learned[0]].append(idx)
-            self.watches[learned[1]].append(idx)
-        self._assign(learned[0], idx)
+            self.watches[learned[0]].append(o)
+            self.watches[learned[1]].append(o)
+        self._assign(learned[0], o)
 
     def _pick_branch(self) -> int:
         """The unassigned variable of highest activity; `solve` calls this
@@ -368,7 +437,7 @@ class Solver:
                 if len(self.trail_lim) == 0:
                     # the formula itself is unsatisfiable; remember it, since
                     # the clash sits behind qhead where no later call looks
-                    self.root_conflict = confl
+                    self.root_conflict = self._index(confl)
                     return SolveResult(UNSAT)
                 conflicts += 1
                 since_restart += 1
@@ -430,14 +499,56 @@ class Solver:
         for a in asserted:
             if self.val[a] == FALSE:
                 r = self.reason[a >> 1]
-                return (r if r >= 0 else -1, base)
+                return (self._index(r) if r >= 0 else -1, base)
             if self.val[a] == UNDEF:
                 self._assign(a, -1)
-        return (self._propagate(), base)
+        return (self._index(self._propagate()), base)
 
     def retract(self) -> None:
         self._backtrack(0)
         self.assumed = []
+
+
+class ClauseView:
+    """`Solver.clauses` as a read-only sequence: clause i is a new list of
+    its literals in their current order, or None for a tautology.  Only the
+    clauses asked for are built."""
+
+    __slots__ = ("_solver",)
+
+    def __init__(self, solver: Solver):
+        self._solver = solver
+
+    def __len__(self) -> int:
+        return self._solver.num_original + len(self._solver._learned)
+
+    def _at(self, o: int) -> list[int] | None:
+        lits = self._solver.lits
+        return None if lits[o] == 1 else lits[o : lits.index(0, o)]
+
+    def __getitem__(self, i):
+        start = self._solver._start
+        if isinstance(i, slice):
+            return [self._at(start(j)) for j in range(*i.indices(len(self)))]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("clause index out of range")
+        return self._at(start(i % n))
+
+    def __iter__(self):
+        lits = self._solver.lits
+        o = 0
+        for _ in range(len(self)):
+            yield self._at(o)
+            o = lits.index(0, o) + 1
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, ClauseView)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def _luby(x: int) -> int:

@@ -82,7 +82,65 @@ def test_propagate_reports_conflict():
     f = formula(2, [[-1, 2], [-1, -2]])
     r = propagate(f, asserted=[lit(1)])
     assert r.is_conflict
-    assert r.conflict_clause in (0, 1)
+    assert r.conflict_clause == 1
+
+
+# clause i of the solver's store starts at an offset other than i once an
+# earlier clause is longer than one slot; the API must report indices
+INDEXED = [[2, 4, 6], [11], [8, 9], [3, 3, 7], [3, 6]]  # ternary, unit, tautology, repeat
+
+
+def test_clauses_are_reported_by_index():
+    f = CnfFormula(num_vars=5, clauses=INDEXED)
+    s = Solver(f)
+    assert s.root_conflict is None
+    assert s.assume_propagate([lit(1)]) == (4, 1)  # clause 3 implies -x3, clause 4 is empty
+    s.retract()
+    assert s.assume_propagate([lit(5)]) == (1, 1)  # x5 clashes with the unit -x5
+    s.retract()
+    assert propagate(f, [lit(1)]).conflict_clause == 4
+    # an empty clause
+    g = CnfFormula(num_vars=5, clauses=INDEXED[:3] + [[]] + INDEXED[3:])
+    assert Solver(g).root_conflict == 3
+    assert Solver(g).assume_propagate([lit(1)]) == (3, 0)
+    assert propagate(g, [lit(1)]).conflict_clause == 3
+    # the unit x1 empties clause 5 while the formula loads
+    h = CnfFormula(num_vars=5, clauses=INDEXED[:4] + [[2]] + INDEXED[4:])
+    assert Solver(h).root_conflict == 5
+    assert propagate(h).conflict_clause == 5
+    # learned clauses follow the formula's: search learns x1 as clause 3,
+    # which implies x3 by clause 2
+    s = Solver(formula(3, [[1, 2], [1, -2], [-1, 3]]))
+    assert s.solve().status == SAT
+    assert s.assume_propagate([lit(1, negative=True)]) == (3, 2)
+    s.retract()
+    assert s.assume_propagate([lit(3, negative=True)]) == (2, 2)
+    # a root conflict that only search finds
+    s = Solver(formula(3, [[1, 2], [1, -2], [-1, 2], [-1, -2]]))
+    assert s.solve().status == UNSAT
+    assert s.root_conflict == 3
+
+
+def test_solver_clauses_read_as_a_sequence():
+    s = Solver(CnfFormula(num_vars=5, clauses=INDEXED + [[]]))
+    want = [[2, 4, 6], [11], None, [3, 7], [3, 6], []]
+    assert len(s.clauses) == 6
+    assert s.clauses == want
+    assert list(s.clauses) == want
+    assert [s.clauses[i] for i in range(-6, 6)] == want + want
+    assert s.clauses[1:4] == want[1:4]
+    assert s.clauses[::-2] == want[::-2]
+    assert s.clauses != want[:5]
+    assert s.clauses != [[2, 4, 6], [11], None, [3, 7], [6, 3], []]
+    with pytest.raises(IndexError):
+        s.clauses[6]
+    with pytest.raises(IndexError):
+        s.clauses[-7]
+    # learned clauses follow, with their literals in the engine's order
+    s = Solver(formula(3, [[1, 2], [1, -2], [-1, 3]]))
+    s.solve()
+    assert len(s.clauses) == 4
+    assert s.clauses[3:] == [[lit(1)]]
 
 
 def test_propagate_clashing_assertions():

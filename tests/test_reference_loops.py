@@ -3,12 +3,12 @@ the plain per-literal loops they replaced.
 
 The reference functions below are the straightforward versions of
 `merge_sums`, the GTE clause emission, `dimacs_str`, the DIMACS parser, the
-OPB reader, the staged normalizer, the `Solver` clause loader and the
-`Solver` search loops.  The fast versions must give exactly the same sums,
-clauses (order and literal order included), variable counts, DIMACS bytes,
-parsed formulas and parse errors, normalization outcomes, watch lists and
-root units, and the same search: statuses, models,
-learned clauses and trails.  Across assumption sweeps, where the engine keeps
+OPB reader, the staged normalizer, and a list-per-clause `Solver` (its
+loader and its search loops).  The fast versions must give exactly the same
+sums, clauses (order and literal order included), variable counts, DIMACS
+bytes, parsed formulas and parse errors, normalization outcomes, watch lists
+and root units (the engine's clause offsets mapped to clause indices), and
+the same search: statuses, models, learned clauses and trails.  Across assumption sweeps, where the engine keeps
 assumption levels between calls, the trail may differ and the learned clauses
 are compared up to the order of their literals.  The OPB reader rejects an
 objective line at its first token, and reports a `;` right after the relation
@@ -350,29 +350,31 @@ def ref_load(formula):
     prio = []
     for v in range(1, nv + 1):
         heappush(prio, (0.0, v))
-    trail, root_conflict = ref_root(nv, clauses, watches, root_units, root_conflict)
-    return nv, clauses, watches, trail, root_conflict, prio
+    trail, reasons, root_conflict = ref_root(nv, clauses, watches, root_units, root_conflict)
+    return nv, clauses, watches, trail, reasons, root_conflict, prio
 
 
 def ref_root(nv, clauses, watches, root_units, root_conflict):
-    """Level 0 as loading leaves it: (trail, root conflict).  An empty clause
-    wins outright; otherwise the units are asserted in clause order, the
-    first clash wins, and the rest is propagated clause by clause with the
-    watch moves of the engine."""
+    """Level 0 as loading leaves it: (trail, the index of each trail
+    literal's reason clause, root conflict).  An empty clause wins outright;
+    otherwise the units are asserted in clause order, the first clash wins,
+    and the rest is propagated clause by clause with the watch moves of the
+    engine."""
     if root_conflict is not None:
-        return [], root_conflict
+        return [], [], root_conflict
     val = [UNDEF] * (2 * nv + 2)
-    trail = []
+    trail, reasons = [], []
 
-    def assign(l):
+    def assign(l, idx):
         val[l], val[l ^ 1] = TRUE, FALSE
         trail.append(l)
+        reasons.append(idx)
 
     for l, idx in root_units:
         if val[l] == FALSE:
-            return trail, idx
+            return trail, reasons, idx
         if val[l] == UNDEF:
-            assign(l)
+            assign(l, idx)
     for p in trail:  # grows while it is walked
         falsified = p ^ 1
         pending = watches[falsified]
@@ -390,24 +392,35 @@ def ref_root(nv, clauses, watches, root_units, root_conflict):
             watches[falsified].append(ci)
             if val[cl[0]] == FALSE:
                 watches[falsified] += pending[pos + 1 :]
-                return trail, ci
+                return trail, reasons, ci
             if val[cl[0]] == UNDEF:
-                assign(cl[0])
-    return trail, None
+                assign(cl[0], ci)
+    return trail, reasons, None
+
+
+def clause_index(s):
+    """{store offset: clause index} for every clause in the solver's flat
+    literal list, read off the 0 that ends each clause."""
+    index, o = {}, 0
+    for i in range(len(s.clauses)):
+        index[o] = i
+        o = s.lits.index(0, o) + 1
+    assert o == len(s.lits)
+    return index
 
 
 def assert_same_load(formula):
     s = Solver(formula)
-    nv, clauses, watches, trail, root_conflict, prio = ref_load(formula)
+    nv, clauses, watches, trail, reasons, root_conflict, prio = ref_load(formula)
     assert s.nvars == nv
     assert s.clauses == clauses
-    assert s.watches == watches
+    index = clause_index(s)
+    assert [[index[o] for o in ws] for ws in s.watches] == watches
     assert s.trail == trail
+    assert [index[s.reason[l >> 1]] for l in s.trail] == reasons
     assert s.root_conflict == root_conflict
     assert s.prio == prio
     assert s.num_original == len(formula.clauses)
-    # the solver works on copies: the formula's clauses stay untouched
-    assert all(a is not b for a, b in zip(s.clauses, formula.clauses))
 
 
 def random_constraints(seed, count=120):
@@ -674,10 +687,37 @@ def test_solver_rejects_literal_codes_below_2():
 # --- CDCL search loops -------------------------------------------------------
 
 
-class RefSolver(Solver):
-    """The engine with its search loops as they were before the live-entry
-    heap: `_backtrack` re-pushes every unassigned variable, `_propagate` calls
-    `_assign`, and `solve` drains the heap before it reports a model."""
+class RefSolver:
+    """A list-per-clause engine: `ref_load` gives each clause its own list,
+    named by its index, and the search loops are the engine's as they were
+    before the live-entry heap: `_backtrack` re-pushes every unassigned
+    variable, `_propagate` calls `_assign`, and `solve` drains the heap before
+    it reports a model."""
+
+    def __init__(self, formula):
+        nv, self.clauses, self.watches, trail, reasons, self.root_conflict, self.prio = ref_load(formula)
+        self.nvars = nv
+        self.num_original = len(formula.clauses)
+        self.val = [UNDEF] * (2 * nv + 2)
+        self.level = [0] * (nv + 1)
+        self.reason = [-1] * (nv + 1)
+        self.activity = [0.0] * (nv + 1)
+        self.saved_phase = bytearray(nv + 1)
+        self.seen = [0] * (nv + 1)
+        self.var_inc = 1.0
+        self.trail = []
+        self.trail_lim = []
+        for l, idx in zip(trail, reasons):
+            self._assign(l, idx)
+        self.qhead = len(self.trail)
+
+    def _assign(self, l, reason):
+        v = l >> 1
+        self.val[l] = TRUE
+        self.val[l ^ 1] = FALSE
+        self.level[v] = len(self.trail_lim)
+        self.reason[v] = reason
+        self.trail.append(l)
 
     def _backtrack(self, lvl):
         if len(self.trail_lim) <= lvl:
@@ -750,6 +790,50 @@ class RefSolver(Solver):
             self.prio = [(-self.activity[v2], v2) for v2 in range(1, self.nvars + 1) if self.val[2 * v2] == UNDEF]
             self.prio.sort()
 
+    def _analyze(self, confl):
+        learned = [0]
+        counter = 0
+        idx = len(self.trail) - 1
+        p = -1
+        reason_cl = self.clauses[confl]
+        while True:
+            for q in reason_cl:
+                if q == p:
+                    continue
+                v = q >> 1
+                if not self.seen[v] and self.level[v] > 0:
+                    self.seen[v] = 1
+                    self._bump(v)
+                    if self.level[v] >= len(self.trail_lim):
+                        counter += 1
+                    else:
+                        learned.append(q)
+            while not self.seen[self.trail[idx] >> 1]:
+                idx -= 1
+            p = self.trail[idx]
+            idx -= 1
+            self.seen[p >> 1] = 0
+            counter -= 1
+            if counter == 0:
+                learned[0] = p ^ 1
+                break
+            reason_cl = self.clauses[self.reason[p >> 1]]
+        for q in learned[1:]:
+            self.seen[q >> 1] = 0
+        if len(learned) == 1:
+            return learned, 0
+        max_i = max(range(1, len(learned)), key=lambda i: self.level[learned[i] >> 1])
+        learned[1], learned[max_i] = learned[max_i], learned[1]
+        return learned, self.level[learned[1] >> 1]
+
+    def _add_learned(self, learned):
+        idx = len(self.clauses)
+        self.clauses.append(learned)
+        if len(learned) >= 2:
+            self.watches[learned[0]].append(idx)
+            self.watches[learned[1]].append(idx)
+        self._assign(learned[0], idx)
+
     def _pick_branch(self):
         prio = self.prio
         val = self.val
@@ -813,6 +897,23 @@ class RefSolver(Solver):
             self.trail_lim.append(len(self.trail))
             self._assign(2 * v + (0 if self.saved_phase[v] else 1), -1)
 
+    def assume_propagate(self, asserted=()):
+        if self.root_conflict is not None:
+            return (self.root_conflict, len(self.trail))
+        self._backtrack(0)
+        base = len(self.trail)
+        self.trail_lim.append(base)
+        for a in asserted:
+            if self.val[a] == FALSE:
+                r = self.reason[a >> 1]
+                return (r if r >= 0 else -1, base)
+            if self.val[a] == UNDEF:
+                self._assign(a, -1)
+        return (self._propagate(), base)
+
+    def retract(self):
+        self._backtrack(0)
+
 
 def assert_heap_invariant(s):
     """Each variable has at most one live `prio` entry, keyed `heap_act[v]`,
@@ -868,6 +969,25 @@ def test_search_matches_reference_after_rescale():
         assert_same_solve(got, want, max_conflicts=300)
         rescaled += got.var_inc < 1e90
     assert rescaled >= 8
+
+
+def test_solver_leaves_the_formula_untouched():
+    # the solver keeps its own store: loading, solving with and without
+    # assumptions, and assume_propagate with retract change no clause
+    formulas = [f for f in hand_built() if not under_declared(f)]
+    formulas += pb12_formulas((i, enc) for i in range(10) for enc in ("gte", "swc", "adder"))
+    for f in formulas:
+        snapshot = (f.num_vars, [list(cl) for cl in f.clauses])
+        s = Solver(f)
+        assert (f.num_vars, f.clauses) == snapshot
+        s.solve(max_conflicts=300)
+        assert (f.num_vars, f.clauses) == snapshot
+        asn = [lit(v, negative=v % 2 == 0) for v in range(1, min(f.num_vars, 4) + 1)]
+        s.solve(asn, max_conflicts=300)
+        assert (f.num_vars, f.clauses) == snapshot
+        s.assume_propagate(asn[::-1])
+        s.retract()
+        assert (f.num_vars, f.clauses) == snapshot
 
 
 def learned_clauses(s):
