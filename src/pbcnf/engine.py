@@ -37,11 +37,11 @@ literals are the first two.  Wherever the API reports a clause
 (`root_conflict`, `assume_propagate`, `PropagationResult.conflict_clause`)
 it gives the clause's index instead: its position in `formula.clauses`, and
 past those, the order in which it was learned.  The offsets of the formula's
-clauses are listed only when one is first mapped to an index.  `clauses` is
-a read-only view that builds the clauses asked for.  A plain list, not an
-`array('i')`, holds the literals: an array boxes a new int object on every
-read, and propagation reads literals in its innermost loop, while the list
-shares the formula's own int objects.
+clauses are listed, in an `array('q')`, only when one is first mapped to an
+index.  `clauses` is a read-only view that builds the clauses asked for.  A
+plain list, not an `array('i')`, holds the literals: an array boxes a new int
+object on every read, and propagation reads literals in its innermost loop,
+while the list shares the formula's own int objects.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import Sequence
 
 from .core import gc_paused
 
@@ -107,7 +108,7 @@ class Solver:
             self.lits: list[int] = []  # every clause's literals, each followed by 0
             self.num_original = len(formula.clauses)
             self._learned: list[int] = []  # offsets of the learned clauses, in order
-            self._starts: list[int] | None = None  # offsets of the formula's clauses, built on first use
+            self._starts: Sequence[int] | None = None  # offsets of the formula's clauses, built on first use
             self.root_conflict: int | None = None
             units: list[tuple[int, int, int]] = []  # (literal, offset, index)
 
@@ -180,11 +181,14 @@ class Solver:
         """The clauses by index: the formula's, then the learned ones."""
         return ClauseView(self)
 
-    def _formula_starts(self) -> list[int]:
-        """The offset of each of the formula's clauses, listed on first use."""
+    def _formula_starts(self) -> Sequence[int]:
+        """The offset of each of the formula's clauses, listed on first use
+        in an `array('q')`: 8 bytes a clause and no int object per entry."""
         if self._starts is None:
+            from array import array  # loaded on first use, not when pbcnf is imported
+
             find = self.lits.index
-            starts = []
+            starts = array("q")
             o = 0
             for _ in range(self.num_original):
                 starts.append(o)
@@ -543,12 +547,9 @@ class ClauseView:
             o = lits.index(0, o) + 1
 
     def __eq__(self, other):
-        if not isinstance(other, (list, ClauseView)):
+        if not isinstance(other, list):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 def _luby(x: int) -> int:

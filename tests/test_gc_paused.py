@@ -142,11 +142,15 @@ def test_no_collection_while_loading_or_parsing(monkeypatch):
     def parse():
         parse_dimacs(text)
 
+    def load_vars():
+        Solver(CnfFormula(num_vars=5000))
+
     # Nothing is collected while the lists are built.  Re-enabling leaves them
     # all in the young generation, so the first allocation after the pause
     # (inside `gc_paused`'s own exit) runs one collection over them.
     assert len(collections_during(load)) <= 1
     assert len(collections_during(parse)) <= 1
+    assert len(collections_during(load_vars)) <= 1
     # without the pause the parse collects over and over, and so does a load
     # of many variables (a watch list and a heap entry each); the load's
     # clauses go into one literal list, which needs no pause
@@ -154,4 +158,4 @@ def test_no_collection_while_loading_or_parsing(monkeypatch):
     monkeypatch.setattr(dimacs, "gc_paused", contextlib.nullcontext)
     assert len(collections_during(parse)) >= 5
     assert len(collections_during(load)) <= 1
-    assert len(collections_during(lambda: Solver(CnfFormula(num_vars=5000)))) >= 5
+    assert len(collections_during(load_vars)) >= 5
