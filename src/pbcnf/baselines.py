@@ -21,11 +21,6 @@ def encode_swc(c: PBConstraint, out: CnfFormula) -> None:
     reserve_inputs(c, out, "encode_swc")
     k = c.bound
     clauses = out.clauses
-    if k == 0:
-        # nothing may be true; only reachable by direct calls, the normalizer
-        # strips such constraints into forced units
-        clauses.extend([[l ^ 1] for _, l in c.terms])
-        return
     fresh_lit = out.fresh_lit
     s = [[fresh_lit() for _ in range(k)] for _ in c.terms]  # s[i-1][j-1]
     prev = None

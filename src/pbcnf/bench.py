@@ -13,7 +13,7 @@ suites they imitate:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 from .core import LE, GE, EQ, InapplicableEncoding, PBConstraint, Term, lit
 from .engine import Solver
@@ -102,7 +102,7 @@ class StatRow:
     result: str = ""
 
 
-CSV_HEADER = "instance,encoder,aux_vars,aux_clauses,encode_ms,solve_ms,result"
+CSV_HEADER = ",".join(f.name for f in fields(StatRow))
 
 
 def stats_compare(
@@ -134,9 +134,5 @@ def stats_compare(
 
 
 def stats_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.instance},{r.encoder},{r.aux_vars},{r.aux_clauses},{r.encode_ms},{r.solve_ms},{r.result}"
-        )
+    lines = [CSV_HEADER] + [",".join(map(str, astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from . import bench
 from .core import InapplicableEncoding, to_signed
@@ -42,16 +43,18 @@ EXIT_UNSAT = 20
 SOLVER_ENV = "PBCNF_SOLVER"
 
 
+class _Failure(Exception):
+    """Ends a command: `main` prints `error: <message>` and returns `code`."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit2(message)
-
-
-class SystemExit2(Exception):
-    def __init__(self, message):
-        super().__init__(message)
-        self.message = message
+        raise _Failure(EXIT_USAGE, message)
 
 
 def _read_instance(path: str):
@@ -61,22 +64,18 @@ def _read_instance(path: str):
         with open(path, "rb") as f:
             return parse_opb(f)
     except OSError as e:
-        raise _IoFailure(f"cannot read {path}: {e.strerror or e}") from e
+        raise _Failure(EXIT_IO, f"cannot read {path}: {e.strerror or e}") from e
     except OpbError as e:
-        raise _IoFailure(f"{path}: {e}") from e
-
-
-class _IoFailure(Exception):
-    pass
+        raise _Failure(EXIT_IO, f"{path}: {e}") from e
 
 
 def _encoders_arg(text: str) -> list[str]:
     names = [t.strip() for t in text.split(",") if t.strip()]
     for name in names:
         if name not in ENCODING_NAMES:
-            raise SystemExit2(f"unknown encoder {name!r}; choose from {', '.join(ENCODING_NAMES)}")
+            raise _Failure(EXIT_USAGE, f"unknown encoder {name!r}; choose from {', '.join(ENCODING_NAMES)}")
     if not names:
-        raise SystemExit2("no encoders given")
+        raise _Failure(EXIT_USAGE, "no encoders given")
     return names
 
 
@@ -117,7 +116,7 @@ def _compile(args):
     try:
         return instance, compile_instance(instance, args.encoding)
     except InapplicableEncoding as e:
-        raise SystemExit2(str(e)) from None
+        raise _Failure(EXIT_USAGE, str(e)) from None
 
 
 def _cmd_encode(args) -> int:
@@ -129,7 +128,7 @@ def _cmd_encode(args) -> int:
             with open(args.output, "w") as f:
                 write_dimacs(compiled.formula, f)
         except OSError as e:
-            raise _IoFailure(f"cannot write {args.output}: {e.strerror or e}") from e
+            raise _Failure(EXIT_IO, f"cannot write {args.output}: {e.strerror or e}") from e
     print(
         f"aux_vars={compiled.aux_vars} aux_clauses={compiled.aux_clauses} "
         f"encode_ms={compiled.encode_time * 1000.0:.3f}",
@@ -145,9 +144,9 @@ def _cmd_solve(args) -> int:
         try:
             result = solve_external(compiled.formula, external, timeout=args.time_limit)
         except OSError as e:
-            raise _IoFailure(f"cannot run {SOLVER_ENV} command {external!r}: {e.strerror or e}") from e
+            raise _Failure(EXIT_IO, f"cannot run {SOLVER_ENV} command {external!r}: {e.strerror or e}") from e
         except (RuntimeError, ValueError) as e:
-            raise _IoFailure(f"{SOLVER_ENV} command {external!r}: {e}") from e
+            raise _Failure(EXIT_IO, f"{SOLVER_ENV} command {external!r}: {e}") from e
     else:
         result = Solver(compiled.formula).solve(max_conflicts=args.max_conflicts)
     if result.status == SAT:
@@ -155,8 +154,7 @@ def _cmd_solve(args) -> int:
         assignment = {abs(n): n > 0 for n in model}
         for i, c in enumerate(instance.constraints, 1):
             if not c.holds(assignment):
-                print(f"error: the model violates constraint {i} ({c})", file=sys.stderr)
-                return EXIT_VERIFY
+                raise _Failure(EXIT_VERIFY, f"the model violates constraint {i} ({c})")
         print(SAT)
         print(" ".join(str(n) for n in model))
         return EXIT_SAT
@@ -167,55 +165,45 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _sweep(args, count: int, check):
+    """Per encoder of `args.encoders`, in order: the encoder and what
+    `check(constraint, encoder)` returns on each of the next `count`
+    constraints of one seeded stream, less those the encoder rejects."""
     rng = SplitMix64(args.seed)
-    failures = 0
     for enc in args.encoders:
-        ok = 0
-        checked = 0
-        for _ in range(args.trials):
+        results = []
+        for _ in range(count):
             c = random_normalized_constraint(rng, args.max_n, args.max_weight, args.max_bound)
             try:
-                outcome = oracle_check(c, enc)
+                results.append(check(c, enc))
             except InapplicableEncoding:
-                continue
-            checked += 1
-            if outcome:
-                ok += 1
-            else:
-                failures += 1
-                print(
-                    f"FAIL {enc}: {outcome.constraint} under {outcome.assignment}: "
-                    f"constraint={outcome.constraint_holds} cnf={outcome.cnf_satisfiable}"
-                )
-        print(f"encoder {enc}: {ok}/{checked} equisatisfiable")
+                pass
+        yield enc, results
+
+
+def _cmd_verify(args) -> int:
+    failures = 0
+    for enc, outcomes in _sweep(args, args.trials, oracle_check):
+        bad = [o for o in outcomes if not o]
+        for o in bad:
+            print(f"FAIL {enc}: {o.constraint} under {o.assignment}: "
+                  f"constraint={o.constraint_holds} cnf={o.cnf_satisfiable}")
+        print(f"encoder {enc}: {len(outcomes) - len(bad)}/{len(outcomes)} equisatisfiable")
+        failures += len(bad)
     return EXIT_VERIFY if failures else EXIT_OK
 
 
 def _cmd_gac_check(args) -> int:
-    rng = SplitMix64(args.seed)
     failures = 0
-    for enc in args.encoders:
-        bad = 0
-        total = 0
-        for _ in range(args.constraints):
-            c = random_normalized_constraint(rng, args.max_n, args.max_weight, args.max_bound)
-            try:
-                reports = gac_check(c, enc, trials=args.samples, seed=args.seed)
-            except InapplicableEncoding:
-                continue
-            for report in reports:
-                total += 1
-                if not report.passed:
-                    bad += 1
-                    if bad <= 5:
-                        missing = sorted(to_signed(l) for l in report.missing)
-                        print(
-                            f"FAIL {enc}: {report.constraint} partial="
-                            f"{[to_signed(l) for l in report.partial]} not propagated: {missing}"
-                        )
-        print(f"encoder {enc}: {total - bad}/{total} partial assignments fully propagated")
-        failures += bad
+    check = partial(gac_check, trials=args.samples, seed=args.seed)
+    for enc, runs in _sweep(args, args.constraints, check):
+        cases = [r for run in runs for r in run]
+        bad = [r for r in cases if not r.passed]
+        for r in bad[:5]:
+            print(f"FAIL {enc}: {r.constraint} partial={[to_signed(l) for l in r.partial]} "
+                  f"not propagated: {sorted(to_signed(l) for l in r.missing)}")
+        print(f"encoder {enc}: {len(cases) - len(bad)}/{len(cases)} partial assignments fully propagated")
+        failures += len(bad)
     return EXIT_VERIFY if failures else EXIT_OK
 
 
@@ -230,7 +218,7 @@ def _cmd_stats(args) -> int:
             spec = _make_spec(args.generate, args, rng.randint(0, 2**32))
             jobs.append((f"{args.generate}-{i}", bench.gen_bench(spec)))
     if not jobs:
-        raise SystemExit2("no instances: pass OPB files or --generate")
+        raise _Failure(EXIT_USAGE, "no instances: pass OPB files or --generate")
     rows = []
     for label, instance in jobs:
         rows.extend(bench.stats_compare(instance, args.encoders, label, args.max_conflicts))
@@ -264,6 +252,14 @@ def _build_parser() -> _Parser:
 
     def add_encoding(sp):
         sp.add_argument("--encoding", choices=ENCODING_NAMES, default="auto")
+
+    def add_generator(sp, n, constraints, max_weight, distinct_weights):
+        sp.add_argument("--seed", type=int, default=1)
+        sp.add_argument("--n", type=_at_least(1), default=n)
+        sp.add_argument("--k", type=int, default=None)
+        sp.add_argument("--constraints", type=_at_least(1), default=constraints)
+        sp.add_argument("--max-weight", type=_at_least(1), default=max_weight)
+        sp.add_argument("--distinct-weights", type=_at_least(2), default=distinct_weights)
 
     sp = sub.add_parser("encode", help="compile an OPB file to DIMACS CNF")
     sp.add_argument("input")
@@ -305,23 +301,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--encoders", type=_encoders_arg, default=["gte", "swc", "adder"])
     sp.add_argument("--generate", choices=bench.FAMILIES, default=None)
     sp.add_argument("--count", type=_at_least(1), default=1)
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--n", type=_at_least(1), default=24)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--constraints", type=_at_least(1), default=6)
-    sp.add_argument("--max-weight", type=_at_least(1), default=12)
-    sp.add_argument("--distinct-weights", type=_at_least(2), default=6)
+    add_generator(sp, n=24, constraints=6, max_weight=12, distinct_weights=6)
     sp.add_argument("--max-conflicts", type=_at_least(0), default=None)
     sp.set_defaults(func=_cmd_stats)
 
     sp = sub.add_parser("gen-bench", help="emit a seeded benchmark instance as OPB")
     sp.add_argument("--family", choices=bench.FAMILIES, required=True)
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--n", type=_at_least(1), default=50)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--constraints", type=_at_least(1), default=10)
-    sp.add_argument("--max-weight", type=_at_least(1), default=456)
-    sp.add_argument("--distinct-weights", type=_at_least(2), default=7)
+    add_generator(sp, n=50, constraints=10, max_weight=456, distinct_weights=7)
     sp.set_defaults(func=_cmd_gen_bench)
     return p
 
@@ -331,12 +317,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except SystemExit2 as e:
-        print(f"error: {e.message}", file=sys.stderr)
-        return EXIT_USAGE
-    except _IoFailure as e:
+    except _Failure as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
+        return e.code
 
 
 def console() -> None:

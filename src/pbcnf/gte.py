@@ -161,6 +161,8 @@ def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:
 
 
 def _encode(terms, bound: int, floor: int, out: CnfFormula) -> None:
+    if not terms:  # the empty sum never exceeds a normalized bound
+        return
     cap = bound + 1
     root = _tree(terms, cap, floor)
     if root.sums[-1:] == [cap]:  # the full sum can exceed the bound

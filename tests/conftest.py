@@ -2,35 +2,15 @@
 
 from __future__ import annotations
 
-import itertools
-
-from pbcnf import CnfFormula, PBConstraint
+from pbcnf import CnfFormula, PBConstraint, lit
 
 
-def brute_force_sat(formula: CnfFormula, fixed: dict[int, bool] | None = None) -> bool:
-    """Check satisfiability by enumerating all assignments.
-
-    Only usable for small formulas; callers must keep num_vars tiny.
-    `fixed` pins input variables before enumeration of the rest.
-    """
-    fixed = fixed or {}
-    free = [v for v in range(1, formula.num_vars + 1) if v not in fixed]
-    assert len(free) <= 20, "brute_force_sat is for small formulas only"
-    for bits in itertools.product((False, True), repeat=len(free)):
-        assignment = dict(fixed)
-        assignment.update(zip(free, bits))
-        if all(
-            any(assignment[abs(l)] == (l > 0) for l in clause)
-            for clause in formula.clauses
-        ):
-            return True
-    return False
+def formula(num_vars, signed_clauses):
+    f = CnfFormula(num_vars=num_vars)
+    for cl in signed_clauses:
+        f.add_clause([lit(abs(n), negative=n < 0) for n in cl])
+    return f
 
 
-def all_models(constraint: PBConstraint):
-    """Yield every full input assignment satisfying the constraint."""
-    variables = sorted(constraint.variables())
-    for bits in itertools.product((False, True), repeat=len(variables)):
-        assignment = dict(zip(variables, bits))
-        if constraint.holds(assignment):
-            yield assignment
+def by_weight(c):
+    return PBConstraint(tuple(sorted(c.terms, key=lambda t: t.weight)), c.relation, c.bound)

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from pbcnf import SAT, SolveResult, cli, parse_opb
+from pbcnf import SAT, SolveResult, cli, encode_gte, parse_opb, pipeline
 from pbcnf.cli import main
 
 REFERENCE_OPB = "* #variable= 4 #constraint= 1\n+2 x1 +3 x2 +3 x3 +3 x4 <= 5 ;\n"
@@ -426,6 +426,41 @@ def test_gac_check_flags_adder(capsys):
     assert rc == 3
     assert "FAIL adder" in out
     assert "not propagated" in out
+
+
+def test_gac_check_prints_at_most_five_fail_lines(capsys):
+    rc = main(
+        ["gac-check", "--encoders", "adder", "--constraints", "12", "--seed", "4", "--max-n", "5"]
+    )
+    assert rc == 3
+    head = "FAIL adder: 8 ~x5 + 7 x1 + 2 x3 + 2 ~x2 <= 10 partial="
+    assert capsys.readouterr().out == (
+        f"{head}[-5] not propagated: [-1]\n"
+        f"{head}[1] not propagated: [5]\n"
+        f"{head}[-5, -3] not propagated: [-1]\n"
+        f"{head}[1, -3] not propagated: [5]\n"
+        f"{head}[-5, 3] not propagated: [-1, 2]\n"
+        "encoder adder: 910/1039 partial assignments fully propagated\n"
+    )
+
+
+def test_verify_prints_each_failure(capsys, monkeypatch):
+    # gte without its last clause, the unit against the root's overflow sum
+    def dropping_last(c, out):
+        before = len(out.clauses)
+        encode_gte(c, out)
+        if len(out.clauses) > before:
+            out.clauses.pop()
+
+    monkeypatch.setitem(pipeline.ENCODERS, "gte", dropping_last)
+    rc = main(["verify", "--encoders", "gte", "--trials", "3", "--seed", "1", "--max-n", "4"])
+    assert rc == 3
+    assert capsys.readouterr().out == (
+        "FAIL gte: 1 x2 + 6 x1 <= 6 under {2: True, 1: True}: constraint=False cnf=True\n"
+        "FAIL gte: 3 ~x3 + 7 x1 + 10 x2 <= 11 under {3: False, 1: False, 2: True}: "
+        "constraint=False cnf=True\n"
+        "encoder gte: 1/3 equisatisfiable\n"
+    )
 
 
 # --- stats ---

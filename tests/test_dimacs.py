@@ -9,12 +9,7 @@ from pbcnf import CnfFormula, DimacsError, dimacs_str, lit, parse_dimacs, write_
 from pbcnf.bench import gen_bench, pb12like, pedigreelike
 from pbcnf.pipeline import compile_instance
 
-
-def formula(num_vars, signed_clauses):
-    f = CnfFormula(num_vars=num_vars)
-    for cl in signed_clauses:
-        f.add_clause([lit(abs(n), negative=n < 0) for n in cl])
-    return f
+from conftest import formula
 
 
 def test_exact_output_format():

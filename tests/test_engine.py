@@ -32,14 +32,9 @@ from pbcnf import (
 )
 from pbcnf.engine import TRUE, UNDEF
 
+from conftest import formula
+
 REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
-
-
-def formula(num_vars, signed_clauses):
-    f = CnfFormula(num_vars=num_vars)
-    for cl in signed_clauses:
-        f.add_clause([lit(abs(n), negative=n < 0) for n in cl])
-    return f
 
 
 def encode_reference():

@@ -31,6 +31,8 @@ from pbcnf import (
 )
 from pbcnf import gte
 
+from conftest import by_weight
+
 REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
 
 REFERENCE_DIMACS = (
@@ -207,10 +209,6 @@ def test_semantics_on_all_full_assignments():
 
 
 # --- auto: weight-sorted leaves, only the sums that can reach bound+1 ---
-
-
-def by_weight(c):
-    return PBConstraint(tuple(sorted(c.terms, key=lambda t: t.weight)), LE, c.bound)
 
 
 def floor_sum_count(weights, k, floor):

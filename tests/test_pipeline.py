@@ -28,6 +28,19 @@ from pbcnf import (
 )
 from pbcnf.pipeline import ENCODERS, ENCODING_NAMES
 
+from conftest import by_weight
+
+
+@pytest.mark.parametrize("encoding", ENCODING_NAMES)
+@pytest.mark.parametrize("bound", [0, 3])
+def test_every_encoder_emits_nothing_for_the_empty_constraint(encoding, bound):
+    # only direct calls meet it: the pipeline strips empty constraints
+    c = PBConstraint((), LE, bound)
+    assert c.is_normalized()
+    out = CnfFormula(num_vars=2)
+    ENCODERS[encoding](c, out)
+    assert (out.num_vars, out.clauses) == (2, [])
+
 
 @pytest.mark.parametrize("encoding", ENCODING_NAMES)
 def test_encoders_number_fresh_variables_above_the_inputs(encoding):
@@ -154,10 +167,6 @@ def test_aggregate_counts_add_up():
     compiled = compile_constraints(constraints, 4, "gte")
     assert compiled.aux_clauses == compiled.formula.num_clauses
     assert compiled.encode_time >= 0.0
-
-
-def by_weight(c):
-    return PBConstraint(tuple(sorted(c.terms, key=lambda t: t.weight)), c.relation, c.bound)
 
 
 def test_auto_is_gte_over_weight_sorted_terms():
