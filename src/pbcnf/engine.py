@@ -146,12 +146,14 @@ class Solver:
                 if cl and min(cl) < 2:
                     raise ValueError(f"clause {idx} holds literal code {min(cl)}, below 2, the code of x1")
                 kept: list[int] = []
+                seen: set[int] = set()
                 for l in cl:
-                    if l ^ 1 in kept:
+                    if l ^ 1 in seen:
                         lits += (1, 0)  # a tautology, always satisfied
                         o += 2
                         break
-                    if l not in kept:
+                    if l not in seen:
+                        seen.add(l)
                         kept.append(l)
                 else:
                     lits += kept
@@ -195,11 +197,6 @@ class Solver:
                 o = find(0, o) + 1
             self._starts = starts
         return self._starts
-
-    def _start(self, i: int) -> int:
-        """The offset of clause i."""
-        n = self.num_original
-        return self._learned[i - n] if i >= n else self._formula_starts()[i]
 
     def _index(self, o: int | None) -> int | None:
         """The index of the clause at offset o; None stays None."""
@@ -526,25 +523,21 @@ class ClauseView:
     def __len__(self) -> int:
         return self._solver.num_original + len(self._solver._learned)
 
-    def _at(self, o: int) -> list[int] | None:
-        lits = self._solver.lits
+    def _at(self, i: int) -> list[int] | None:
+        s = self._solver
+        n = s.num_original
+        o = s._learned[i - n] if i >= n else s._formula_starts()[i]
+        lits = s.lits
         return None if lits[o] == 1 else lits[o : lits.index(0, o)]
 
     def __getitem__(self, i):
-        start = self._solver._start
+        # a range resolves negative indices and slices, and raises
+        # IndexError past either end, as a list does; iteration runs
+        # through here too, up to that IndexError
+        picked = range(len(self))[i]
         if isinstance(i, slice):
-            return [self._at(start(j)) for j in range(*i.indices(len(self)))]
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError("clause index out of range")
-        return self._at(start(i % n))
-
-    def __iter__(self):
-        lits = self._solver.lits
-        o = 0
-        for _ in range(len(self)):
-            yield self._at(o)
-            o = lits.index(0, o) + 1
+            return [self._at(j) for j in picked]
+        return self._at(picked)
 
     def __eq__(self, other):
         if not isinstance(other, list):
@@ -572,9 +565,7 @@ def propagate(formula, asserted=()) -> PropagationResult:
     confl, _ = s.assume_propagate(asserted)
     given = set(asserted)
     implied = tuple(l for l in s.trail if l not in given)
-    if confl is not None:
-        return PropagationResult(implied, confl)
-    return PropagationResult(implied)
+    return PropagationResult(implied, confl)
 
 
 def solve(formula, assumptions=(), max_conflicts: int | None = None) -> SolveResult:

@@ -80,21 +80,20 @@ def merge_sums(a: list[int], b: list[int], cap: int, floor: int = 0) -> list[int
 def node_sums(weights: list[int], k: int) -> list[int]:
     """Sorted distinct non-empty-subset sums of a weight multiset, clamped at
     k+1: the root sums of the tree `build_tree` would build over them."""
-    if not weights:
-        return []
     return _tree([(w, 0) for w in weights], k + 1, 0).sums
 
 
 def build_tree(c: PBConstraint) -> GteTree:
-    """The full tree over the constraint's terms in input order."""
+    """The full tree over the constraint's terms in input order; an empty
+    constraint gives a root leaf with no sums."""
     return GteTree(root=_tree(c.terms, c.bound + 1, 0), bound=c.bound)
 
 
 def _tree(terms, cap: int, floor: int) -> GteNode:
     """Balanced tree over (weight, literal) pairs in their order, spans split
-    at ceil(len/2), with root floor `floor`."""
-    if not terms:
-        raise ValueError("cannot build a tree over an empty constraint")
+    at ceil(len/2), with root floor `floor`; no pairs give a leaf with no sums."""
+    if not terms:  # `_build` needs a span of at least one term
+        return GteNode([])
     pre = list(accumulate([w for w, _ in terms], initial=0))
     return _build(terms, pre, cap, 0, len(terms), floor)
 
@@ -161,11 +160,9 @@ def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:
 
 
 def _encode(terms, bound: int, floor: int, out: CnfFormula) -> None:
-    if not terms:  # the empty sum never exceeds a normalized bound
-        return
     cap = bound + 1
     root = _tree(terms, cap, floor)
-    if root.sums[-1:] == [cap]:  # the full sum can exceed the bound
+    if root.sums[-1:] == [cap]:  # the full sum can exceed the bound (never with no terms)
         _emit(root, cap, out)
         if cap in root.var_of:  # all but auto's internal root
             out.clauses.append([root.var_of[cap] ^ 1])

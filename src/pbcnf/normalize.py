@@ -77,7 +77,7 @@ def _canonical(coef: dict[int, int], k: int, sign: int) -> NormalizationOutcome:
 
     units = tuple(l for w, l in merged if w > k)
     kept = tuple(t for t in merged if t.weight <= k)
-    if not kept or sum(w for w, _ in kept) <= k:
+    if sum(w for w, _ in kept) <= k:
         # residual constraint is vacuous; only the forced units carry meaning
         return NormalizationOutcome(OutcomeKind.UNITS_ONLY, forced_units=units)
     return NormalizationOutcome(

@@ -138,6 +138,30 @@ def test_solver_clauses_read_as_a_sequence():
     assert s.clauses[3:] == [[lit(1)]]
 
 
+def test_solver_clause_slices_cross_into_learned_clauses():
+    s = Solver(pigeonhole(3))
+    assert s.solve().status == UNSAT
+    n, k = len(s.clauses), s.num_original
+    assert n >= k + 2
+    one_by_one = [s.clauses[i] for i in range(n)]
+    assert s.clauses[-2:] == one_by_one[-2:]
+    assert s.clauses[::-1] == one_by_one[::-1]
+    assert s.clauses[k - 2 : k + 2] == one_by_one[k - 2 : k + 2]
+    assert s.clauses[-n - 5 : n + 5 : 3] == one_by_one[::3]
+    assert list(s.clauses) == one_by_one
+    assert s.clauses == one_by_one
+
+
+def test_solver_loads_a_long_clause_in_linear_time():
+    # long enough that deduplicating by a scan of the literals kept so far,
+    # which is quadratic, would take many seconds
+    long = [lit(v, negative=True) for v in range(1, 30_001)]
+    s = Solver(CnfFormula(num_vars=30_000, clauses=[long + [long[7]] + long[:3]]))
+    assert s.clauses[0] == long
+    s = Solver(CnfFormula(num_vars=30_000, clauses=[long + [lit(30_000)]]))
+    assert s.clauses[0] is None
+
+
 def test_propagate_clashing_assertions():
     f = formula(1, [])
     r = propagate(f, asserted=[lit(1), lit(1, negative=True)])

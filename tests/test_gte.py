@@ -118,6 +118,13 @@ def test_node_sums_examples():
     assert node_sums([4], 2) == [3]  # clamped at k+1
 
 
+def test_build_tree_on_the_empty_constraint_agrees_with_node_sums():
+    tree = build_tree(PBConstraint((), LE, 3))
+    assert tree.root.sums == node_sums([], 3) == []
+    assert tree.root.is_leaf
+    assert tree.bound == 3
+
+
 def test_node_sums_matches_enumeration_oracle():
     cases = [
         ([2, 3, 3, 3], 5),
