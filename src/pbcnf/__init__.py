@@ -1,7 +1,7 @@
 """pbcnf: compile pseudo-Boolean constraints to CNF and check the result.
 
-Encoders: generalized totalizer (weighted), sequential weight counter, adder
-networks, and the plain totalizer for cardinality constraints.  The default,
+Encoders: generalized totalizer (weighted; `totalizer` is a second name for
+`gte`), sequential weight counter and adder networks.  The default,
 `auto`, is the generalized totalizer over each normalized constraint's terms
 stable-sorted by weight, with variables only for the sums that can still
 reach bound+1; explicit `gte` keeps input order and every sum, as in the
@@ -11,7 +11,7 @@ Ships an embedded CDCL solver, OPB/DIMACS I/O, and a verification harness
 benchmark generators).
 """
 
-from .baselines import encode_adder, encode_swc, encode_totalizer
+from .baselines import encode_adder, encode_swc
 from .bench import (
     CSV_HEADER,
     FAMILIES,
@@ -28,7 +28,6 @@ from .core import (
     GE,
     LE,
     CnfFormula,
-    InapplicableEncoding,
     PBConstraint,
     Term,
     from_signed,
@@ -52,7 +51,7 @@ from .engine import (
     solve,
     solve_external,
 )
-from .gte import GteNode, GteTree, build_tree, encode_auto, encode_gte, merge_sums, node_sums
+from .gte import GteNode, GteTree, build_tree, encode_auto, encode_gte, encode_totalizer, merge_sums, node_sums
 from .normalize import NormalizationOutcome, OutcomeKind, normalize
 from .opb import OpbError, PbInstance, parse_opb, write_opb
 from .pipeline import ENCODERS, ENCODING_NAMES, compile_constraints, compile_instance

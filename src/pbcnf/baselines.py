@@ -1,15 +1,13 @@
-"""Baseline encodings: sequential weight counter, adder network with a
-comparator, and the plain totalizer (the unit-weight case of the generalized
-one).  Like the generalized totalizer, each appends its clauses straight to
-the formula and numbers its variables with `CnfFormula.fresh_lit`.
+"""Baseline encodings: sequential weight counter and adder network with a
+comparator.  Like the generalized totalizer, each appends its clauses straight
+to the formula and numbers its variables with `CnfFormula.fresh_lit`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .core import CnfFormula, InapplicableEncoding, PBConstraint, reserve_inputs
-from .gte import encode_gte
+from .core import CnfFormula, PBConstraint, reserve_inputs
 
 
 def encode_swc(c: PBConstraint, out: CnfFormula) -> None:
@@ -117,10 +115,3 @@ def encode_adder(c: PBConstraint, out: CnfFormula) -> None:
         if not escaped:
             clauses.append(clause)
 
-
-def encode_totalizer(c: PBConstraint, out: CnfFormula) -> None:
-    """Cardinality-only entry point; clause-for-clause identical to the
-    generalized encoder on unit weights."""
-    if any(w != 1 for w, _ in c.terms):
-        raise InapplicableEncoding("encode_totalizer requires unit weights; use encode_gte")
-    encode_gte(c, out)

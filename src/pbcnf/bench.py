@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import astuple, dataclass, fields
 
-from .core import LE, GE, EQ, InapplicableEncoding, PBConstraint, Term, lit
+from .core import LE, GE, EQ, PBConstraint, Term, lit
 from .engine import Solver
 from .opb import PbInstance
 from .pipeline import compile_instance
@@ -112,16 +112,11 @@ def stats_compare(
     max_conflicts: int | None = None,
 ) -> list[StatRow]:
     """One row per encoder: the instance encoded and solved with the embedded
-    engine, or "inapplicable"; an unknown encoder name raises ValueError."""
+    engine; an unknown encoder name raises ValueError."""
     rows = []
     for enc in encoders:
         row = StatRow(instance=label, encoder=enc)
-        try:
-            compiled = compile_instance(instance, enc)
-        except InapplicableEncoding:
-            row.result = "inapplicable"
-            rows.append(row)
-            continue
+        compiled = compile_instance(instance, enc)
         row.aux_vars = compiled.aux_vars
         row.aux_clauses = compiled.aux_clauses
         row.encode_ms = round(compiled.encode_time * 1000.0, 3)

@@ -4,10 +4,10 @@ Subcommands: encode, solve, verify, gac-check, stats, gen-bench.
 `--encoding auto` (the default) is the generalized totalizer over each
 constraint's terms stable-sorted by weight, defining only the sums that can
 still reach bound+1; `--encoding gte` is the paper's encoding, in input
-order with every sum.  `solve` checks every SAT model against the input's
-constraints before printing it.
-Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error,
-including an `--encoding` that does not apply to one of the constraints;
+order with every sum, and `--encoding totalizer` is a second name for it.
+`solve` checks every SAT model against the input's constraints before
+printing it.
+Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;
 2 I/O or parse error, an external solver that cannot be run or answers
 in an unrecognized form, or a reader that closes stdout early;
 3 verification failure, or a SAT model that breaks one of the input's
@@ -25,7 +25,7 @@ import sys
 from functools import partial
 
 from . import bench
-from .core import InapplicableEncoding, to_signed
+from .core import to_signed
 from .dimacs import write_dimacs
 from .engine import SAT, TIMEOUT, UNSAT, Solver, solve_external
 from .opb import OpbError, parse_opb, write_opb
@@ -113,10 +113,7 @@ def _seconds(text: str) -> float:
 
 def _compile(args):
     instance = _read_instance(args.input)
-    try:
-        return instance, compile_instance(instance, args.encoding)
-    except InapplicableEncoding as e:
-        raise _Failure(EXIT_USAGE, str(e)) from None
+    return instance, compile_instance(instance, args.encoding)
 
 
 def _cmd_encode(args) -> int:
@@ -168,17 +165,13 @@ def _cmd_solve(args) -> int:
 def _sweep(args, count: int, check):
     """Per encoder of `args.encoders`, in order: the encoder and what
     `check(constraint, encoder)` returns on each of the next `count`
-    constraints of one seeded stream, less those the encoder rejects."""
+    constraints of one seeded stream."""
     rng = SplitMix64(args.seed)
     for enc in args.encoders:
-        results = []
-        for _ in range(count):
-            c = random_normalized_constraint(rng, args.max_n, args.max_weight, args.max_bound)
-            try:
-                results.append(check(c, enc))
-            except InapplicableEncoding:
-                pass
-        yield enc, results
+        yield enc, [
+            check(random_normalized_constraint(rng, args.max_n, args.max_weight, args.max_bound), enc)
+            for _ in range(count)
+        ]
 
 
 def _cmd_verify(args) -> int:
@@ -200,8 +193,8 @@ def _cmd_gac_check(args) -> int:
         cases = [r for run in runs for r in run]
         bad = [r for r in cases if not r.passed]
         for r in bad[:5]:
-            print(f"FAIL {enc}: {r.constraint} partial={[to_signed(l) for l in r.partial]} "
-                  f"not propagated: {sorted(to_signed(l) for l in r.missing)}")
+            why = "propagation conflict" if r.conflicted else f"not propagated: {sorted(map(to_signed, r.missing))}"
+            print(f"FAIL {enc}: {r.constraint} partial={[to_signed(l) for l in r.partial]} {why}")
         print(f"encoder {enc}: {len(cases) - len(bad)}/{len(cases)} partial assignments fully propagated")
         failures += len(bad)
     return EXIT_VERIFY if failures else EXIT_OK

@@ -20,10 +20,6 @@ EQ = "="
 RELATIONS = (LE, GE, EQ)
 
 
-class InapplicableEncoding(ValueError):
-    """The requested encoder does not handle this constraint's shape."""
-
-
 @contextmanager
 def gc_paused():
     """Pause the cyclic garbage collector around a bulk build of objects that
@@ -40,6 +36,16 @@ def gc_paused():
         yield
     finally:
         gc.enable()
+
+
+def _to_text(source) -> str:
+    """The text of a str, of UTF-8 bytes, or of what a file-like object reads."""
+    if isinstance(source, bytes):
+        return source.decode("utf-8", errors="replace")
+    if isinstance(source, str):
+        return source
+    data = source.read()
+    return data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
 
 
 def lit(var: int, negative: bool = False) -> int:

@@ -18,8 +18,7 @@ from __future__ import annotations
 from itertools import chain, compress, count, repeat
 from operator import not_
 
-from .core import CnfFormula, from_signed, gc_paused, to_signed
-from .opb import _to_text
+from .core import CnfFormula, _to_text, from_signed, gc_paused, to_signed
 
 _WRITE_BLOCK = 4096  # clauses per written block
 _READ_BLOCK = 1 << 16  # characters per parsed block, cut after a line feed

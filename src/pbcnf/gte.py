@@ -178,6 +178,10 @@ def encode_gte(c: PBConstraint, out: CnfFormula) -> None:
     _encode(c.terms, c.bound, 0, out)
 
 
+# the paper's GTE is the totalizer of Bailleux & Boufkhad generalized to weights
+encode_totalizer = encode_gte
+
+
 def encode_auto(c: PBConstraint, out: CnfFormula) -> None:
     """Like `encode_gte`, over the terms stable-sorted by ascending weight,
     and with variables only for the sums that can still reach bound+1 (the

@@ -17,13 +17,12 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from .core import EQ, GE, LE, PBConstraint, Term, lit
+from .core import RELATIONS, PBConstraint, Term, _to_text, lit
 
 _HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)")
 _TOKEN = re.compile(r"\S+")
 _INT = re.compile(r"[+-]?\d+\Z")
 _VAR = re.compile(r"x(\d+)\Z")
-_RELATIONS = (LE, GE, EQ)
 
 
 class OpbError(Exception):
@@ -38,15 +37,6 @@ class OpbError(Exception):
 class PbInstance:
     declared_vars: int
     constraints: list[PBConstraint] = field(default_factory=list)
-
-
-def _to_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8", errors="replace")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8", errors="replace") if isinstance(data, bytes) else data
 
 
 def parse_opb(source) -> PbInstance:
@@ -74,7 +64,7 @@ def parse_opb(source) -> PbInstance:
         # phase 1: coefficient/variable pairs up to the first relation
         terms: list[Term] = []
         i = 0
-        while i < len(tokens) and tokens[i][0] not in _RELATIONS:
+        while i < len(tokens) and tokens[i][0] not in RELATIONS:
             tok, col = tokens[i]
             if tok == ";":
                 raise OpbError(lineno, col, "';' before relation and bound")

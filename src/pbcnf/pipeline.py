@@ -6,9 +6,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .baselines import encode_adder, encode_swc, encode_totalizer
+from .baselines import encode_adder, encode_swc
 from .core import CnfFormula, PBConstraint, gc_paused
-from .gte import encode_auto, encode_gte
+from .gte import encode_auto, encode_gte, encode_totalizer
 from .normalize import OutcomeKind, normalize
 
 ENCODERS = {

@@ -1,4 +1,4 @@
-"""Sequential weight counter, adder network, and plain totalizer tests.
+"""Sequential weight counter, adder network, and totalizer tests.
 
 The adder's propagation gap is pinned as a fixture here: on x1+x2+x3+x4 <= 2
 with x1 and x2 asserted, unit propagation over the adder encoding derives
@@ -168,9 +168,11 @@ def test_adder_rejects_non_normalized():
 # --- totalizer ---
 
 
-def test_totalizer_requires_unit_weights():
-    with pytest.raises(ValueError, match="unit weights"):
-        encode(encode_totalizer, PBConstraint.from_signed([(2, 1), (1, 2)], LE, 2))
+def test_totalizer_matches_gte_on_weighted_constraints():
+    c = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
+    a = encode(encode_totalizer, c)
+    assert a.formula.clauses
+    assert dimacs_str(a.formula) == dimacs_str(encode(encode_gte, c).formula)
 
 
 def test_totalizer_matches_gte_on_cardinality():

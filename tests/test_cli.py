@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from pbcnf import SAT, SolveResult, cli, encode_gte, parse_opb, pipeline
+from pbcnf import SAT, UNSAT, SolveResult, cli, encode_gte, gac_check, parse_opb, pipeline
 from pbcnf.cli import main
 
 REFERENCE_OPB = "* #variable= 4 #constraint= 1\n+2 x1 +3 x2 +3 x3 +3 x4 <= 5 ;\n"
@@ -110,13 +110,13 @@ def test_bad_flag_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["encode", "solve"])
-def test_inapplicable_encoding_is_usage_error(reference_file, command, capsys):
-    # the reference constraint is weighted; the totalizer takes unit weights only
+def test_totalizer_encoding_on_weighted_input_is_gte(reference_file, command, capsys):
+    # the reference constraint is weighted; the totalizer is gte by another name
     rc = main([command, reference_file, "--encoding", "totalizer"])
-    out, err = capsys.readouterr()
-    assert rc == 1
-    assert out == ""
-    assert err == "error: encode_totalizer requires unit weights; use encode_gte\n"
+    out = capsys.readouterr().out
+    assert main([command, reference_file, "--encoding", "gte"]) == rc == {"encode": 0, "solve": 10}[command]
+    assert capsys.readouterr().out == out
+    assert command == "solve" or out == REFERENCE_DIMACS
 
 
 # --- solve ---
@@ -235,8 +235,9 @@ CAP_ERRORS = {"-3": "must be at least 0, not -3", "many": "not an integer: 'many
             id=f"solve-time-limit-{value}",
         )
         # 1e400 reads as inf; finite waits beyond the bound overflow subprocess's poll
-        for value in ("inf", "nan", "1e400", "0", "-1", "2e6")
-    ],
+        for value in ("inf", "nan", "1e400", "0", "-1", "2e6", "abc")
+    ]
+    + [pytest.param(["verify", "--encoders", ","], "error: no encoders given", id="verify-encoders-none")],
 )
 def test_bad_conflict_cap_is_usage_error(reference_file, argv, message, capsys):
     # conflict caps and size arguments below their minimum stop at the parser
@@ -273,6 +274,20 @@ def test_solve_external_via_env(reference_file, tmp_path, capsys, monkeypatch):
     out, _ = capsys.readouterr()
     assert rc == 10
     assert out.splitlines()[1] == "-1 -2 -3 -4"
+
+
+def test_solve_time_limit_reaches_the_external_solver(reference_file, capsys, monkeypatch):
+    seen = []
+
+    def external(formula, command, timeout=None):
+        seen.append(timeout)
+        return SolveResult(UNSAT)
+
+    monkeypatch.setenv("PBCNF_SOLVER", "stub")
+    monkeypatch.setattr(cli, "solve_external", external)
+    assert main(["solve", reference_file, "--time-limit", "0.5"]) == 20
+    assert capsys.readouterr().out == "UNSAT\n"
+    assert seen == [0.5]
 
 
 def test_solve_external_rejects_inconsistent_model(tmp_path, capsys, monkeypatch):
@@ -401,13 +416,15 @@ def test_verify_passes_and_reports(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_and_gac_check_skip_exactly_what_the_totalizer_rejects(capsys):
-    # constraints that normalize to unit weights are checked, not skipped
+def test_verify_and_gac_check_run_the_totalizer_as_gte(capsys):
+    # every constraint is checked, weighted ones included, exactly as under gte
     assert main(["verify", "--encoders", "totalizer"]) == 0
-    assert capsys.readouterr().out == "encoder totalizer: 28/28 equisatisfiable\n"
+    assert capsys.readouterr().out == "encoder totalizer: 100/100 equisatisfiable\n"
     assert main(["gac-check", "--encoders", "totalizer"]) == 0
     out = capsys.readouterr().out
-    assert out == "encoder totalizer: 262/262 partial assignments fully propagated\n"
+    assert out == "encoder totalizer: 3726/3726 partial assignments fully propagated\n"
+    assert main(["gac-check", "--encoders", "gte"]) == 0
+    assert capsys.readouterr().out == out.replace("totalizer", "gte")
 
 
 def test_gac_check_clean_encoders(capsys):
@@ -441,6 +458,30 @@ def test_gac_check_prints_at_most_five_fail_lines(capsys):
         f"{head}[1, -3] not propagated: [5]\n"
         f"{head}[-5, 3] not propagated: [-1, 2]\n"
         "encoder adder: 910/1039 partial assignments fully propagated\n"
+    )
+
+
+def test_gac_check_reports_a_conflict_as_a_conflict(capsys, monkeypatch):
+    # gte that also forbids its first term's literal: too strong, so a
+    # partial assignment setting that literal conflicts under propagation
+    def too_strong(c, out):
+        encode_gte(c, out)
+        if c.terms:
+            out.clauses.append([c.terms[0].lit ^ 1])
+
+    monkeypatch.setitem(pipeline.ENCODERS, "gte", too_strong)
+    reports = gac_check(parse_opb(REFERENCE_OPB).constraints[0], "gte")
+    conflicted = [r for r in reports if r.conflicted]
+    assert conflicted and not any(r.passed for r in conflicted)
+    assert main(["gac-check", "--encoders", "gte", "--constraints", "2"]) == 3
+    head = "FAIL gte: 7 x4 + 4 x5 + 2 x3 + 1 x6 + 6 ~x1 + 6 x2 <= 11 partial="
+    assert capsys.readouterr().out == (
+        f"{head}[4] propagation conflict\n"
+        f"{head}[4, -5] propagation conflict\n"
+        f"{head}[4, 5] propagation conflict\n"
+        f"{head}[4, -3] propagation conflict\n"
+        f"{head}[4, -5, -3] propagation conflict\n"
+        "encoder gte: 414/504 partial assignments fully propagated\n"
     )
 
 
@@ -498,7 +539,8 @@ def test_stats_reads_opb_files(reference_file, capsys):
     by_enc = {c[1]: c for c in cells}
     assert by_enc["gte"][2] == "9"
     assert by_enc["swc"][2] == "20"
-    assert by_enc["totalizer"][6] == "inapplicable"
+    # aux_vars, aux_clauses and result: the totalizer is gte by another name
+    assert [by_enc["totalizer"][i] for i in (2, 3, 6)] == [by_enc["gte"][i] for i in (2, 3, 6)]
     assert all(c[0] == "ref" for c in cells)
 
 

@@ -9,7 +9,6 @@ from pbcnf import (
     SAT,
     UNSAT,
     CnfFormula,
-    InapplicableEncoding,
     OutcomeKind,
     PbInstance,
     PBConstraint,
@@ -17,6 +16,8 @@ from pbcnf import (
     compile_constraints,
     compile_instance,
     dimacs_str,
+    encode_gte,
+    encode_totalizer,
     gac_check,
     gen_bench,
     lit,
@@ -46,8 +47,7 @@ def test_every_encoder_emits_nothing_for_the_empty_constraint(encoding, bound):
 def test_encoders_number_fresh_variables_above_the_inputs(encoding):
     # the formula is declared with no variables: the encoder must still keep
     # its own variables clear of the inputs x1..x4
-    weights = (1, 1, 1, 1) if encoding == "totalizer" else (2, 3, 3, 3)
-    c = PBConstraint.from_signed(zip(weights, (1, 2, 3, 4)), LE, 2)
+    c = PBConstraint.from_signed(zip((2, 3, 3, 3), (1, 2, 3, 4)), LE, 2)
     out = CnfFormula()
     drawn = []
     draw = out.fresh_lit
@@ -69,12 +69,13 @@ def test_encoder_registry():
 
 
 def test_select_encoding():
-    # the totalizer takes unit weights only, and says so by raising
-    card = PBConstraint.from_signed([(1, 1), (1, 2)], LE, 1)
+    # the totalizer is a second name for gte, on weighted constraints too
+    assert encode_totalizer is encode_gte
+    assert ENCODERS["totalizer"] is ENCODERS["gte"]
     weighted = PBConstraint.from_signed([(2, 1), (1, 2)], LE, 2)
-    assert compile_constraints([card], 2, "totalizer").aux_clauses > 0
-    with pytest.raises(InapplicableEncoding):
-        compile_constraints([weighted], 2, "totalizer")
+    tot = compile_constraints([weighted], 2, "totalizer").formula
+    gte = compile_constraints([weighted], 2, "gte").formula
+    assert tot.clauses and dimacs_str(tot) == dimacs_str(gte)
 
 
 def test_unknown_encoding_rejected():
