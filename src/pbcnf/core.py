@@ -127,12 +127,12 @@ class PBConstraint:
         return s == self.bound
 
     def is_normalized(self) -> bool:
-        """Less-or-equal form, non-negative bound, positive weights <= bound+1, distinct vars."""
+        """Less-or-equal form, bound >= 0, weights in 1..bound+1, literal codes >= 2, distinct vars."""
         if self.relation != LE or self.bound < 0:
             return False
         seen = set()
         for w, l in self.terms:
-            if w < 1 or w > self.bound + 1 or (l >> 1) in seen:
+            if w < 1 or w > self.bound + 1 or l < 2 or (l >> 1) in seen:
                 return False
             seen.add(l >> 1)
         return True

@@ -33,20 +33,18 @@ order and then the learned ones.  Code 0 is never a literal, so it ends the
 clause; a tautology is kept as the code 1, which is never a literal either,
 and its 0.  Inside the engine a clause is named by its offset, the position
 of its first literal: watch lists and `reason` hold offsets, and the watched
-literals are the first two.  Wherever the API reports a clause
+literals are the first two.  Wherever the API reports a conflict
 (`root_conflict`, `assume_propagate`, `PropagationResult.conflict_clause`)
-it gives the clause's index instead: its position in `formula.clauses`, and
-past those, the order in which it was learned.  The offsets of the formula's
-clauses are listed, in an `array('q')`, only when one is first mapped to an
-index.  `clauses` is a read-only view that builds the clauses asked for.  A
-plain list, not an `array('i')`, holds the literals: an array boxes a new int
-object on every read, and propagation reads literals in its innermost loop,
-while the list shares the formula's own int objects.
+it gives the literals of the false clause in their current order, read off
+`lits` at its offset, so a report costs the clause's length; `[]` stands for
+an empty clause or for two asserted literals that clash.  A plain list,
+not an `array('i')`, holds the literals: an array boxes a new int object on
+every read, and propagation reads literals in its innermost loop, while the
+list shares the formula's own int objects.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
@@ -62,11 +60,11 @@ TIMEOUT = "TIMEOUT"
 
 @dataclass
 class PropagationResult:
-    """Fixpoint of unit propagation: either the derived literals or the index
-    of the clause that became empty (-1 when two asserted literals clash)."""
+    """Fixpoint of unit propagation: either the derived literals or the
+    literals of a clause the assertions make false (`Solver.assume_propagate`)."""
 
     implied: tuple[int, ...] = ()
-    conflict_clause: int | None = None
+    conflict_clause: list[int] | None = None
 
     @property
     def is_conflict(self) -> bool:
@@ -82,10 +80,10 @@ class SolveResult:
 class Solver:
     def __init__(self, formula):
         """Load the formula's clauses, assert its unit clauses and propagate
-        them once.  `root_conflict` is then the index of the last empty
-        clause, else of the first unit clash or root propagation conflict,
-        else None.  A clause that names a variable above `formula.num_vars`,
-        or holds a literal code below 2, raises ValueError."""
+        them once.  `root_conflict` is then `[]` for an empty clause, else the
+        first unit that clashes, else the clause root propagation made false,
+        else None until search finds one.  A clause naming a variable above
+        `formula.num_vars`, or a literal code below 2, raises ValueError."""
         # one literal list and lists of offsets: nothing here can form a cycle
         with gc_paused():
             # per-variable arrays for variables 1..nvars
@@ -109,8 +107,8 @@ class Solver:
             self.num_original = len(formula.clauses)
             self._learned: list[int] = []  # offsets of the learned clauses, in order
             self._starts: Sequence[int] | None = None  # offsets of the formula's clauses, built on first use
-            self.root_conflict: int | None = None
-            units: list[tuple[int, int, int]] = []  # (literal, offset, index)
+            self.root_conflict: list[int] | None = None
+            units: list[tuple[int, int]] = []  # (literal, offset)
 
             lits = self.lits
             watches = self.watches
@@ -162,25 +160,28 @@ class Solver:
                         watches[kept[0]].append(o)
                         watches[kept[1]].append(o)
                     elif kept:
-                        units.append((kept[0], o, idx))
+                        units.append((kept[0], o))
                     else:
-                        self.root_conflict = idx
+                        self.root_conflict = []
                     o += len(kept) + 1
         if self.root_conflict is None:
-            for l, o, idx in units:
+            for l, o in units:
                 if self.val[l] == FALSE:
-                    self.root_conflict = idx
+                    self.root_conflict = [l]
                     break
                 if self.val[l] == UNDEF:
                     self._assign(l, o)
             else:
-                self.root_conflict = self._index(self._propagate())
+                self.root_conflict = self._literals(self._propagate())
 
     # -- the clause store ---------------------------------------------------
 
     @property
     def clauses(self) -> ClauseView:
-        """The clauses by index: the formula's, then the learned ones."""
+        """The clauses by index: the formula's, then the learned ones.  Only
+        this view reads `num_original`, `_learned` and `_formula_starts`; it
+        stays for the tests and the benchmark's tracer, whose reads
+        (`len(s.clauses)`, then `s.clauses[before:]`) cost only the learned part."""
         return ClauseView(self)
 
     def _formula_starts(self) -> Sequence[int]:
@@ -198,14 +199,11 @@ class Solver:
             self._starts = starts
         return self._starts
 
-    def _index(self, o: int | None) -> int | None:
-        """The index of the clause at offset o; None stays None."""
+    def _literals(self, o: int | None) -> list[int] | None:
+        """The literals of the clause at offset o; None stays None."""
         if o is None:
             return None
-        learned = self._learned
-        if learned and o >= learned[0]:
-            return self.num_original + bisect_left(learned, o)
-        return bisect_left(self._formula_starts(), o)
+        return self.lits[o : self.lits.index(0, o)]
 
     # -- assignment bookkeeping ------------------------------------------
 
@@ -438,7 +436,7 @@ class Solver:
                 if len(self.trail_lim) == 0:
                     # the formula itself is unsatisfiable; remember it, since
                     # the clash sits behind qhead where no later call looks
-                    self.root_conflict = self._index(confl)
+                    self.root_conflict = self._literals(confl)
                     return SolveResult(UNSAT)
                 conflicts += 1
                 since_restart += 1
@@ -480,14 +478,15 @@ class Solver:
 
     # -- propagation-only interface -----------------------------------------
 
-    def assume_propagate(self, asserted=()) -> tuple[int | None, int]:
+    def assume_propagate(self, asserted=()) -> tuple[list[int] | None, int]:
         """Push one level, assert the literals, propagate to fixpoint.
 
-        Returns (conflict clause index or None, trail position before the new
-        level).  Call `retract()` afterwards to pop the level.  A clash between
-        asserted literals reports the reason clause of the opposing assignment,
-        or -1 if it was itself asserted.  A literal code outside
-        2..2*nvars+1 raises ValueError before anything is asserted.
+        Returns (conflict, trail position before the new level); call
+        `retract()` afterwards.  The conflict is None at a fixpoint, else a
+        clause false once the assertions hold: `root_conflict` if set, the
+        reason clause of an asserted literal's negation set at level 0, `[]`
+        for two clashing assertions, else the clause propagation made false.
+        A literal code outside 2..2*nvars+1 raises ValueError first.
         """
         asserted = tuple(asserted)
         self._check_literals(asserted)
@@ -500,10 +499,10 @@ class Solver:
         for a in asserted:
             if self.val[a] == FALSE:
                 r = self.reason[a >> 1]
-                return (self._index(r) if r >= 0 else -1, base)
+                return (self._literals(r) if r >= 0 else [], base)
             if self.val[a] == UNDEF:
                 self._assign(a, -1)
-        return (self._index(self._propagate()), base)
+        return (self._literals(self._propagate()), base)
 
     def retract(self) -> None:
         self._backtrack(0)
@@ -513,7 +512,7 @@ class Solver:
 class ClauseView:
     """`Solver.clauses` as a read-only sequence: clause i is a new list of
     its literals in their current order, or None for a tautology.  Only the
-    clauses asked for are built."""
+    clauses asked for are built (why it stays: see `Solver.clauses`)."""
 
     __slots__ = ("_solver",)
 
@@ -527,8 +526,7 @@ class ClauseView:
         s = self._solver
         n = s.num_original
         o = s._learned[i - n] if i >= n else s._formula_starts()[i]
-        lits = s.lits
-        return None if lits[o] == 1 else lits[o : lits.index(0, o)]
+        return None if s.lits[o] == 1 else s._literals(o)
 
     def __getitem__(self, i):
         # a range resolves negative indices and slices, and raises

@@ -109,7 +109,7 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
         if true_sum > k:
             return None  # inconsistent sample
         required = frozenset(negate(l) for w, l in open_terms if w + true_sum > k)
-        confl, base = solver.assume_propagate(partial)
+        confl, _ = solver.assume_propagate(partial)
         if confl is not None:
             return GacReport(c, encoding, tuple(partial), required, conflicted=True)
         missing = frozenset(l for l in required if solver.value(l) != 1)

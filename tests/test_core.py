@@ -111,6 +111,9 @@ def test_is_normalized():
     assert not PBConstraint.from_signed([(1, 1), (1, 1)], LE, 5).is_normalized()
     assert not PBConstraint.from_signed([(1, 1), (1, -1)], LE, 5).is_normalized()
     assert not PBConstraint.from_signed([(1, 1)], LE, -1).is_normalized()
+    # literal codes below 2, the code of x1: 1, 0 and a negative code
+    for code in (1, 0, -4):
+        assert not PBConstraint((Term(1, code), Term(1, 4), Term(1, 6)), LE, 1).is_normalized()
 
 
 def test_constraint_str():

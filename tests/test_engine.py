@@ -30,7 +30,7 @@ from pbcnf import (
     solve,
     solve_external,
 )
-from pbcnf.engine import TRUE, UNDEF
+from pbcnf.engine import FALSE, TRUE, UNDEF
 
 from conftest import formula
 
@@ -48,6 +48,17 @@ def brute_force_status(f):
         if all(any(bits[(l >> 1) - 1] != bool(l & 1) for l in cl) for cl in f.clauses):
             return SAT
     return UNSAT
+
+
+def assert_conflict_report(s, confl, asserted=()):
+    """A conflict report is [] or a clause of the solver's store, each of
+    its literals FALSE under the solver's assignment or the negation of an
+    asserted literal (the reason clause of a literal that level 0 made
+    false holds that literal's negation)."""
+    assert confl is not None
+    if confl:
+        assert sorted(confl) in [sorted(cl) for cl in s.clauses if cl is not None], confl
+        assert all(s.val[l] == FALSE or l ^ 1 in asserted for l in confl), confl
 
 
 def model_satisfies(f, model):
@@ -77,43 +88,64 @@ def test_propagate_reports_conflict():
     f = formula(2, [[-1, 2], [-1, -2]])
     r = propagate(f, asserted=[lit(1)])
     assert r.is_conflict
-    assert r.conflict_clause == 1
+    assert sorted(r.conflict_clause) == sorted(f.clauses[1])
 
 
-# clause i of the solver's store starts at an offset other than i once an
-# earlier clause is longer than one slot; the API must report indices
-INDEXED = [[2, 4, 6], [11], [8, 9], [3, 3, 7], [3, 6]]  # ternary, unit, tautology, repeat
+# a ternary clause, a unit, a tautology and a clause with a repeated literal,
+# so that the clauses after them start at offsets other than their indices
+INDEXED = [[2, 4, 6], [11], [8, 9], [3, 3, 7], [3, 6]]
 
 
-def test_clauses_are_reported_by_index():
+def test_conflicts_are_reported_as_clause_literals():
     f = CnfFormula(num_vars=5, clauses=INDEXED)
     s = Solver(f)
     assert s.root_conflict is None
-    assert s.assume_propagate([lit(1)]) == (4, 1)  # clause 3 implies -x3, clause 4 is empty
+    # propagation: x1 makes [-x1, -x3] imply -x3, which empties [-x1, x3]
+    confl, base = s.assume_propagate([lit(1)])
+    assert (sorted(confl), base) == ([3, 6], 1)
+    assert all(s.val[l] == FALSE for l in confl)
     s.retract()
-    assert s.assume_propagate([lit(5)]) == (1, 1)  # x5 clashes with the unit -x5
+    assert sorted(propagate(f, [lit(1)]).conflict_clause) == [3, 6]
+    # an asserted literal that level 0 made false: x5 against the unit -x5
+    # reports that unit, the reason clause of -x5
+    assert s.assume_propagate([lit(5)]) == ([11], 1)
     s.retract()
-    assert propagate(f, [lit(1)]).conflict_clause == 4
-    # an empty clause
+    # two asserted literals that clash
+    assert s.assume_propagate([lit(1), lit(1, negative=True)]) == ([], 1)
+    s.retract()
+    assert propagate(f, [lit(2), lit(2, negative=True)]).conflict_clause == []
+    # an empty clause, wherever it stands
     g = CnfFormula(num_vars=5, clauses=INDEXED[:3] + [[]] + INDEXED[3:])
-    assert Solver(g).root_conflict == 3
-    assert Solver(g).assume_propagate([lit(1)]) == (3, 0)
-    assert propagate(g, [lit(1)]).conflict_clause == 3
-    # the unit x1 empties clause 5 while the formula loads
+    assert Solver(g).root_conflict == []
+    assert Solver(g).assume_propagate([lit(1)]) == ([], 0)
+    assert propagate(g, [lit(1)]).conflict_clause == []
+    # a unit that clashes at load: x5 after the unit -x5
+    u = Solver(CnfFormula(num_vars=5, clauses=INDEXED + [[10]]))
+    assert u.root_conflict == [10]
+    assert u.val[10] == FALSE
+    assert u.assume_propagate([lit(2)]) == ([10], len(u.trail))
+    # the unit x1 empties [-x1, x3] while the formula loads
     h = CnfFormula(num_vars=5, clauses=INDEXED[:4] + [[2]] + INDEXED[4:])
-    assert Solver(h).root_conflict == 5
-    assert propagate(h).conflict_clause == 5
-    # learned clauses follow the formula's: search learns x1 as clause 3,
-    # which implies x3 by clause 2
+    assert sorted(Solver(h).root_conflict) == [3, 6]
+    assert sorted(propagate(h).conflict_clause) == [3, 6]
+    # learned clauses report like the formula's: search learns the unit x1,
+    # which implies x3 by [-x1, x3]
     s = Solver(formula(3, [[1, 2], [1, -2], [-1, 3]]))
     assert s.solve().status == SAT
-    assert s.assume_propagate([lit(1, negative=True)]) == (3, 2)
+    assert s.assume_propagate([lit(1, negative=True)]) == ([lit(1)], 2)
     s.retract()
-    assert s.assume_propagate([lit(3, negative=True)]) == (2, 2)
-    # a root conflict that only search finds
+    confl, base = s.assume_propagate([lit(3, negative=True)])
+    assert (sorted(confl), base) == ([3, 6], 2)
+    assert_conflict_report(s, confl, [lit(3, negative=True)])
+    s.retract()
+    # a root conflict that only search finds: it learns x1, then [-x1, -x2]
+    # is false at level 0
     s = Solver(formula(3, [[1, 2], [1, -2], [-1, 2], [-1, -2]]))
+    assert s.root_conflict is None
     assert s.solve().status == UNSAT
-    assert s.root_conflict == 3
+    assert sorted(s.root_conflict) == [3, 5]
+    assert all(s.val[l] == FALSE for l in s.root_conflict)
+    assert s.assume_propagate([lit(3)]) == (s.root_conflict, len(s.trail))
 
 
 def test_solver_clauses_read_as_a_sequence():
@@ -166,7 +198,7 @@ def test_propagate_clashing_assertions():
     f = formula(1, [])
     r = propagate(f, asserted=[lit(1), lit(1, negative=True)])
     assert r.is_conflict
-    assert r.conflict_clause == -1
+    assert r.conflict_clause == []
 
 
 def test_propagate_on_reference_encoding_is_arc_consistent():
@@ -463,6 +495,8 @@ def test_kept_assumption_levels_match_a_fresh_solver():
                 partial = [lit(rng.randint(1, n), negative=rng.chance(1, 2)) for _ in range(rng.randint(0, 3))]
                 confl, _ = s.assume_propagate(partial)
                 fresh = propagate(f, partial)
+                if confl is not None:
+                    assert_conflict_report(s, confl, partial)
                 if fresh.is_conflict:
                     assert confl is not None
                 elif confl is None:

@@ -13,6 +13,7 @@ from pbcnf import (
     PbInstance,
     PBConstraint,
     SplitMix64,
+    Term,
     compile_constraints,
     compile_instance,
     dimacs_str,
@@ -61,6 +62,18 @@ def test_encoders_number_fresh_variables_above_the_inputs(encoding):
     assert drawn and min(drawn) > 4
     assert out.num_vars == max(l >> 1 for cl in out.clauses for l in cl)
     assert oracle_check_formula(c, out)
+
+
+@pytest.mark.parametrize("encoding", ENCODING_NAMES)
+def test_every_encoder_rejects_literal_codes_below_2(encoding):
+    # code 1 would be written to DIMACS as `0`, which ends a clause early,
+    # and a negative code as another variable's literal
+    for code in (1, 0, -4):
+        c = PBConstraint((Term(1, code), Term(1, 4), Term(1, 6)), LE, 1)
+        out = CnfFormula(num_vars=2, clauses=[[2, 5]])
+        with pytest.raises(ValueError, match="normalized"):
+            ENCODERS[encoding](c, out)
+        assert (out.num_vars, out.clauses) == (2, [[2, 5]])
 
 
 def test_encoder_registry():

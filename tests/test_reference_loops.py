@@ -418,7 +418,8 @@ def assert_same_load(formula):
     assert [[index[o] for o in ws] for ws in s.watches] == watches
     assert s.trail == trail
     assert [index[s.reason[l >> 1]] for l in s.trail] == reasons
-    assert s.root_conflict == root_conflict
+    # the engine reports a conflict as the clause's literals
+    assert s.root_conflict == (None if root_conflict is None else clauses[root_conflict])
     assert s.prio == prio
     assert s.num_original == len(formula.clauses)
 
@@ -898,18 +899,20 @@ class RefSolver:
             self._assign(2 * v + (0 if self.saved_phase[v] else 1), -1)
 
     def assume_propagate(self, asserted=()):
+        """As the engine's, with the conflict as the clause's literals."""
         if self.root_conflict is not None:
-            return (self.root_conflict, len(self.trail))
+            return (self.clauses[self.root_conflict], len(self.trail))
         self._backtrack(0)
         base = len(self.trail)
         self.trail_lim.append(base)
         for a in asserted:
             if self.val[a] == FALSE:
                 r = self.reason[a >> 1]
-                return (r if r >= 0 else -1, base)
+                return (self.clauses[r] if r >= 0 else [], base)
             if self.val[a] == UNDEF:
                 self._assign(a, -1)
-        return (self._propagate(), base)
+        confl = self._propagate()
+        return (None if confl is None else self.clauses[confl], base)
 
     def retract(self):
         self._backtrack(0)
@@ -1027,6 +1030,9 @@ def test_assumption_sweeps_match_reference(encoding):
             assert (got_confl is None) == (want_confl is None)
             if got_confl is None:
                 assert set(got.trail) == set(want.trail)
+            else:
+                assert all(got.val[l] == FALSE for l in got_confl), got_confl
+                assert sorted(got_confl) == sorted(want_confl)
             got.retract()
             want.retract()
             assert_heap_invariant(got)
