@@ -18,44 +18,51 @@ def encode_swc(c: PBConstraint, out: CnfFormula) -> None:
     """
     reserve_inputs(c, out, "encode_swc")
     k = c.bound
-    clauses = out.clauses
+    lits = out.lits
     fresh_lit = out.fresh_lit
     s = [[fresh_lit() for _ in range(k)] for _ in c.terms]  # s[i-1][j-1]
-    prev = None
+    nprev = None  # negated previous row
     for (w, l), row in zip(c.terms, s):
         nl = l ^ 1
-        if prev is not None:
-            clauses.extend([[p ^ 1, r] for p, r in zip(prev, row)])
-        clauses.extend([[nl, r] for r in row[:w]])
-        if prev is not None:
-            clauses.extend([[nl, prev[j - 1] ^ 1, row[j + w - 1]] for j in range(1, k - w + 1)])
-            if w <= k:
-                clauses.append([nl, prev[k - w] ^ 1])
+        if nprev is not None:
+            block = [0, 0, 0] * k
+            block[0::3] = nprev
+            block[1::3] = row
+            lits += block
+        block = [nl, 0, 0] * min(w, k)
+        block[1::3] = row[:w]
+        lits += block
         if w > k:
-            clauses.append([nl])
-        prev = row
+            lits += (nl, 0)
+        elif nprev is not None:
+            block = [nl, 0, 0, 0] * (k - w)
+            block[1::4] = nprev[: k - w]
+            block[2::4] = row[w:]
+            lits += block
+            lits += (nl, nprev[k - w], 0)
+        nprev = [r ^ 1 for r in row]
 
 
-def _full_adder(a: int, b: int, cin: int, s: int, cout: int, clauses: list[list[int]]) -> None:
+def _full_adder(a: int, b: int, cin: int, s: int, cout: int, lits: list[int]) -> None:
     na, nb, nc, ns, ncout = a ^ 1, b ^ 1, cin ^ 1, s ^ 1, cout ^ 1
-    clauses.extend([
+    lits += (
         # s <-> a xor b xor cin
-        [na, nb, nc, s], [na, nb, cin, ns], [na, b, nc, ns], [na, b, cin, s],
-        [a, nb, nc, ns], [a, nb, cin, s], [a, b, nc, s], [a, b, cin, ns],
+        na, nb, nc, s, 0, na, nb, cin, ns, 0, na, b, nc, ns, 0, na, b, cin, s, 0,
+        a, nb, nc, ns, 0, a, nb, cin, s, 0, a, b, nc, s, 0, a, b, cin, ns, 0,
         # cout <-> at least two of a, b, cin
-        [na, nb, cout], [na, nc, cout], [nb, nc, cout],
-        [a, b, ncout], [a, cin, ncout], [b, cin, ncout],
-    ])
+        na, nb, cout, 0, na, nc, cout, 0, nb, nc, cout, 0,
+        a, b, ncout, 0, a, cin, ncout, 0, b, cin, ncout, 0,
+    )
 
 
-def _half_adder(a: int, b: int, s: int, cout: int, clauses: list[list[int]]) -> None:
+def _half_adder(a: int, b: int, s: int, cout: int, lits: list[int]) -> None:
     na, nb, ns, ncout = a ^ 1, b ^ 1, s ^ 1, cout ^ 1
-    clauses.extend([
+    lits += (
         # s <-> a xor b
-        [na, nb, ns], [na, b, s], [a, nb, s], [a, b, ns],
+        na, nb, ns, 0, na, b, s, 0, a, nb, s, 0, a, b, ns, 0,
         # cout <-> a and b
-        [na, nb, cout], [a, ncout], [b, ncout],
-    ])
+        na, nb, cout, 0, a, ncout, 0, b, ncout, 0,
+    )
 
 
 def encode_adder(c: PBConstraint, out: CnfFormula) -> None:
@@ -64,7 +71,7 @@ def encode_adder(c: PBConstraint, out: CnfFormula) -> None:
     bound with a lexicographic clause chain (no comparator variables)."""
     reserve_inputs(c, out, "encode_adder")
     k = c.bound
-    clauses = out.clauses
+    lits = out.lits
     fresh_lit = out.fresh_lit
 
     buckets: dict[int, deque[int]] = {}
@@ -83,13 +90,13 @@ def encode_adder(c: PBConstraint, out: CnfFormula) -> None:
         while len(q) >= 3:
             a, b, cin = q.popleft(), q.popleft(), q.popleft()
             s, cout = fresh_lit(), fresh_lit()
-            _full_adder(a, b, cin, s, cout, clauses)
+            _full_adder(a, b, cin, s, cout, lits)
             q.append(s)
             buckets.setdefault(bit + 1, deque()).append(cout)
         if len(q) == 2:
             a, b = q.popleft(), q.popleft()
             s, cout = fresh_lit(), fresh_lit()
-            _half_adder(a, b, s, cout, clauses)
+            _half_adder(a, b, s, cout, lits)
             q.append(s)
             buckets.setdefault(bit + 1, deque()).append(cout)
         if q:
@@ -113,5 +120,6 @@ def encode_adder(c: PBConstraint, out: CnfFormula) -> None:
                     escaped = True  # that position is constant 0 < k's 1
                     break
         if not escaped:
-            clauses.append(clause)
+            lits += clause
+            lits.append(0)
 

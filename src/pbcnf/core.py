@@ -5,13 +5,16 @@ and ``2*var + 1`` for the negated one, so negation is a single XOR and arrays
 can be indexed directly by literal.  Everything that leaves the library
 (DIMACS files, models, diagnostics) uses the signed-integer convention
 instead; ``to_signed``/``from_signed`` convert at the boundary.
+
+A CNF formula holds its clauses in one flat list of codes, each clause
+followed by 0, from the encoders through DIMACS text to the solver.
 """
 
 from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 LE = "<="
@@ -23,10 +26,9 @@ RELATIONS = (LE, GE, EQ)
 @contextmanager
 def gc_paused():
     """Pause the cyclic garbage collector around a bulk build of objects that
-    hold no reference cycles, above all clause lists of ints, which reference
-    counting frees on its own.  Collections set off by the build would
-    otherwise re-walk every clause built so far.  Only a collector this call
-    disabled is re-enabled, so nesting and callers that disabled it
+    hold no reference cycles, such as the solver's per-variable lists, which
+    collections set off by the build would only re-walk.  Only a collector
+    this call disabled is re-enabled, so nesting and callers that disabled it
     themselves keep their state."""
     if not gc.isenabled():
         yield
@@ -142,16 +144,25 @@ class PBConstraint:
         return f"{lhs} {self.relation} {self.bound}"
 
 
-@dataclass
+@dataclass(init=False)
 class CnfFormula:
-    """Clause list over variables 1..num_vars; literals are integer codes.
+    """Clauses over variables 1..num_vars in one flat list `lits`, each
+    clause's literal codes followed by 0; encoders append whole blocks to it.
+    A clause given as a list (to the constructor or `add_clause`) holding a
+    code below 2 raises ValueError: code 0 would end it early.
 
     The formula numbers its own variables: `fresh_lit` hands out the next
     one above `num_vars`, so an encoder needs nothing besides the formula it
     appends to."""
 
-    num_vars: int = 0
-    clauses: list[list[int]] = field(default_factory=list)
+    num_vars: int
+    lits: list[int]
+
+    def __init__(self, num_vars: int = 0, clauses: Iterable[Iterable[int]] = ()):
+        self.num_vars, self.lits = 0, []
+        for cl in clauses:
+            self.add_clause(cl)
+        self.num_vars = num_vars  # as declared, even below a clause's variables
 
     def fresh_lit(self) -> int:
         """Positive literal of a new variable, num_vars + 1."""
@@ -161,17 +172,41 @@ class CnfFormula:
     def add_clause(self, lits: Iterable[int]) -> None:
         cl = list(lits)
         if cl:
-            top = max(cl) >> 1
-            if top > self.num_vars:
-                self.num_vars = top
-        self.clauses.append(cl)
+            if min(cl) < 2:
+                raise ValueError(f"clause holds literal code {min(cl)}, below 2, the code of x1")
+            self.num_vars = max(self.num_vars, max(cl) >> 1)
+        self.lits += cl
+        self.lits.append(0)
 
     @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
+    def clauses(self) -> Clauses:
+        return Clauses(self)
 
-    def has_empty_clause(self) -> bool:
-        return any(not cl for cl in self.clauses)
+    @property
+    def num_clauses(self) -> int:  # one pass over `lits` per call
+        return self.lits.count(0)
+
+
+class Clauses:
+    """`CnfFormula.clauses`, read-only: its length, and each clause in turn as a
+    new list of its codes.  Two views compare their formulas' `lits` and build
+    no lists; a view and a list compare clause by clause."""
+
+    def __init__(self, formula: CnfFormula):
+        self.lits = formula.lits
+
+    def __len__(self) -> int:
+        return self.lits.count(0)
+
+    def __iter__(self):
+        lits, o = self.lits, 0
+        while o < len(lits):
+            z = lits.index(0, o)
+            yield lits[o:z]
+            o = z + 1
+
+    def __eq__(self, other):
+        return self.lits == other.lits if isinstance(other, Clauses) else list(self) == other
 
 
 def reserve_inputs(c: PBConstraint, out: CnfFormula, name: str) -> None:

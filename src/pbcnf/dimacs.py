@@ -3,11 +3,13 @@
 Output is byte-deterministic: `p cnf V C` header, one clause per line,
 signed literals separated by single spaces, `0` terminators, LF line endings.
 
-Both directions work a bounded block at a time and leave the per-literal
-work to builtins.  The writer maps each literal code through one table of
+The text is the formula's flat `lits` written out, so both directions work a
+bounded block of it at a time and leave the per-literal work to builtins.
+The writer maps each code of a fixed-size slice through one table of
 "signed-literal " strings, with code 0 (never a literal) standing for the
-"0\\n" terminator.  The parser splits a block of the body into tokens and
-maps them through one dict from canonical text (`7`, `-7`, `0`) to code;
+"0\\n" terminator; it trusts the codes.  The parser splits a block of the
+body into tokens and maps them through one dict from canonical text (`7`,
+`-7`, `0`) to code, keeping the terminators among the codes;
 a block holding any other token (a comment, a second header, `+3`, `03`,
 garbage, a literal out of range) is read line by line with `int()` and
 every check instead, so errors and their line numbers stay the same.
@@ -15,12 +17,9 @@ every check instead, so errors and their line numbers stay the same.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, repeat
-from operator import not_
+from .core import CnfFormula, _to_text, from_signed, to_signed
 
-from .core import CnfFormula, _to_text, from_signed, gc_paused, to_signed
-
-_WRITE_BLOCK = 4096  # clauses per written block
+_WRITE_BLOCK = 1 << 14  # codes per written block
 _READ_BLOCK = 1 << 16  # characters per parsed block, cut after a line feed
 
 
@@ -39,30 +38,21 @@ def _literal_texts(num_vars: int) -> list[str]:
     return table
 
 
-def _terminated(block: list[list[int]]):
-    """The literal codes of `block`, each clause followed by code 0."""
-    return chain.from_iterable(chain.from_iterable(zip(block, repeat((0,)))))
-
-
 def _blocks(formula: CnfFormula):
     """The DIMACS text of `formula`: the header, then one string per block
-    of clauses."""
-    clauses = formula.clauses
-    yield f"p cnf {formula.num_vars} {len(clauses)}\n"
-    # the table covers no more variables than the clauses hold literals
-    # (counted only when there are fewer clauses than variables), so a huge
+    of `_WRITE_BLOCK` codes."""
+    lits = formula.lits
+    yield f"p cnf {formula.num_vars} {lits.count(0)}\n"
+    # the table covers no more variables than there are codes, so a huge
     # declared count costs nothing; a block naming a variable beyond the
     # table is formatted literal by literal
-    top = formula.num_vars
-    if top > len(clauses):
-        top = min(top, sum(map(len, clauses)))
-    text = _literal_texts(top).__getitem__
-    for i in range(0, len(clauses), _WRITE_BLOCK):
-        block = clauses[i : i + _WRITE_BLOCK]
+    text = _literal_texts(min(formula.num_vars, len(lits))).__getitem__
+    for i in range(0, len(lits), _WRITE_BLOCK):
+        block = lits[i : i + _WRITE_BLOCK]
         try:
-            chunk = "".join(map(text, _terminated(block)))
+            chunk = "".join(map(text, block))
         except IndexError:
-            chunk = "".join(f"{to_signed(l)} " if l else "0\n" for l in _terminated(block))
+            chunk = "".join(f"{to_signed(l)} " if l else "0\n" for l in block)
         yield chunk
 
 
@@ -75,15 +65,6 @@ def write_dimacs(formula: CnfFormula, sink) -> None:
     whole text never exists at once."""
     for chunk in _blocks(formula):
         sink.write(chunk)
-
-
-def parse_dimacs(source) -> CnfFormula:
-    """Inverse of `write_dimacs`; also accepts `c` comment lines, clauses
-    spanning multiple lines and any integer token `int()` reads (`+3`,
-    `03`)."""
-    text = _to_text(source)
-    with gc_paused():
-        return _parse_text(text)
 
 
 def _cut(text: str, pos: int) -> int:
@@ -129,10 +110,9 @@ def _parse_header(text: str) -> tuple[int, int, int, int]:
     raise DimacsError(1, "missing header")
 
 
-def _parse_lines(lines, lineno: int, num_vars: int, clauses: list[list[int]], current: list[int]) -> list[int]:
+def _parse_lines(lines, lineno: int, num_vars: int, lits: list[int]) -> None:
     """Read body lines one token at a time, the first numbered `lineno + 1`,
-    appending finished clauses to `clauses`.  Returns the clause still open
-    after the last line."""
+    appending their codes to `lits`."""
     for lineno, raw in enumerate(lines, start=lineno + 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("c"):
@@ -144,52 +124,46 @@ def _parse_lines(lines, lineno: int, num_vars: int, clauses: list[list[int]], cu
                 n = int(tok)
             except ValueError:
                 raise DimacsError(lineno, f"expected integer literal, got {tok!r}") from None
-            if n == 0:
-                clauses.append(current)
-                current = []
-            else:
-                if abs(n) > num_vars:
-                    raise DimacsError(lineno, f"literal {n} exceeds declared {num_vars} variables")
-                current.append(from_signed(n))
-    return current
+            if abs(n) > num_vars:
+                raise DimacsError(lineno, f"literal {n} exceeds declared {num_vars} variables")
+            lits.append(from_signed(n) if n else 0)
 
 
-def _parse_text(text: str) -> CnfFormula:
+def parse_dimacs(source) -> CnfFormula:
+    """Inverse of `write_dimacs`; also accepts `c` comment lines, clauses
+    spanning multiple lines and any integer token `int()` reads (`+3`,
+    `03`)."""
+    text = _to_text(source)
     num_vars, num_clauses, lineno, pos = _parse_header(text)
     # the table stops at half the text's length, as many variables as the
     # text can name, so a huge declared count costs nothing; a literal
     # beyond the table still parses, through `_parse_lines`
     code_of = _literal_codes(min(num_vars, len(text) // 2)).__getitem__
-    clauses: list[list[int]] = []
-    current: list[int] = []
+    lits: list[int] = []
     counted = pos  # `lineno` lines end at offset `counted`
     while pos < len(text):
         end = _cut(text, pos)
         block = text[pos:end]
+        n = len(lits)
         try:
-            codes = list(map(code_of, block.split()))
+            lits += map(code_of, block.split())
         except KeyError:
             # a token without a canonical in-range form: read the block with
             # every check, numbering its lines from where it starts
+            del lits[n:]
             lineno += len(text[counted:pos].splitlines())
             lines = block.splitlines()
-            current = _parse_lines(lines, lineno, num_vars, clauses, current)
+            _parse_lines(lines, lineno, num_vars, lits)
             lineno += len(lines)
             counted = end
-        else:
-            if current:
-                codes[:0] = current
-            # cut at the terminators: clause i runs from just past zero i-1
-            # up to zero i, and what follows the last zero stays open
-            zeros = list(compress(count(), map(not_, codes)))
-            starts = [0]
-            starts += map((1).__add__, zeros)
-            clauses += map(codes.__getitem__, map(slice, starts, zeros))
-            current = codes[starts[-1] :]
         pos = end
-    if current or num_clauses != len(clauses):
+    unterminated = lits[-1:] not in ([], [0])
+    found = lits.count(0)
+    if unterminated or num_clauses != found:
         lineno += len(text[counted:].splitlines())
-        if current:
+        if unterminated:
             raise DimacsError(lineno, "unterminated clause at end of input")
-        raise DimacsError(lineno, f"header declares {num_clauses} clauses, found {len(clauses)}")
-    return CnfFormula(num_vars=num_vars, clauses=clauses)
+        raise DimacsError(lineno, f"header declares {num_clauses} clauses, found {found}")
+    formula = CnfFormula(num_vars)
+    formula.lits = lits
+    return formula

@@ -31,7 +31,10 @@ Clauses live in one flat list `lits`, the arena of MiniSat (Een & Sorensson,
 SAT 2003): each clause's literals followed by a 0, the formula's clauses in
 order and then the learned ones.  Code 0 is never a literal, so it ends the
 clause; a tautology is kept as the code 1, which is never a literal either,
-and its 0.  Inside the engine a clause is named by its offset, the position
+and its 0.  `CnfFormula.lits` has the same layout, so loading copies it with
+`list(...)` (propagation reorders the copy's watched literals in place),
+rewrites only the clauses that repeat a variable, and builds the watches.
+Inside the engine a clause is named by its offset, the position
 of its first literal: watch lists and `reason` hold offsets, and the watched
 literals are the first two.  Wherever the API reports a conflict
 (`root_conflict`, `assume_propagate`, `PropagationResult.conflict_clause`)
@@ -84,7 +87,8 @@ class Solver:
         first unit that clashes, else the clause root propagation made false,
         else None until search finds one.  A clause naming a variable above
         `formula.num_vars`, or a literal code below 2, raises ValueError."""
-        # one literal list and lists of offsets: nothing here can form a cycle
+        # a watch list and a heap entry per variable, but nothing here can form
+        # a cycle: collections would only re-walk them
         with gc_paused():
             # per-variable arrays for variables 1..nvars
             nv = self.nvars = formula.num_vars
@@ -103,67 +107,61 @@ class Solver:
             self.assumed: list[int] = []  # the assumptions levels 1..len(assumed) hold
             self.qhead = 0
             self.var_inc = 1.0
-            self.lits: list[int] = []  # every clause's literals, each followed by 0
-            self.num_original = len(formula.clauses)
+            self.num_original = formula.num_clauses
             self._learned: list[int] = []  # offsets of the learned clauses, in order
             self._starts: Sequence[int] | None = None  # offsets of the formula's clauses, built on first use
             self.root_conflict: list[int] | None = None
             units: list[tuple[int, int]] = []  # (literal, offset)
 
-            lits = self.lits
+            # every clause's literals, each followed by 0: a copy, since
+            # propagation reorders each clause's literals in place
+            lits = self.lits = list(formula.lits)
+            end = len(lits)
+            lits += (0, 0, 0)  # so that four codes can be read at any clause
             watches = self.watches
             top = 2 * nv + 1
-            o = 0
-            for idx, cl in enumerate(formula.clauses):
-                # fast path: three or two literals over distinct variables in
-                # 1..num_vars need no dedupe (a ^ b > 1 exactly when a and b
-                # differ in variable)
-                n = len(cl)
-                if n == 3:
-                    a, b, c = cl
-                    if a ^ b > 1 and a ^ c > 1 and b ^ c > 1 and 1 < a <= top and 1 < b <= top and 1 < c <= top:
-                        lits += cl
-                        lits.append(0)
-                        watches[a].append(o)
-                        watches[b].append(o)
-                        o += 4
-                        continue
-                elif n == 2:
-                    a, b = cl
-                    if a ^ b > 1 and 1 < a <= top and 1 < b <= top:
-                        lits += cl
-                        lits.append(0)
-                        watches[a].append(o)
-                        watches[b].append(o)
-                        o += 3
-                        continue
+            r = w = 0  # read and write cursors: the clause read at r is stored at w
+            while r < end:
+                a, b, c, d = lits[r : r + 4]
+                # fast path: two literals (c is 0) or three (d is 0) over
+                # distinct variables in 1..num_vars need no dedupe (a ^ b > 1
+                # exactly when a and b differ in variable)
+                if a ^ b > 1 and 1 < a <= top and 1 < b <= top and (
+                    not c or not d and a ^ c > 1 and b ^ c > 1 and 1 < c <= top
+                ):
+                    n = 4 if c else 3
+                    if w != r:
+                        lits[w : w + n] = lits[r : r + n]
+                    watches[a].append(w)
+                    watches[b].append(w)
+                    r += n
+                    w += n
+                    continue
+                z = lits.index(0, r)
+                cl = lits[r:z]
                 if cl and max(cl) > top:
-                    raise ValueError(
-                        f"clause {idx} names x{max(cl) >> 1}, above the formula's {nv} variables"
-                    )
+                    idx = formula.lits[:r].count(0)
+                    raise ValueError(f"clause {idx} names x{max(cl) >> 1}, above the formula's {nv} variables")
                 if cl and min(cl) < 2:
+                    idx = formula.lits[:r].count(0)
                     raise ValueError(f"clause {idx} holds literal code {min(cl)}, below 2, the code of x1")
-                kept: list[int] = []
-                seen: set[int] = set()
-                for l in cl:
-                    if l ^ 1 in seen:
-                        lits += (1, 0)  # a tautology, always satisfied
-                        o += 2
-                        break
-                    if l not in seen:
-                        seen.add(l)
-                        kept.append(l)
+                r = z + 1
+                kept = dict.fromkeys(cl)  # its distinct literals, in order
+                if any(l ^ 1 in kept for l in kept):
+                    kept = [1]  # a tautology, always satisfied
                 else:
-                    lits += kept
-                    lits.append(0)
+                    kept = list(kept)
                     if len(kept) >= 2:
-                        watches[kept[0]].append(o)
-                        watches[kept[1]].append(o)
+                        watches[kept[0]].append(w)
+                        watches[kept[1]].append(w)
                     elif kept:
-                        units.append((kept[0], o))
+                        units.append((kept[0], w))
                     else:
                         self.root_conflict = []
-                    o += len(kept) + 1
+                kept.append(0)
+                lits[w : w + len(kept)] = kept
+                w += len(kept)
+            del lits[w:]
         if self.root_conflict is None:
             for l, o in units:
                 if self.val[l] == FALSE:
@@ -538,9 +536,7 @@ class ClauseView:
         return self._at(picked)
 
     def __eq__(self, other):
-        if not isinstance(other, list):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
 def _luby(x: int) -> int:

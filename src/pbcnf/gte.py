@@ -118,13 +118,14 @@ def _build(terms, pre: list[int], cap: int, lo: int, hi: int, floor: int) -> Gte
 def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:
     """Post-order: allocate one variable per sum this node holds, then emit
     combination clauses before boundary clauses, sums ascending.  A pair of
-    child sums below this node's floor has no head and no clause."""
+    child sums below this node's floor has no head and no clause.  Each run
+    of clauses goes to `out.lits` as one block filled by slice assignment."""
     if node.is_leaf:
         return
     left, right = node.children
     _emit(left, cap, out)
     _emit(right, cap, out)
-    clauses = out.clauses
+    lits = out.lits
     lsums, rsums = left.sums, right.sums
     rvar = right.var_of
     rneg = [rvar[w2] ^ 1 for w2 in rsums]
@@ -135,28 +136,36 @@ def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:
         # one sum, bound+1, is forbidden, so instead of a variable and a
         # unit clause against it, every way of reaching it is forbidden
         for w1 in lsums:
-            nq = lvar[w1] ^ 1
-            clauses.extend([[nq, nr] for nr in rneg[bisect_left(rsums, cap - w1):]])
-        clauses.extend([[child.var_of[cap] ^ 1] for child in (left, right) if child.sums[-1] == cap])
+            tail = rneg[bisect_left(rsums, cap - w1) :]
+            block = [lvar[w1] ^ 1, 0, 0] * len(tail)
+            block[1::3] = tail
+            lits += block
+        for child in (left, right):
+            if child.sums[-1] == cap:
+                lits += (child.var_of[cap] ^ 1, 0)
         return
     var_of = node.var_of
     fresh_lit = out.fresh_lit
     for s in node.sums:
         var_of[s] = fresh_lit()
     over = var_of.get(cap)
-    rpairs = list(zip(rsums, rneg))
     for w1 in lsums:
         nq = lvar[w1] ^ 1
         # sums are sorted: pairs before `lo` stay below the floor, pairs
-        # from `split` on clamp to cap
+        # from `split` on clamp to cap, so only the first split - lo heads
+        # of the block differ from `over`
         lo = bisect_left(rsums, floor - w1)
         split = bisect_left(rsums, cap - w1)
-        clauses.extend([[nq, nr, var_of[w1 + w2]] for w2, nr in rpairs[lo:split]])
-        clauses.extend([[nq, nr, over] for nr in rneg[split:]])
+        block = [nq, 0, over, 0] * (len(rsums) - lo)
+        block[1::4] = rneg[lo:]
+        block[2 : 4 * (split - lo) : 4] = map(var_of.__getitem__, map(w1.__add__, rsums[lo:split]))
+        lits += block
     for child in (left, right):
-        cvar = child.var_of
-        csums = child.sums
-        clauses.extend([[cvar[s] ^ 1, var_of[s]] for s in csums[bisect_left(csums, floor):]])
+        csums = child.sums[bisect_left(child.sums, floor) :]
+        block = [0, 0, 0] * len(csums)
+        block[0::3] = [child.var_of[s] ^ 1 for s in csums]
+        block[1::3] = map(var_of.__getitem__, csums)
+        lits += block
 
 
 def _encode(terms, bound: int, floor: int, out: CnfFormula) -> None:
@@ -165,7 +174,7 @@ def _encode(terms, bound: int, floor: int, out: CnfFormula) -> None:
     if root.sums[-1:] == [cap]:  # the full sum can exceed the bound (never with no terms)
         _emit(root, cap, out)
         if cap in root.var_of:  # all but auto's internal root
-            out.clauses.append([root.var_of[cap] ^ 1])
+            out.lits += (root.var_of[cap] ^ 1, 0)
 
 
 def encode_gte(c: PBConstraint, out: CnfFormula) -> None:

@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 
 from .baselines import encode_adder, encode_swc
-from .core import CnfFormula, PBConstraint, gc_paused
+from .core import CnfFormula, PBConstraint
 from .gte import encode_auto, encode_gte, encode_totalizer
 from .normalize import OutcomeKind, normalize
 
@@ -60,19 +60,18 @@ def compile_constraints(
     out = CnfFormula(num_vars=num_input_vars)
     compiled = CompiledInstance(formula=out, input_vars=num_input_vars)
     t0 = time.perf_counter()
-    with gc_paused():
-        for c in constraints:
-            for piece in normalize(c).flatten():
-                for l in piece.forced_units:
-                    out.add_clause([l ^ 1])
-                compiled.forced_units += len(piece.forced_units)
-                if piece.kind is OutcomeKind.TRIVIALLY_FALSE:
-                    out.add_clause([])
-                    compiled.forced_units += 1
-                elif piece.kind is OutcomeKind.NORMALIZED:
-                    enc(piece.constraint, out)
+    for c in constraints:
+        for piece in normalize(c).flatten():
+            for l in piece.forced_units:
+                out.add_clause([l ^ 1])
+            compiled.forced_units += len(piece.forced_units)
+            if piece.kind is OutcomeKind.TRIVIALLY_FALSE:
+                out.add_clause([])
+                compiled.forced_units += 1
+            elif piece.kind is OutcomeKind.NORMALIZED:
+                enc(piece.constraint, out)
     compiled.aux_vars = out.num_vars - num_input_vars
-    compiled.aux_clauses = len(out.clauses)
+    compiled.aux_clauses = out.num_clauses
     compiled.encode_time = time.perf_counter() - t0
     return compiled
 

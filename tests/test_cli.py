@@ -467,7 +467,7 @@ def test_gac_check_reports_a_conflict_as_a_conflict(capsys, monkeypatch):
     def too_strong(c, out):
         encode_gte(c, out)
         if c.terms:
-            out.clauses.append([c.terms[0].lit ^ 1])
+            out.add_clause([c.terms[0].lit ^ 1])
 
     monkeypatch.setitem(pipeline.ENCODERS, "gte", too_strong)
     reports = gac_check(parse_opb(REFERENCE_OPB).constraints[0], "gte")
@@ -488,10 +488,10 @@ def test_gac_check_reports_a_conflict_as_a_conflict(capsys, monkeypatch):
 def test_verify_prints_each_failure(capsys, monkeypatch):
     # gte without its last clause, the unit against the root's overflow sum
     def dropping_last(c, out):
-        before = len(out.clauses)
+        before = len(out.lits)
         encode_gte(c, out)
-        if len(out.clauses) > before:
-            out.clauses.pop()
+        if len(out.lits) > before:
+            del out.lits[-2:]
 
     monkeypatch.setitem(pipeline.ENCODERS, "gte", dropping_last)
     rc = main(["verify", "--encoders", "gte", "--trials", "3", "--seed", "1", "--max-n", "4"])

@@ -17,6 +17,7 @@ from pbcnf import (
     negate,
     to_signed,
 )
+from pbcnf.core import Clauses
 
 
 def test_literal_codes():
@@ -129,6 +130,44 @@ def test_formula_add_clause_extends_vars():
     f.add_clause([lit(5, negative=True)])
     assert f.num_vars == 5
     assert f.num_clauses == 2
-    assert not f.has_empty_clause()
+    assert [] not in f.clauses
     f.add_clause([])
-    assert f.has_empty_clause()
+    assert [] in f.clauses
+
+
+def test_formula_refuses_literal_codes_below_2():
+    # in the flat store code 0 would end the clause early; 1 and negative
+    # codes name no literal
+    for clause in ([0, 4], [1, 4], [-3, 4]):
+        with pytest.raises(ValueError, match="below 2"):
+            CnfFormula(3, [[2], clause])
+        f = CnfFormula(3)
+        with pytest.raises(ValueError, match="below 2"):
+            f.add_clause(clause)
+        assert f.lits == [] and f.num_vars == 3
+
+
+def test_formula_keeps_clauses_in_one_flat_list():
+    f = CnfFormula(3, [[2, 5], [], [7]])
+    f.add_clause(iter([4, 6, 3]))
+    assert f.lits == [2, 5, 0, 0, 7, 0, 4, 6, 3, 0]
+    assert f.num_clauses == len(f.clauses) == 4
+    assert f.clauses == [[2, 5], [], [7], [4, 6, 3]]
+    assert f.clauses != [[2, 5], [], [7]]
+    assert list(f.clauses) == [[2, 5], [], [7], [4, 6, 3]]
+    with pytest.raises(AttributeError):
+        f.clauses = []
+
+
+def test_clause_views_compare_the_flat_lists(monkeypatch):
+    f = CnfFormula(3, [[2, 5], [7]])
+    g = CnfFormula(3, [[2, 5], [7]])
+    h = CnfFormula(3, [[2, 5, 7]])
+
+    def no_lists(self):
+        raise AssertionError("a clause list was built")
+
+    monkeypatch.setattr(Clauses, "__iter__", no_lists)
+    assert f.clauses == g.clauses
+    assert not f.clauses != g.clauses
+    assert f.clauses != h.clauses

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbcnf import CnfFormula, DimacsError, dimacs_str, lit, parse_dimacs, write_dimacs
+from pbcnf import CnfFormula, DimacsError, Solver, dimacs_str, lit, parse_dimacs, write_dimacs
 from pbcnf.bench import gen_bench, pb12like, pedigreelike
 from pbcnf.pipeline import compile_instance
 
@@ -22,6 +22,26 @@ def test_empty_formula_and_empty_clause():
     f = formula(1, [[1]])
     f.add_clause([])
     assert dimacs_str(f) == "p cnf 1 2\n1 0\n0\n"
+
+
+@pytest.mark.parametrize(
+    "num_vars, clauses, root_conflict",
+    [
+        (0, [], None),  # an empty formula
+        (3, [], None),  # variables and no clauses
+        (2, [[]], []),  # an empty clause
+        (2, [[4]], None),  # a unit
+        (2, [[2], [3]], [3]),  # two clashing units
+        (3, [[2, 4, 2], [3]], None),  # a repeated literal
+        (2, [[2, 2, 2], [3, 3], [4]], [3]),  # repeated literals that clash as units
+        (3, [[3, 2], [3]], None),  # a tautology
+    ],
+)
+def test_round_trip_and_load_of_edge_formulas(num_vars, clauses, root_conflict):
+    f = CnfFormula(num_vars, clauses)
+    g = parse_dimacs(dimacs_str(f))
+    assert (g.num_vars, g.lits) == (f.num_vars, f.lits)
+    assert Solver(g).root_conflict == root_conflict
 
 
 def test_write_to_sink():

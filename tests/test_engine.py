@@ -88,7 +88,7 @@ def test_propagate_reports_conflict():
     f = formula(2, [[-1, 2], [-1, -2]])
     r = propagate(f, asserted=[lit(1)])
     assert r.is_conflict
-    assert sorted(r.conflict_clause) == sorted(f.clauses[1])
+    assert sorted(r.conflict_clause) == sorted(list(f.clauses)[1])
 
 
 # a ternary clause, a unit, a tautology and a clause with a repeated literal,
@@ -400,7 +400,7 @@ def test_differential_reused_solver():
     rng = SplitMix64(4711)
     for _ in range(150):
         f = random_formula(rng)
-        f.clauses = [cl for cl in f.clauses if len(cl) > 1]
+        f = CnfFormula(f.num_vars, [cl for cl in f.clauses if len(cl) > 1])
         n = f.num_vars
         s = Solver(f)
         for _ in range(4):
@@ -429,10 +429,12 @@ def kept_level_formulas(rng):
             width = rng.randint(1, 4)
             f.add_clause([lit(rng.randint(1, n), negative=rng.chance(1, 2)) for _ in range(width)])
         if rng.chance(1, 2):
-            f.clauses = [cl for cl in f.clauses if len(set(cl)) > 1]
+            f = CnfFormula(n, [cl for cl in f.clauses if len(set(cl)) > 1])
             if rng.chance(1, 3):  # every sign pattern over two variables
                 u, v = rng.sample(1, n, 2)
-                f.clauses += [[lit(u, a), lit(v, b)] for a in (False, True) for b in (False, True)]
+                for a in (False, True):
+                    for b in (False, True):
+                        f.add_clause([lit(u, a), lit(v, b)])
         yield f
     for enc in ("gte", "swc", "adder", "auto"):
         for _ in range(8):
@@ -441,7 +443,7 @@ def kept_level_formulas(rng):
     for holes in (3, 4):  # search meets conflicts, with and without an answer
         f = pigeonhole(holes)
         yield f
-        yield CnfFormula(num_vars=f.num_vars, clauses=f.clauses[1:])
+        yield CnfFormula(num_vars=f.num_vars, clauses=list(f.clauses)[1:])
 
 
 def next_assumptions(rng, prev, n):

@@ -1,5 +1,6 @@
-"""The bulk CNF builders pause the cyclic garbage collector and give back the
-state they found, whether they return or raise."""
+"""The solver loader pauses the cyclic garbage collector and gives back the
+state it found, whether it returns or raises.  The CNF builders that append
+to a flat literal list build no container per clause and need no pause."""
 
 import contextlib
 import gc
@@ -22,7 +23,7 @@ from pbcnf import (
     pb12like,
     pedigreelike,
 )
-from pbcnf import dimacs, engine, pipeline
+from pbcnf import engine, pipeline
 
 REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
 
@@ -87,7 +88,7 @@ def test_builders_restore_collector_state_when_raising(gc_state, monkeypatch):
 
 
 def test_nested_builders_in_oracle_check(gc_state):
-    # oracle_check compiles (one pause) and then loads a Solver (another)
+    # oracle_check compiles and then loads a Solver (a pause)
     assert oracle_check(REFERENCE, "gte")
     assert gc.isenabled() == gc_state
     with gc_paused():
@@ -132,9 +133,13 @@ def collections_during(build):
 
 
 def test_no_collection_while_loading_or_parsing(monkeypatch):
-    formula = compile_instance(gen_bench(pedigreelike(n=30, seed=3)), "gte").formula
+    instance = gen_bench(pedigreelike(n=30, seed=3))
+    formula = compile_instance(instance, "gte").formula
     text = dimacs_str(formula)
     assert formula.num_clauses > 4000  # several times the young-generation threshold
+
+    def compile_():
+        compile_instance(instance, "gte")
 
     def load():
         Solver(formula)
@@ -145,17 +150,19 @@ def test_no_collection_while_loading_or_parsing(monkeypatch):
     def load_vars():
         Solver(CnfFormula(num_vars=5000))
 
-    # Nothing is collected while the lists are built.  Re-enabling leaves them
-    # all in the young generation, so the first allocation after the pause
-    # (inside `gc_paused`'s own exit) runs one collection over them.
-    assert len(collections_during(load)) <= 1
+    # The compile and the parse append codes to one flat list and run with
+    # the collector on, yet hardly set it off.
+    assert len(collections_during(compile_)) <= 1
     assert len(collections_during(parse)) <= 1
+    # Nothing is collected while the loader builds its per-variable lists.
+    # Re-enabling leaves them all in the young generation, so the first
+    # allocation after the pause (inside `gc_paused`'s own exit) runs one
+    # collection over them.
+    assert len(collections_during(load)) <= 1
     assert len(collections_during(load_vars)) <= 1
-    # without the pause the parse collects over and over, and so does a load
-    # of many variables (a watch list and a heap entry each); the load's
-    # clauses go into one literal list, which needs no pause
+    # without the pause a load of many variables (a watch list and a heap
+    # entry each) collects over and over; the load's clauses go into one
+    # literal list, which needs no pause
     monkeypatch.setattr(engine, "gc_paused", contextlib.nullcontext)
-    monkeypatch.setattr(dimacs, "gc_paused", contextlib.nullcontext)
-    assert len(collections_during(parse)) >= 5
     assert len(collections_during(load)) <= 1
     assert len(collections_during(load_vars)) >= 5

@@ -90,7 +90,7 @@ def test_reference_encoding_counts_and_root_unit():
     assert res.stats.aux_vars == 9
     assert res.stats.aux_clauses == 18
     # the last clause forbids the root's bound+1 variable
-    assert res.formula.clauses[-1] == [lit(13, negative=True)]
+    assert list(res.formula.clauses)[-1] == [lit(13, negative=True)]
 
 
 def test_reference_encoding_exact_bytes():

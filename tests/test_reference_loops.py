@@ -91,10 +91,10 @@ def ref_emit(node, cap, out):
     for w1 in left.sums:
         q = left.var_of[w1]
         for w2 in right.sums:
-            out.clauses.append([negate(q), negate(right.var_of[w2]), node.var_of[min(w1 + w2, cap)]])
+            out.add_clause([negate(q), negate(right.var_of[w2]), node.var_of[min(w1 + w2, cap)]])
     for child in (left, right):
         for s in child.sums:
-            out.clauses.append([negate(child.var_of[s]), node.var_of[s]])
+            out.add_clause([negate(child.var_of[s]), node.var_of[s]])
 
 
 def ref_encode_gte(c, out):
@@ -104,7 +104,7 @@ def ref_encode_gte(c, out):
     if tree.root.sums[-1] == c.bound + 1:
         cap = c.bound + 1
         ref_emit(tree.root, cap, out)
-        out.clauses.append([negate(tree.root.var_of[cap])])
+        out.add_clause([negate(tree.root.var_of[cap])])
 
 
 def ref_dimacs_str(formula):
@@ -532,8 +532,8 @@ def test_dimacs_str_matches_reference():
 
 @pytest.mark.parametrize("block", [1, 4096])
 def test_write_dimacs_matches_dimacs_str(block, monkeypatch):
-    # the writer streams blocks of `block` clauses; literals above num_vars
-    # are written too
+    # the writer streams blocks of `block` codes, so a clause may span two
+    # blocks; literals above num_vars are written too
     monkeypatch.setattr(dimacs, "_WRITE_BLOCK", block)
     for f in hand_built() + compiled_formulas():
         sink = io.StringIO()
@@ -678,11 +678,20 @@ def test_solver_rejects_literals_above_num_vars():
 
 
 def test_solver_rejects_literal_codes_below_2():
-    # code 1 would be the negation of a variable 0, and 0 or a negative code
-    # names no literal at all
-    for clauses in ([[1, 4], [5, 3]], [[0, 4]], [[-2, 4]], [[1]]):
-        with pytest.raises(ValueError, match=r"clause 0 holds literal code -?\d+, below 2"):
-            Solver(CnfFormula(num_vars=2, clauses=clauses))
+    # code 1 would be the negation of a variable 0, and a negative code names
+    # no literal at all; the constructor refuses them, so the codes go into
+    # `lits` by hand (code 0 there ends a clause)
+    for lits, index in (
+        ([1, 4, 0, 5, 3, 0], 0),
+        ([-2, 4, 0], 0),
+        ([1, 0], 0),
+        ([4, 0, 5, -3, 0], 1),
+        ([2, 2, 0, 3, 2, 4, 0, 4, 1, 0], 2),  # after clauses the loader rewrote
+    ):
+        f = CnfFormula(num_vars=2)
+        f.lits += lits
+        with pytest.raises(ValueError, match=rf"clause {index} holds literal code -?\d+, below 2"):
+            Solver(f)
 
 
 # --- CDCL search loops -------------------------------------------------------
@@ -976,21 +985,25 @@ def test_search_matches_reference_after_rescale():
 
 def test_solver_leaves_the_formula_untouched():
     # the solver keeps its own store: loading, solving with and without
-    # assumptions, and assume_propagate with retract change no clause
+    # assumptions, and assume_propagate with retract change no clause, even
+    # where propagation moved the watched literals of the solver's copy
     formulas = [f for f in hand_built() if not under_declared(f)]
     formulas += pb12_formulas((i, enc) for i in range(10) for enc in ("gte", "swc", "adder"))
+    moved = 0
     for f in formulas:
-        snapshot = (f.num_vars, [list(cl) for cl in f.clauses])
+        snapshot = (f.num_vars, list(f.lits))
         s = Solver(f)
-        assert (f.num_vars, f.clauses) == snapshot
+        assert (f.num_vars, f.lits) == snapshot
         s.solve(max_conflicts=300)
-        assert (f.num_vars, f.clauses) == snapshot
+        assert (f.num_vars, f.lits) == snapshot
         asn = [lit(v, negative=v % 2 == 0) for v in range(1, min(f.num_vars, 4) + 1)]
         s.solve(asn, max_conflicts=300)
-        assert (f.num_vars, f.clauses) == snapshot
+        assert (f.num_vars, f.lits) == snapshot
         s.assume_propagate(asn[::-1])
         s.retract()
-        assert (f.num_vars, f.clauses) == snapshot
+        assert (f.num_vars, f.lits) == snapshot
+        moved += s.lits[: len(f.lits)] != f.lits
+    assert moved > 20
 
 
 def learned_clauses(s):

@@ -14,6 +14,7 @@ from pbcnf import (
     CSV_HEADER,
     LE,
     BenchSpec,
+    CnfFormula,
     PBConstraint,
     SplitMix64,
     compile_constraints,
@@ -80,8 +81,8 @@ def test_oracle_passes_on_reference():
 def test_oracle_catches_a_broken_encoding():
     compiled = compile_constraints([REFERENCE], 4, "gte")
     # delete the final unit clause that actually enforces the bound
-    assert compiled.formula.clauses[-1] == [lit(13, negative=True)]
-    del compiled.formula.clauses[-1]
+    assert list(compiled.formula.clauses)[-1] == [lit(13, negative=True)]
+    del compiled.formula.lits[-2:]
     outcome = oracle_check_formula(REFERENCE, compiled.formula, "gte")
     assert not outcome.equisatisfiable
     assert outcome.constraint_holds is False
@@ -106,7 +107,7 @@ def test_oracle_reports_the_first_counterexample(drop, extra, first, holds):
     # whatever order the assumptions reach the solver in
     broken = compile_constraints([REFERENCE], 4, "gte").formula
     if drop is not None:
-        del broken.clauses[drop]
+        broken = CnfFormula(broken.num_vars, [cl for i, cl in enumerate(broken.clauses) if i != drop])
     if extra is not None:
         broken.add_clause([lit(abs(n), negative=n < 0) for n in extra])
     outcome = oracle_check_formula(REFERENCE, broken, "gte")
