@@ -8,6 +8,8 @@ instead; ``to_signed``/``from_signed`` convert at the boundary.
 
 A CNF formula holds its clauses in one flat list of codes, each clause
 followed by 0, from the encoders through DIMACS text to the solver.
+`Clauses` reads such a list clause by clause, for a formula and for the
+solver's store alike.
 """
 
 from __future__ import annotations
@@ -180,7 +182,8 @@ class CnfFormula:
 
     @property
     def clauses(self) -> Clauses:
-        return Clauses(self)
+        """A new view on each access, so it sees a hand edit of `lits`."""
+        return Clauses(self.lits)
 
     @property
     def num_clauses(self) -> int:  # one pass over `lits` per call
@@ -188,22 +191,43 @@ class CnfFormula:
 
 
 class Clauses:
-    """`CnfFormula.clauses`, read-only: its length, and each clause in turn as a
-    new list of its codes.  Two views compare their formulas' `lits` and build
-    no lists; a view and a list compare clause by clause."""
+    """The clauses of a flat list `lits`, read-only and read like a list:
+    each is a new list of its codes, or None when it starts with code 1, the
+    solver's tautology mark.  Two views compare their `lits` and build no
+    lists; a view and a list compare clause by clause.  Indexing lists the
+    clause offsets, extending the listing from where it stopped, which holds
+    while `lits` only grows by whole clauses (as the solver's store does);
+    once it reaches the end, `len` reads it."""
 
-    def __init__(self, formula: CnfFormula):
-        self.lits = formula.lits
+    def __init__(self, lits: list[int]):
+        self.lits = lits
+        self._starts: list[int] = []  # offsets of the clauses listed so far
+        self._end = 0  # where the listing stopped
 
     def __len__(self) -> int:
-        return self.lits.count(0)
+        return len(self._starts) if self._end == len(self.lits) else self.lits.count(0)
 
     def __iter__(self):
         lits, o = self.lits, 0
         while o < len(lits):
             z = lits.index(0, o)
-            yield lits[o:z]
+            yield None if lits[o] == 1 else lits[o:z]
             o = z + 1
+
+    def __getitem__(self, i):
+        lits, starts, o = self.lits, self._starts, self._end
+        while o < len(lits):
+            starts.append(o)
+            o = lits.index(0, o) + 1
+        self._end = o
+        # the offsets resolve negative indices and slices, and raise
+        # IndexError, as a list of the clauses would
+        picked = starts[i]
+        return [self._at(o) for o in picked] if isinstance(i, slice) else self._at(picked)
+
+    def _at(self, o: int) -> list[int] | None:
+        lits = self.lits
+        return None if lits[o] == 1 else lits[o : lits.index(0, o)]
 
     def __eq__(self, other):
         return self.lits == other.lits if isinstance(other, Clauses) else list(self) == other

@@ -7,7 +7,9 @@ The text is the formula's flat `lits` written out, so both directions work a
 bounded block of it at a time and leave the per-literal work to builtins.
 The writer maps each code of a fixed-size slice through one table of
 "signed-literal " strings, with code 0 (never a literal) standing for the
-"0\\n" terminator; it trusts the codes.  The parser splits a block of the
+"0\\n" terminator; it trusts codes below 2, but refuses a variable above
+`num_vars` with ValueError, which `write_dimacs` raises after the blocks
+before it are written.  The parser splits a block of the
 body into tokens and maps them through one dict from canonical text (`7`,
 `-7`, `0`) to code, keeping the terminators among the codes;
 a block holding any other token (a comment, a second header, `+3`, `03`,
@@ -41,17 +43,20 @@ def _literal_texts(num_vars: int) -> list[str]:
 def _blocks(formula: CnfFormula):
     """The DIMACS text of `formula`: the header, then one string per block
     of `_WRITE_BLOCK` codes."""
-    lits = formula.lits
-    yield f"p cnf {formula.num_vars} {lits.count(0)}\n"
+    lits, nv = formula.lits, formula.num_vars
+    yield f"p cnf {nv} {lits.count(0)}\n"
     # the table covers no more variables than there are codes, so a huge
     # declared count costs nothing; a block naming a variable beyond the
-    # table is formatted literal by literal
-    text = _literal_texts(min(formula.num_vars, len(lits))).__getitem__
+    # table is checked against num_vars and formatted literal by literal
+    text = _literal_texts(min(nv, len(lits))).__getitem__
     for i in range(0, len(lits), _WRITE_BLOCK):
         block = lits[i : i + _WRITE_BLOCK]
         try:
             chunk = "".join(map(text, block))
         except IndexError:
+            top = max(block)
+            if top > 2 * nv + 1:
+                raise ValueError(f"a clause names x{top >> 1}, above the formula's {nv} variables") from None
             chunk = "".join(f"{to_signed(l)} " if l else "0\n" for l in block)
         yield chunk
 

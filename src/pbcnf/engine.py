@@ -40,7 +40,10 @@ literals are the first two.  Wherever the API reports a conflict
 (`root_conflict`, `assume_propagate`, `PropagationResult.conflict_clause`)
 it gives the literals of the false clause in their current order, read off
 `lits` at its offset, so a report costs the clause's length; `[]` stands for
-an empty clause or for two asserted literals that clash.  A plain list,
+an empty clause or for two asserted literals that clash.  `clauses` is a
+`core.Clauses` view of `lits`, the one view formulas use too: clause i is a
+new list, the learned clauses follow the formula's, and a tautology reads as
+None; the engine itself never reads it.  A plain list,
 not an `array('i')`, holds the literals: an array boxes a new int object on
 every read, and propagation reads literals in its innermost loop, while the
 list shares the formula's own int objects.
@@ -50,9 +53,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Sequence
 
-from .core import gc_paused
+from .core import Clauses, gc_paused
 
 TRUE, FALSE, UNDEF = 1, 0, 2
 
@@ -107,9 +109,6 @@ class Solver:
             self.assumed: list[int] = []  # the assumptions levels 1..len(assumed) hold
             self.qhead = 0
             self.var_inc = 1.0
-            self.num_original = formula.num_clauses
-            self._learned: list[int] = []  # offsets of the learned clauses, in order
-            self._starts: Sequence[int] | None = None  # offsets of the formula's clauses, built on first use
             self.root_conflict: list[int] | None = None
             units: list[tuple[int, int]] = []  # (literal, offset)
 
@@ -162,6 +161,7 @@ class Solver:
                 lits[w : w + len(kept)] = kept
                 w += len(kept)
             del lits[w:]
+            self.clauses = Clauses(lits)
         if self.root_conflict is None:
             for l, o in units:
                 if self.val[l] == FALSE:
@@ -174,29 +174,6 @@ class Solver:
 
     # -- the clause store ---------------------------------------------------
 
-    @property
-    def clauses(self) -> ClauseView:
-        """The clauses by index: the formula's, then the learned ones.  Only
-        this view reads `num_original`, `_learned` and `_formula_starts`; it
-        stays for the tests and the benchmark's tracer, whose reads
-        (`len(s.clauses)`, then `s.clauses[before:]`) cost only the learned part."""
-        return ClauseView(self)
-
-    def _formula_starts(self) -> Sequence[int]:
-        """The offset of each of the formula's clauses, listed on first use
-        in an `array('q')`: 8 bytes a clause and no int object per entry."""
-        if self._starts is None:
-            from array import array  # loaded on first use, not when pbcnf is imported
-
-            find = self.lits.index
-            starts = array("q")
-            o = 0
-            for _ in range(self.num_original):
-                starts.append(o)
-                o = find(0, o) + 1
-            self._starts = starts
-        return self._starts
-
     def _literals(self, o: int | None) -> list[int] | None:
         """The literals of the clause at offset o; None stays None."""
         if o is None:
@@ -207,10 +184,6 @@ class Solver:
 
     def value(self, l: int) -> int:
         return self.val[l]
-
-    @property
-    def decision_level(self) -> int:
-        return len(self.trail_lim)
 
     def _assign(self, l: int, reason: int) -> None:
         v = l >> 1
@@ -375,7 +348,6 @@ class Solver:
         o = len(lits)
         lits += learned
         lits.append(0)
-        self._learned.append(o)
         if len(learned) >= 2:
             self.watches[learned[0]].append(o)
             self.watches[learned[1]].append(o)
@@ -505,38 +477,6 @@ class Solver:
     def retract(self) -> None:
         self._backtrack(0)
         self.assumed = []
-
-
-class ClauseView:
-    """`Solver.clauses` as a read-only sequence: clause i is a new list of
-    its literals in their current order, or None for a tautology.  Only the
-    clauses asked for are built (why it stays: see `Solver.clauses`)."""
-
-    __slots__ = ("_solver",)
-
-    def __init__(self, solver: Solver):
-        self._solver = solver
-
-    def __len__(self) -> int:
-        return self._solver.num_original + len(self._solver._learned)
-
-    def _at(self, i: int) -> list[int] | None:
-        s = self._solver
-        n = s.num_original
-        o = s._learned[i - n] if i >= n else s._formula_starts()[i]
-        return None if s.lits[o] == 1 else s._literals(o)
-
-    def __getitem__(self, i):
-        # a range resolves negative indices and slices, and raises
-        # IndexError past either end, as a list does; iteration runs
-        # through here too, up to that IndexError
-        picked = range(len(self))[i]
-        if isinstance(i, slice):
-            return [self._at(j) for j in picked]
-        return self._at(picked)
-
-    def __eq__(self, other):
-        return list(self) == other if isinstance(other, list) else NotImplemented
 
 
 def _luby(x: int) -> int:

@@ -156,12 +156,12 @@ def random_normalized_constraint(
     max_n: int = 8,
     max_weight: int = 10,
     max_bound: int = 30,
-    cardinality_chance: tuple[int, int] = (1, 10),
 ) -> PBConstraint:
     """Seeded normalized constraint: distinct variables, random polarities,
-    weights within bounds, and a bound that keeps every weight encodable."""
+    weights within bounds (all 1 one time in ten), and a bound that keeps
+    every weight encodable."""
     n = rng.randint(1, max_n)
-    if rng.chance(*cardinality_chance):
+    if rng.chance(1, 10):
         weights = [1] * n
     else:
         weights = [rng.randint(1, max_weight) for _ in range(n)]

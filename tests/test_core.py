@@ -159,6 +159,26 @@ def test_formula_keeps_clauses_in_one_flat_list():
         f.clauses = []
 
 
+def test_clause_view_indexes_and_slices_like_a_list():
+    f = CnfFormula(4, [[2, 5], [], [7], [4, 6, 3], [9]])
+    want = list(f.clauses)
+    n = len(want)
+    for i in range(-n, n):
+        assert f.clauses[i] == want[i]
+    for i in (n, n + 3, -n - 1, -n - 4):
+        with pytest.raises(IndexError):
+            f.clauses[i]
+    v = f.clauses
+    for sl in (slice(None), slice(1, 4), slice(-2, None), slice(None, None, -2), slice(-n - 5, n + 5, 3), slice(3, 1)):
+        assert v[sl] == want[sl]
+    assert CnfFormula().clauses[:] == []
+    with pytest.raises(IndexError):
+        CnfFormula().clauses[0]
+    # a new view on each access, so an edit by hand between reads shows
+    f.lits += [8, 0]
+    assert f.clauses[-1] == [8] and len(f.clauses) == n + 1
+
+
 def test_clause_views_compare_the_flat_lists(monkeypatch):
     f = CnfFormula(3, [[2, 5], [7]])
     g = CnfFormula(3, [[2, 5], [7]])

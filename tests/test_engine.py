@@ -173,7 +173,7 @@ def test_solver_clauses_read_as_a_sequence():
 def test_solver_clause_slices_cross_into_learned_clauses():
     s = Solver(pigeonhole(3))
     assert s.solve().status == UNSAT
-    n, k = len(s.clauses), s.num_original
+    n, k = len(s.clauses), len(pigeonhole(3).clauses)
     assert n >= k + 2
     one_by_one = [s.clauses[i] for i in range(n)]
     assert s.clauses[-2:] == one_by_one[-2:]
@@ -182,6 +182,28 @@ def test_solver_clause_slices_cross_into_learned_clauses():
     assert s.clauses[-n - 5 : n + 5 : 3] == one_by_one[::3]
     assert list(s.clauses) == one_by_one
     assert s.clauses == one_by_one
+
+
+def test_solver_clause_view_sees_clauses_learned_after_it_was_read():
+    # the tracer's reads: the length before a solve, the new clauses after
+    f = pigeonhole(4)
+    s = Solver(f)
+    v = s.clauses
+    assert v[0] == [lit(1), lit(2), lit(3), lit(4)]
+    n, mark = len(v), len(f.lits)  # no clause repeats a variable: lits as loaded
+    for cap in (5, None):
+        s.solve(max_conflicts=cap)
+        assert len(v) == s.lits.count(0) > n
+        learned, cl = [], []
+        for l in s.lits[mark:]:
+            if l:
+                cl.append(l)
+            else:
+                learned.append(cl)
+                cl = []
+        assert v[n:] == learned
+        n, mark = len(v), len(s.lits)
+    assert v is s.clauses
 
 
 def test_solver_loads_a_long_clause_in_linear_time():
@@ -279,7 +301,7 @@ def test_assume_propagate_rejects_out_of_range_literal(code):
     s = Solver(f)
     with pytest.raises(ValueError, match="outside"):
         s.assume_propagate([lit(1), code])
-    assert s.trail == [] and s.decision_level == 0  # nothing was asserted
+    assert s.trail == [] and len(s.trail_lim) == 0  # nothing was asserted
     with pytest.raises(ValueError, match="outside"):
         propagate(f, [code])
     with pytest.raises(ValueError, match="outside"):
@@ -332,7 +354,7 @@ def test_assume_propagate_and_retract():
     derived = {s.trail[i] for i in range(base, len(s.trail))}
     assert lit(3, negative=True) in derived
     s.retract()
-    assert s.decision_level == 0
+    assert len(s.trail_lim) == 0
     conflict, _ = s.assume_propagate([lit(2), lit(3), lit(4)])
     assert conflict is not None
     s.retract()

@@ -250,9 +250,11 @@ def auto_cases():
     ]
     rng = SplitMix64(77)
     for _ in range(60):
-        cases.append(
-            random_normalized_constraint(rng, max_n=8, max_weight=12, max_bound=30, cardinality_chance=(1, 4))
-        )
+        cases.append(random_normalized_constraint(rng, max_n=8, max_weight=12, max_bound=30))
+    for _ in range(10):  # unit weights, on top of the generator's one in ten
+        n = rng.randint(1, 8)
+        terms = tuple(Term(1, lit(v, negative=rng.chance(1, 4))) for v in rng.sample(1, 8, n))
+        cases.append(PBConstraint(terms, LE, rng.randint(1, n + 2)))
     for _ in range(20):  # many weights of exactly k+1
         k = rng.randint(0, 6)
         weights = [k + 1 if rng.chance(1, 3) else rng.randint(1, k + 1) for _ in range(rng.randint(1, 6))]
