@@ -2,8 +2,9 @@
 
 Subcommands: encode, solve, verify, gac-check, stats, gen-bench.
 `--encoding auto` (the default) is the generalized totalizer over each
-constraint's terms stable-sorted by weight, defining only the sums that can
-still reach bound+1; `--encoding gte` is the paper's encoding, in input
+constraint's terms stable-sorted by weight, with no variable for bound+1,
+none for a sum that cannot reach it and one per overflow class at the
+root's children; `--encoding gte` is the paper's encoding, in input
 order with every sum, and `--encoding totalizer` is a second name for it.
 `solve` checks every SAT model against the input's constraints before
 printing it.
@@ -95,6 +96,10 @@ def _at_least(lo: int, at_most: int | None = None):
 
     return parse
 
+
+# SplitMix64 keeps only the low 64 bits of a seed: two seeds it cannot tell
+# apart would write the same instance under different `seed=` comments
+_seed = _at_least(0, at_most=2**64 - 1)
 
 MAX_TIME_LIMIT = 1_000_000  # seconds; far larger waits overflow subprocess's poll
 
@@ -247,7 +252,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--encoding", choices=ENCODING_NAMES, default="auto")
 
     def add_generator(sp, n, constraints, max_weight, distinct_weights):
-        sp.add_argument("--seed", type=int, default=1)
+        sp.add_argument("--seed", type=_seed, default=1)
         sp.add_argument("--n", type=_at_least(1), default=n)
         sp.add_argument("--k", type=int, default=None)
         sp.add_argument("--constraints", type=_at_least(1), default=constraints)
@@ -270,7 +275,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="equisatisfiability spot checks on random constraints")
     sp.add_argument("--encoders", type=_encoders_arg, default=["gte", "swc", "adder"])
     sp.add_argument("--trials", type=_at_least(1), default=100)
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_seed, default=1)
     sp.add_argument(
         "--max-n", type=_at_least(1, at_most=ORACLE_MAX_VARS), default=8,
         help=f"variables per constraint, at most {ORACLE_MAX_VARS}: all 2^n assignments are enumerated",
@@ -283,7 +288,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--encoders", type=_encoders_arg, default=["gte", "swc"])
     sp.add_argument("--constraints", type=_at_least(1), default=20)
     sp.add_argument("--samples", type=_at_least(1), default=100, help="partial assignments per constraint")
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", type=_seed, default=1)
     sp.add_argument("--max-n", type=_at_least(1), default=6)
     sp.add_argument("--max-weight", type=_at_least(1), default=8)
     sp.add_argument("--max-bound", type=int, default=20)

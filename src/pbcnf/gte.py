@@ -30,10 +30,32 @@ encoding by setting the dropped variables true.  Arc consistency holds too:
 a propagation chain from the inputs up to the root's unit and back down to
 an input only passes through sums that can reach bound+1 together with sums
 already true, that is, sums at or above their floors, and every clause among
-those is kept.  The root itself then keeps no variable: resolving its
-clauses against its unit leaves (~q | ~r) for every pair of child sums
-reaching bound+1 and (~c) for a child's own bound+1 variable, which is unit
-resolution done at compile time and propagates the same.
+those is kept.
+
+`encode_auto` then applies three rules, each of which keeps unit propagation
+equal to that of the unpruned GTE over the same sorted leaves:
+1. No node gets a bound+1 variable.  Propagation forces every such variable
+   false, from the root's unit down the boundary clauses, so a pair of child
+   sums reaching bound+1 becomes the binary clause (~q | ~r) at the node
+   where it forms, and an input of weight bound+1 the unit clause (~x).
+   These are the resolvents propagation would use, and the root keeps no
+   variable at all.
+2. The root tells a child's sums apart only by the thresholds bound+1-y, one
+   per sum y of the sibling.  Sums x1 < x2 of a child with no sibling sum in
+   [bound+1-x2, bound+1-x1) lie on the same side of every threshold: they
+   form one overflow class and reach bound+1 with the same sibling sums.
+   Each child of the root therefore keeps only the least sum of each class
+   (the classes that reach bound+1 with no sibling sum keep none, being
+   pure like the sums below a floor), and a pair formed there names the
+   variable of the largest kept sum not above its sum.  For every threshold
+   the root distinguishes, whether the child's sum is at least that
+   threshold is still decided exactly by its kept sums.  So the root's
+   binary clauses forbid the same pairs of sums, and a propagation passes
+   the same clauses with a class in place of each of its sums.  Deeper
+   nodes keep every sum at or above their floor.
+3. At those two children a pair whose head is the head of one of its sums
+   alone writes no clause: that sum's boundary clause subsumes it, and a
+   subsumed clause propagates nothing its subsumer does not.
 """
 
 from __future__ import annotations
@@ -117,8 +139,7 @@ def _build(terms, pre: list[int], cap: int, lo: int, hi: int, floor: int) -> Gte
 
 def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:
     """Post-order: allocate one variable per sum this node holds, then emit
-    combination clauses before boundary clauses, sums ascending.  A pair of
-    child sums below this node's floor has no head and no clause.  Each run
+    combination clauses before boundary clauses, sums ascending.  Each run
     of clauses goes to `out.lits` as one block filled by slice assignment."""
     if node.is_leaf:
         return
@@ -130,20 +151,6 @@ def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:
     rvar = right.var_of
     rneg = [rvar[w2] ^ 1 for w2 in rsums]
     lvar = left.var_of
-    floor = node.floor
-    if floor == cap:
-        # only `auto`'s root has this floor (a child's is always lower): its
-        # one sum, bound+1, is forbidden, so instead of a variable and a
-        # unit clause against it, every way of reaching it is forbidden
-        for w1 in lsums:
-            tail = rneg[bisect_left(rsums, cap - w1) :]
-            block = [lvar[w1] ^ 1, 0, 0] * len(tail)
-            block[1::3] = tail
-            lits += block
-        for child in (left, right):
-            if child.sums[-1] == cap:
-                lits += (child.var_of[cap] ^ 1, 0)
-        return
     var_of = node.var_of
     fresh_lit = out.fresh_lit
     for s in node.sums:
@@ -151,30 +158,130 @@ def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:
     over = var_of.get(cap)
     for w1 in lsums:
         nq = lvar[w1] ^ 1
-        # sums are sorted: pairs before `lo` stay below the floor, pairs
-        # from `split` on clamp to cap, so only the first split - lo heads
-        # of the block differ from `over`
-        lo = bisect_left(rsums, floor - w1)
+        # sums are sorted: pairs from `split` on clamp to cap, so only the
+        # first `split` heads of the block differ from `over`
         split = bisect_left(rsums, cap - w1)
-        block = [nq, 0, over, 0] * (len(rsums) - lo)
-        block[1::4] = rneg[lo:]
-        block[2 : 4 * (split - lo) : 4] = map(var_of.__getitem__, map(w1.__add__, rsums[lo:split]))
+        block = [nq, 0, over, 0] * len(rsums)
+        block[1::4] = rneg
+        block[2 : 4 * split : 4] = map(var_of.__getitem__, map(w1.__add__, rsums[:split]))
         lits += block
     for child in (left, right):
-        csums = child.sums[bisect_left(child.sums, floor) :]
-        block = [0, 0, 0] * len(csums)
-        block[0::3] = [child.var_of[s] ^ 1 for s in csums]
-        block[1::3] = map(var_of.__getitem__, csums)
+        block = [0, 0, 0] * len(child.sums)
+        block[0::3] = [child.var_of[s] ^ 1 for s in child.sums]
+        block[1::3] = map(var_of.__getitem__, child.sums)
         lits += block
 
 
-def _encode(terms, bound: int, floor: int, out: CnfFormula) -> None:
-    cap = bound + 1
-    root = _tree(terms, cap, floor)
-    if root.sums[-1:] == [cap]:  # the full sum can exceed the bound (never with no terms)
-        _emit(root, cap, out)
-        if cap in root.var_of:  # all but auto's internal root
-            out.lits += (root.var_of[cap] ^ 1, 0)
+def _below_cap(child: GteNode, cap: int, lits: list[int]) -> list[int]:
+    """The child's sums below cap.  Only a leaf can hold cap with a variable,
+    its input literal, and a unit clause forbids it."""
+    sums = child.sums
+    if sums[-1] < cap:
+        return sums
+    if child.is_leaf:
+        lits += (child.var_of[cap] ^ 1, 0)
+    return sums[:-1]
+
+
+def _class_firsts(sums: list[int], sibling: list[int], cap: int) -> list[int]:
+    """The least sum of each overflow class of `sums`: those sharing the
+    number of `sibling` sums they reach cap with, which is nonzero."""
+    firsts, seen = [], 0
+    n = len(sibling)
+    for x in sums:
+        reach = n - bisect_left(sibling, cap - x)
+        if reach > seen:
+            firsts.append(x)
+            seen = reach
+    return firsts
+
+
+def _emit_auto(node: GteNode, cap: int, out: CnfFormula, kept: list[int] | None = None) -> None:
+    """Post-order emission of a node below `auto`'s root.  The node gets one
+    variable per sum of `kept`, by default every sum it holds below cap.
+    Any other sum it holds names the variable of the largest kept sum not
+    above it, or none below them all.  A pair of child sums reaching cap is
+    forbidden by a binary clause; with `kept` given, a pair named as one of
+    its sums alone writes nothing."""
+    if node.is_leaf:
+        return
+    left, right = node.children
+    _emit_auto(left, cap, out)
+    _emit_auto(right, cap, out)
+    lits = out.lits
+    lsums = _below_cap(left, cap, lits)
+    rsums = _below_cap(right, cap, lits)
+    var_of = node.var_of
+    fresh_lit = out.fresh_lit
+    sums = node.sums[: bisect_left(node.sums, cap)]
+    if kept is None:
+        for s in sums:
+            var_of[s] = fresh_lit()
+        head, floor = var_of, node.floor
+    else:
+        for s in kept:
+            var_of[s] = fresh_lit()
+        head, h = {}, None
+        for s in sums:
+            h = var_of.get(s, h)
+            if h is not None:
+                head[s] = h
+        floor = kept[0] if kept else cap
+    lvar, rvar = left.var_of, right.var_of
+    rneg = [rvar[w2] ^ 1 for w2 in rsums]
+    n = len(rsums)
+    for w1 in lsums:
+        nq = lvar[w1] ^ 1
+        # sums are sorted: pairs before `lo` have no head, pairs from
+        # `split` on reach cap
+        lo = bisect_left(rsums, floor - w1)
+        split = bisect_left(rsums, cap - w1)
+        if kept is None:
+            block = [nq, 0, 0, 0] * (split - lo)
+            block[1::4] = rneg[lo:split]
+            block[2::4] = map(head.__getitem__, map(w1.__add__, rsums[lo:split]))
+            lits += block
+        else:
+            # a pair named as one of its sums alone is subsumed by the
+            # boundary clause of that sum
+            h1 = head.get(w1)
+            for w2, nr in zip(rsums[lo:split], rneg[lo:split]):
+                h = head[w1 + w2]
+                if h != h1 and h != head.get(w2):
+                    lits += (nq, nr, h, 0)
+        if split < n:
+            block = [nq, 0, 0] * (n - split)
+            block[1::3] = rneg[split:]
+            lits += block
+    for child, csums in ((left, lsums), (right, rsums)):
+        csums = csums[bisect_left(csums, floor) :]
+        block = [0, 0, 0] * len(csums)
+        block[0::3] = [child.var_of[s] ^ 1 for s in csums]
+        block[1::3] = map(head.__getitem__, csums)
+        lits += block
+
+
+def _emit_auto_root(root: GteNode, cap: int, out: CnfFormula) -> None:
+    """`auto`'s root gets no variable: its one sum, cap, is forbidden, so
+    every way of reaching it is.  Each child keeps the first sum of each of
+    its overflow classes."""
+    lits = out.lits
+    if root.is_leaf:
+        lits += (root.var_of[cap] ^ 1, 0)
+        return
+    left, right = root.children
+    lsums = _below_cap(left, cap, lits)
+    rsums = _below_cap(right, cap, lits)
+    lkept = _class_firsts(lsums, rsums, cap)
+    rkept = _class_firsts(rsums, lsums, cap)
+    _emit_auto(left, cap, out, lkept)
+    _emit_auto(right, cap, out, rkept)
+    rneg = [right.var_of[w2] ^ 1 for w2 in rkept]
+    for w1 in lkept:
+        tail = rneg[bisect_left(rkept, cap - w1) :]
+        block = [left.var_of[w1] ^ 1, 0, 0] * len(tail)
+        block[1::3] = tail
+        lits += block
 
 
 def encode_gte(c: PBConstraint, out: CnfFormula) -> None:
@@ -184,7 +291,11 @@ def encode_gte(c: PBConstraint, out: CnfFormula) -> None:
     whose full sum cannot exceed the bound emits nothing.
     """
     reserve_inputs(c, out, "encode_gte")
-    _encode(c.terms, c.bound, 0, out)
+    cap = c.bound + 1
+    root = _tree(c.terms, cap, 0)
+    if root.sums[-1:] == [cap]:  # the full sum can exceed the bound (never with no terms)
+        _emit(root, cap, out)
+        out.lits += (root.var_of[cap] ^ 1, 0)
 
 
 # the paper's GTE is the totalizer of Bailleux & Boufkhad generalized to weights
@@ -193,7 +304,11 @@ encode_totalizer = encode_gte
 
 def encode_auto(c: PBConstraint, out: CnfFormula) -> None:
     """Like `encode_gte`, over the terms stable-sorted by ascending weight,
-    and with variables only for the sums that can still reach bound+1 (the
-    root floor; see the module docstring)."""
+    with variables only for the sums at or above their node's floor, none
+    for bound+1 and one per overflow class at the root's children (see the
+    module docstring)."""
     reserve_inputs(c, out, "encode_auto")
-    _encode(sorted(c.terms, key=itemgetter(0)), c.bound, c.bound + 1, out)
+    cap = c.bound + 1
+    root = _tree(sorted(c.terms, key=itemgetter(0)), cap, cap)
+    if root.sums[-1:] == [cap]:
+        _emit_auto_root(root, cap, out)

@@ -237,7 +237,19 @@ CAP_ERRORS = {"-3": "must be at least 0, not -3", "many": "not an integer: 'many
         # 1e400 reads as inf; finite waits beyond the bound overflow subprocess's poll
         for value in ("inf", "nan", "1e400", "0", "-1", "2e6", "abc")
     ]
-    + [pytest.param(["verify", "--encoders", ","], "error: no encoders given", id="verify-encoders-none")],
+    + [pytest.param(["verify", "--encoders", ","], "error: no encoders given", id="verify-encoders-none")]
+    + [
+        pytest.param(
+            [*command, "--seed", value],
+            f"error: argument --seed: {message}",
+            id=f"{command[0]}-seed-{value}",
+        )
+        for command in (["verify"], ["gac-check"], ["stats"], ["gen-bench", "--family", "pb12like"])
+        for value, message in (
+            ("-1", "must be at least 0, not -1"),
+            (str(2**64), f"must be at most {2**64 - 1}, not {2**64}"),
+        )
+    ],
 )
 def test_bad_conflict_cap_is_usage_error(reference_file, argv, message, capsys):
     # conflict caps and size arguments below their minimum stop at the parser
@@ -563,6 +575,12 @@ def test_gen_bench_deterministic(capsys):
     main(["gen-bench", "--family", "pb12like", "--n", "10", "--seed", "3"])
     second, _ = capsys.readouterr()
     assert first == second
+
+
+def test_gen_bench_takes_every_64_bit_seed(capsys):
+    for seed in (0, 2**64 - 1):
+        assert main(["gen-bench", "--family", "pedigreelike", "--n", "4", "--seed", str(seed)]) == 0
+        assert f"seed= {seed} " in capsys.readouterr().out
 
 
 def test_gen_bench_feeds_encode(tmp_path, capsys):

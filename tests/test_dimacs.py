@@ -123,15 +123,16 @@ GOLDEN = [
         "f0b92ccc01d31e1979dd102a52ec6ec04b91bb64682c01ae3605c3838669208c", id="pb12-gte",
     ),
     # auto is gte over each piece's terms stable-sorted by weight, keeping
-    # only the sums that can reach bound+1, with no variable at the root;
-    # these two digests were recorded when the root variable was dropped
+    # only the sums that can reach bound+1, with no bound+1 variable and one
+    # variable per overflow class at the root's children; these two digests
+    # were recorded when those rules came in
     pytest.param(
         pb12like(constraints=6, n=24, seed=100), "auto",
-        "91d11704182a625d43513211dcce0625b2e39aa679d7c119951b45dfe4ed6f62", id="pb12-auto",
+        "643b4348dd271092fb80b6d62930e7d337a3cee7f967b02dda552ec043829881", id="pb12-auto",
     ),
     pytest.param(
         pedigreelike(n=70, seed=1), "auto",
-        "70063d53562e112c3002935dea20a1531c2b4e444c66c0ee81986b91e7c433ec", id="pedigree-auto",
+        "04c51fe3f614f755c82056e344972fa6d8b78c3afbbdb908ec74d8a0f7bb4a6d", id="pedigree-auto",
     ),
     pytest.param(
         pb12like(constraints=6, n=24, seed=100), "swc",

@@ -218,23 +218,49 @@ def test_semantics_on_all_full_assignments():
 # --- auto: weight-sorted leaves, only the sums that can reach bound+1 ---
 
 
-def floor_sum_count(weights, k, floor):
+def floor_sum_count(weights, k, floor, top=None):
     """Sum over the internal nodes of the tree `build_tree` makes over
-    `weights` of |{s in sums : s >= floor}|, with each node's sums found by
-    subset enumeration and each child's floor its parent's less the
-    sibling's largest sum (never below 0).  A node whose floor is k+1, the
-    root under auto, counts none: its one sum is forbidden outright."""
+    `weights` of |{s in sums : floor <= s < top}| (top defaults to k+2, so
+    bound+1 counts), with each node's sums found by subset enumeration and
+    each child's floor its parent's less the sibling's largest sum (never
+    below 0)."""
     if len(weights) < 2:
         return 0
+    top = k + 2 if top is None else top
     mid = (len(weights) + 1) // 2
     left, right = weights[:mid], weights[mid:]
-    top = lambda ws: min(sum(ws), k + 1)
-    own = 0 if floor > k else sum(1 for s in subset_sums_oracle(weights, k) if s >= floor)
+    span = lambda ws: min(sum(ws), k + 1)
     return (
-        own
-        + floor_sum_count(left, k, max(0, floor - top(right)))
-        + floor_sum_count(right, k, max(0, floor - top(left)))
+        sum(1 for s in subset_sums_oracle(weights, k) if floor <= s < top)
+        + floor_sum_count(left, k, max(0, floor - span(right)), top)
+        + floor_sum_count(right, k, max(0, floor - span(left)), top)
     )
+
+
+def auto_var_count(weights, k):
+    """The variables `auto` gives a constraint, by subset enumeration over
+    its sorted weights.  The root and bound+1 get none.  An internal child
+    of the root gets one per nonempty overflow class: its sums below k+1
+    grouped by how many of its sibling's sums below k+1 they reach k+1
+    with, that number nonzero.  Deeper internal nodes get one per sum in
+    [floor, k+1)."""
+    weights = sorted(weights)
+    if len(weights) < 2:
+        return 0
+    below = lambda ws: [s for s in subset_sums_oracle(ws, k) if s <= k]
+    span = lambda ws: min(sum(ws), k + 1)
+    mid = (len(weights) + 1) // 2
+    halves = weights[:mid], weights[mid:]
+    count = 0
+    for own, other in (halves, halves[::-1]):
+        if len(own) < 2:
+            continue
+        count += len({sum(x + y > k for y in below(other)) for x in below(own)} - {0})
+        floor = k + 1 - span(other)
+        half = (len(own) + 1) // 2
+        for part, rest in ((own[:half], own[half:]), (own[half:], own[:half])):
+            count += floor_sum_count(part, k, max(0, floor - span(rest)), k + 1)
+    return count
 
 
 def auto_cases():
@@ -304,14 +330,30 @@ def test_auto_counts_only_sums_at_or_above_the_floor(monkeypatch):
             vacuous += 1
             assert auto == full == held(root) == 0, c
             continue
-        assert auto == floor_sum_count(sorted(weights), c.bound, c.bound + 1), c
+        assert auto == auto_var_count(weights, c.bound), c
         assert full == floor_sum_count(weights, c.bound, 0), c
-        # auto's tree holds exactly the sums it gives variables, plus an
-        # internal root's bound+1, which is forbidden without one
-        assert held(root) == auto + (not root.is_leaf), c
-        assert all(list(n.var_of) == n.sums for n in internal_nodes(root) if n is not root), c
+        # auto's tree holds every sum it gives a variable, never bound+1
+        assert all(set(n.var_of) <= set(n.sums) - {c.bound + 1} for n in internal_nodes(root)), c
         weighted += auto < encode(by_weight(c)).stats.aux_vars
     assert vacuous >= 3 and weighted >= 30
+
+
+def wide_row(n):
+    """n weights from 1..10^6 by SplitMix64 seed 5, bound half their sum."""
+    rng = SplitMix64(5)
+    weights = [rng.randint(1, 10**6) for _ in range(n)]
+    return PBConstraint(tuple(Term(w, lit(v)) for v, w in enumerate(weights, 1)), LE, sum(weights) // 2)
+
+
+def test_auto_writes_no_subsumed_clause():
+    # clauses are at most ternary, so a clause is subsumed exactly when it
+    # repeats another or one of its proper subsets is a clause too
+    for c in auto_cases() + [wide_row(20)]:
+        clauses = [frozenset(cl) for cl in encode(c, encode_auto).formula.clauses]
+        seen = set(clauses)
+        assert len(seen) == len(clauses) and max(map(len, seen), default=0) <= 3, c
+        subsets = (frozenset(s) for cl in seen for r in range(1, len(cl)) for s in itertools.combinations(cl, r))
+        assert seen.isdisjoint(subsets), c
 
 
 def test_auto_propagates_like_unpruned_sorted_gte():
@@ -347,9 +389,7 @@ def test_auto_propagates_like_unpruned_sorted_gte():
 def test_auto_on_a_wide_weight_row(monkeypatch):
     # 20 weights from 1..10^6, bound half their sum: few sums of the full
     # tree can still reach bound+1
-    rng = SplitMix64(5)
-    weights = [rng.randint(1, 10**6) for _ in range(20)]
-    c = PBConstraint(tuple(Term(w, lit(v)) for v, w in enumerate(weights, 1)), LE, sum(weights) // 2)
+    c = wide_row(20)
     formed = []
     merge = gte.merge_sums
 
@@ -360,7 +400,7 @@ def test_auto_on_a_wide_weight_row(monkeypatch):
 
     monkeypatch.setattr(gte, "merge_sums", counted)
     root, res = encode_auto_tree(c, monkeypatch)
-    assert (res.formula.num_vars, res.formula.num_clauses) == (1_836, 318_435)
+    assert (res.formula.num_vars, res.formula.num_clauses) == (812, 49_605)
     assert held(root) == 1_817
     # the merges form no sum below a node's floor: only the sums held
     assert sum(formed) == 1_817

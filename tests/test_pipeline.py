@@ -47,8 +47,10 @@ def test_every_encoder_emits_nothing_for_the_empty_constraint(encoding, bound):
 @pytest.mark.parametrize("encoding", ENCODING_NAMES)
 def test_encoders_number_fresh_variables_above_the_inputs(encoding):
     # the formula is declared with no variables: the encoder must still keep
-    # its own variables clear of the inputs x1..x4
-    c = PBConstraint.from_signed(zip((2, 3, 3, 3), (1, 2, 3, 4)), LE, 2)
+    # its own variables clear of the inputs x1..x4; under bound 2 auto needs
+    # none, since every weight-3 input is forbidden outright
+    bound = 5 if encoding == "auto" else 2
+    c = PBConstraint.from_signed(zip((2, 3, 3, 3), (1, 2, 3, 4)), LE, bound)
     out = CnfFormula()
     drawn = []
     draw = out.fresh_lit
@@ -189,7 +191,7 @@ def test_auto_is_gte_over_weight_sorted_terms():
     # keeps only the sums that can still reach bound+1
     inst = gen_bench(pedigreelike(n=200, seed=3))
     auto = compile_instance(inst, "auto")
-    assert (auto.aux_vars, auto.aux_clauses) == (2_505, 35_949)
+    assert (auto.aux_vars, auto.aux_clauses) == (1_677, 21_510)
     presorted = PbInstance(inst.declared_vars, [by_weight(c) for c in inst.constraints])
     assert dimacs_str(auto.formula) == dimacs_str(compile_instance(presorted, "auto").formula)
     full = compile_instance(presorted, "gte")
