@@ -1,11 +1,8 @@
 """pbcnf: compile pseudo-Boolean constraints to CNF and check the result.
 
 Encoders: generalized totalizer (weighted; `totalizer` is a second name for
-`gte`), sequential weight counter and adder networks.  The default,
-`auto`, is the generalized totalizer over each normalized constraint's terms
-stable-sorted by weight, with no variable for bound+1, none for a sum that
-cannot reach it and one per overflow class at the root's children; explicit
-`gte` keeps input order and every sum, as in the paper.
+`gte`), sequential weight counter and adder networks.  The default, `auto`,
+is the generalized totalizer pruned as gte.py describes.
 Ships an embedded CDCL solver, OPB/DIMACS I/O, and a verification harness
 (brute-force equisatisfiability, propagation-completeness checking, seeded
 benchmark generators).

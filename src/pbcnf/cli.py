@@ -1,11 +1,9 @@
 """Command-line front end.
 
 Subcommands: encode, solve, verify, gac-check, stats, gen-bench.
-`--encoding auto` (the default) is the generalized totalizer over each
-constraint's terms stable-sorted by weight, with no variable for bound+1,
-none for a sum that cannot reach it and one per overflow class at the
-root's children; `--encoding gte` is the paper's encoding, in input
-order with every sum, and `--encoding totalizer` is a second name for it.
+`--encoding auto` (the default) is the generalized totalizer pruned as
+gte.py describes; `--encoding gte` is the paper's encoding, and
+`--encoding totalizer` is a second name for it.
 `solve` checks every SAT model against the input's constraints before
 printing it.
 Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;

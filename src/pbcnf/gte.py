@@ -3,43 +3,50 @@
 A balanced binary tree is built over the weighted input literals.  Each node
 carries the set of distinct weighted sums its subtree can reach, clamped at
 bound+1 (every overflowing sum collapses onto the single value bound+1, which
-is all the constraint needs to distinguish).  One auxiliary variable per
-reachable sum per internal node, drawn from the output formula with
-`fresh_lit`; leaves reuse the input literals directly.
+is all the constraint needs to distinguish).  Leaves reuse the input literals
+directly; an internal node gets one auxiliary variable, drawn from the output
+formula with `fresh_lit`, per sum it keeps.
 
-Per internal node P with children Q, R the emitted clauses are
-  (~q_w1 | ~r_w2 | p_w3)   with w3 = min(w1+w2, bound+1)   -- combination
-  (~s_w  | p_w)            for every sum var s_w of Q or R -- boundary
-and a single unit clause forbids the root's bound+1 variable.  Only the
-"sum reached implies node variable true" direction is constrained; the
-converse is intentionally left open.
+One post-order emitter, `_emit`, writes every internal node P with children
+Q, R.  For each sum w1 of Q, over the sums w2 of R ascending, it writes
+  (~q_w1 | ~r_w2 | p_w1+w2)   while w1+w2 <= bound   -- window
+  (~q_w1 | ~r_w2 | p_bound+1) once w1+w2 > bound     -- clamped tail
+(the tail is (~q_w1 | ~r_w2) where bound+1 keeps no variable), and then
+  (~s_w | p_w)   for every sum var s_w of Q, then of R  -- boundary.
+Only the "sum reached implies node variable true" direction is constrained;
+the converse is intentionally left open.
 
-`encode_gte` is the paper's encoding: input order, every reachable sum, the
-full tree `build_tree` returns.  `encode_auto` sorts the leaves by weight
-(equal weights side by side reach far fewer distinct sums; any leaf order is
-arc consistent) and gives each node a floor, applied top down as the tree is
-built: a node's merge forms only its sums at or above it.  The root's floor is
-bound+1; a child's floor is its parent's less the sibling span's largest
-sum, min(bound+1, span weight), and never below 0, since a smaller sum of
-the child cannot reach the parent's floor even with everything on the other
-side.  A sum below its node's floor occurs positively only in its own node's
-clauses and negatively only in parent clauses whose head is itself below the
-parent's floor, so dropping those sums is pure-literal elimination from the
-root down.  The CNF stays equisatisfiable, and any model extends to the full
-encoding by setting the dropped variables true.  Arc consistency holds too:
-a propagation chain from the inputs up to the root's unit and back down to
-an input only passes through sums that can reach bound+1 together with sums
-already true, that is, sums at or above their floors, and every clause among
-those is kept.
+`encode_gte` (the paper's encoding; `encode_totalizer` is a second name)
+and `encode_auto` share that emission and differ in three ways:
+- Leaf order: input order, or stable-sorted by ascending weight (equal
+  weights side by side reach far fewer distinct sums; any leaf order is arc
+  consistent).
+- Root floor: 0, or bound+1.  A node's merge forms only its sums at or above
+  its floor, set top down as the tree is built: a child's floor is its
+  parent's less the sibling span's largest sum, min(bound+1, span weight),
+  and never below 0, since a smaller sum of the child cannot reach the
+  parent's floor even with everything on the other side.
+- bound+1's variable: `gte` keeps one at every node that reaches it, and a
+  unit clause forbids the root's; `auto` keeps none, so a clamped pair is
+  the binary clause and the root has no variable at all.
+On top of these, each child of `auto`'s root keeps one variable per overflow
+class (rule 2 below) and writes no subsumed pair (rule 3).
 
-`encode_auto` then applies three rules, each of which keeps unit propagation
+Under floors, a sum below its node's floor occurs positively only in its own
+node's clauses and negatively only in parent clauses whose head is itself
+below the parent's floor, so dropping those sums is pure-literal elimination
+from the root down.  The CNF stays equisatisfiable, and any model extends to
+the full encoding by setting the dropped variables true.  Arc consistency
+holds too: a propagation chain from the inputs up to the root's unit and back
+down to an input only passes through sums that can reach bound+1 together
+with sums already true, that is, sums at or above their floors, and every
+clause among those is kept.  `auto`'s other rules each keep unit propagation
 equal to that of the unpruned GTE over the same sorted leaves:
-1. No node gets a bound+1 variable.  Propagation forces every such variable
-   false, from the root's unit down the boundary clauses, so a pair of child
-   sums reaching bound+1 becomes the binary clause (~q | ~r) at the node
-   where it forms, and an input of weight bound+1 the unit clause (~x).
-   These are the resolvents propagation would use, and the root keeps no
-   variable at all.
+1. No bound+1 variable.  Propagation forces every such variable false, from
+   the root's unit down the boundary clauses, so a pair of child sums
+   reaching bound+1 becomes the binary clause (~q | ~r) at the node where it
+   forms, and an input of weight bound+1 the unit clause (~x): the
+   resolvents propagation would use.
 2. The root tells a child's sums apart only by the thresholds bound+1-y, one
    per sum y of the sibling.  Sums x1 < x2 of a child with no sibling sum in
    [bound+1-x2, bound+1-x1) lie on the same side of every threshold: they
@@ -70,10 +77,9 @@ from .core import CnfFormula, PBConstraint, reserve_inputs
 
 @dataclass
 class GteNode:
-    sums: list[int]  # sorted; only those at or above `floor`
+    sums: list[int]  # sorted; only those at or above the node's floor
     var_of: dict[int, int] = field(default_factory=dict)
     children: tuple["GteNode", "GteNode"] | None = None
-    floor: int = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -130,53 +136,20 @@ def _build(terms, pre: list[int], cap: int, lo: int, hi: int, floor: int) -> Gte
     if hi - lo == 1:
         w, l = terms[lo]
         s = min(w, cap)
-        return GteNode([s], {s: l}, floor=floor)
+        return GteNode([s], {s: l})
     mid = lo + (hi - lo + 1) // 2
     left = _build(terms, pre, cap, lo, mid, max(0, floor - min(pre[hi] - pre[mid], cap)))
     right = _build(terms, pre, cap, mid, hi, max(0, floor - min(pre[mid] - pre[lo], cap)))
-    return GteNode(merge_sums(left.sums, right.sums, cap, floor), children=(left, right), floor=floor)
+    return GteNode(merge_sums(left.sums, right.sums, cap, floor), children=(left, right))
 
 
-def _emit(node: GteNode, cap: int, out: CnfFormula) -> None:
-    """Post-order: allocate one variable per sum this node holds, then emit
-    combination clauses before boundary clauses, sums ascending.  Each run
-    of clauses goes to `out.lits` as one block filled by slice assignment."""
-    if node.is_leaf:
-        return
-    left, right = node.children
-    _emit(left, cap, out)
-    _emit(right, cap, out)
-    lits = out.lits
-    lsums, rsums = left.sums, right.sums
-    rvar = right.var_of
-    rneg = [rvar[w2] ^ 1 for w2 in rsums]
-    lvar = left.var_of
-    var_of = node.var_of
-    fresh_lit = out.fresh_lit
-    for s in node.sums:
-        var_of[s] = fresh_lit()
-    over = var_of.get(cap)
-    for w1 in lsums:
-        nq = lvar[w1] ^ 1
-        # sums are sorted: pairs from `split` on clamp to cap, so only the
-        # first `split` heads of the block differ from `over`
-        split = bisect_left(rsums, cap - w1)
-        block = [nq, 0, over, 0] * len(rsums)
-        block[1::4] = rneg
-        block[2 : 4 * split : 4] = map(var_of.__getitem__, map(w1.__add__, rsums[:split]))
-        lits += block
-    for child in (left, right):
-        block = [0, 0, 0] * len(child.sums)
-        block[0::3] = [child.var_of[s] ^ 1 for s in child.sums]
-        block[1::3] = map(var_of.__getitem__, child.sums)
-        lits += block
-
-
-def _below_cap(child: GteNode, cap: int, lits: list[int]) -> list[int]:
-    """The child's sums below cap.  Only a leaf can hold cap with a variable,
-    its input literal, and a unit clause forbids it."""
+def _var_sums(child: GteNode, cap: int, over: bool, lits: list[int]) -> list[int]:
+    """The sums the child holds with a variable unless its parent is
+    `auto`'s root: all of them if bound+1 keeps one (`over`), else those
+    below cap.  Without `over` only a leaf can hold cap with a variable, its
+    input literal, and a unit clause forbids it."""
     sums = child.sums
-    if sums[-1] < cap:
+    if over or sums[-1] < cap:
         return sums
     if child.is_leaf:
         lits += (child.var_of[cap] ^ 1, 0)
@@ -196,37 +169,50 @@ def _class_firsts(sums: list[int], sibling: list[int], cap: int) -> list[int]:
     return firsts
 
 
-def _emit_auto(node: GteNode, cap: int, out: CnfFormula, kept: list[int] | None = None) -> None:
-    """Post-order emission of a node below `auto`'s root.  The node gets one
-    variable per sum of `kept`, by default every sum it holds below cap.
-    Any other sum it holds names the variable of the largest kept sum not
-    above it, or none below them all.  A pair of child sums reaching cap is
-    forbidden by a binary clause; with `kept` given, a pair named as one of
-    its sums alone writes nothing."""
+def _emit(node: GteNode, cap: int, out: CnfFormula, over: bool, kept: list[int] | None = None,
+          classes: bool = False) -> None:
+    """Post-order: give the node one variable per sum of `kept`, by default
+    every sum it holds, cap only if `over`.  Any other sum it holds names the
+    variable of the largest kept sum not above it, or none below them all.
+    Per left sum, the pairs of child sums with a head below cap (the window)
+    come before the pairs reaching cap (the clamped tail), which name cap's
+    variable if `over` and write a binary clause otherwise; the boundary
+    clauses of the kept child sums follow.  Each run of clauses goes to
+    `out.lits` as one block filled by slice assignment.  With `classes`
+    (`auto`'s root) each child keeps the least sum of each overflow class,
+    and there a pair named as one of its sums alone writes nothing."""
     if node.is_leaf:
         return
     left, right = node.children
-    _emit_auto(left, cap, out)
-    _emit_auto(right, cap, out)
     lits = out.lits
-    lsums = _below_cap(left, cap, lits)
-    rsums = _below_cap(right, cap, lits)
+    if classes:  # the children's kept sums are known before they emit
+        lsums = _var_sums(left, cap, over, lits)
+        rsums = _var_sums(right, cap, over, lits)
+        lsums, rsums = _class_firsts(lsums, rsums, cap), _class_firsts(rsums, lsums, cap)
+        _emit(left, cap, out, over, lsums)
+        _emit(right, cap, out, over, rsums)
+    else:
+        _emit(left, cap, out, over)
+        _emit(right, cap, out, over)
+        lsums = _var_sums(left, cap, over, lits)
+        rsums = _var_sums(right, cap, over, lits)
     var_of = node.var_of
     fresh_lit = out.fresh_lit
-    sums = node.sums[: bisect_left(node.sums, cap)]
-    if kept is None:
-        for s in sums:
-            var_of[s] = fresh_lit()
-        head, floor = var_of, node.floor
-    else:
-        for s in kept:
-            var_of[s] = fresh_lit()
+    narrowed = kept is not None
+    if not narrowed:
+        kept = node.sums if over else node.sums[: bisect_left(node.sums, cap)]
+    for s in kept:
+        var_of[s] = fresh_lit()
+    head = var_of
+    if narrowed:
         head, h = {}, None
-        for s in sums:
+        for s in node.sums[: bisect_left(node.sums, cap)]:
             h = var_of.get(s, h)
             if h is not None:
                 head[s] = h
-        floor = kept[0] if kept else cap
+    floor = kept[0] if kept else cap
+    tail = [0, 0, var_of.get(cap), 0] if over else [0, 0, 0]
+    step = len(tail)
     lvar, rvar = left.var_of, right.var_of
     rneg = [rvar[w2] ^ 1 for w2 in rsums]
     n = len(rsums)
@@ -236,7 +222,7 @@ def _emit_auto(node: GteNode, cap: int, out: CnfFormula, kept: list[int] | None 
         # `split` on reach cap
         lo = bisect_left(rsums, floor - w1)
         split = bisect_left(rsums, cap - w1)
-        if kept is None:
+        if not narrowed:
             block = [nq, 0, 0, 0] * (split - lo)
             block[1::4] = rneg[lo:split]
             block[2::4] = map(head.__getitem__, map(w1.__add__, rsums[lo:split]))
@@ -250,37 +236,15 @@ def _emit_auto(node: GteNode, cap: int, out: CnfFormula, kept: list[int] | None 
                 if h != h1 and h != head.get(w2):
                     lits += (nq, nr, h, 0)
         if split < n:
-            block = [nq, 0, 0] * (n - split)
-            block[1::3] = rneg[split:]
+            tail[0] = nq
+            block = tail * (n - split)
+            block[1::step] = rneg[split:]
             lits += block
     for child, csums in ((left, lsums), (right, rsums)):
         csums = csums[bisect_left(csums, floor) :]
         block = [0, 0, 0] * len(csums)
         block[0::3] = [child.var_of[s] ^ 1 for s in csums]
         block[1::3] = map(head.__getitem__, csums)
-        lits += block
-
-
-def _emit_auto_root(root: GteNode, cap: int, out: CnfFormula) -> None:
-    """`auto`'s root gets no variable: its one sum, cap, is forbidden, so
-    every way of reaching it is.  Each child keeps the first sum of each of
-    its overflow classes."""
-    lits = out.lits
-    if root.is_leaf:
-        lits += (root.var_of[cap] ^ 1, 0)
-        return
-    left, right = root.children
-    lsums = _below_cap(left, cap, lits)
-    rsums = _below_cap(right, cap, lits)
-    lkept = _class_firsts(lsums, rsums, cap)
-    rkept = _class_firsts(rsums, lsums, cap)
-    _emit_auto(left, cap, out, lkept)
-    _emit_auto(right, cap, out, rkept)
-    rneg = [right.var_of[w2] ^ 1 for w2 in rkept]
-    for w1 in lkept:
-        tail = rneg[bisect_left(rkept, cap - w1) :]
-        block = [left.var_of[w1] ^ 1, 0, 0] * len(tail)
-        block[1::3] = tail
         lits += block
 
 
@@ -294,7 +258,7 @@ def encode_gte(c: PBConstraint, out: CnfFormula) -> None:
     cap = c.bound + 1
     root = _tree(c.terms, cap, 0)
     if root.sums[-1:] == [cap]:  # the full sum can exceed the bound (never with no terms)
-        _emit(root, cap, out)
+        _emit(root, cap, out, True)
         out.lits += (root.var_of[cap] ^ 1, 0)
 
 
@@ -311,4 +275,6 @@ def encode_auto(c: PBConstraint, out: CnfFormula) -> None:
     cap = c.bound + 1
     root = _tree(sorted(c.terms, key=itemgetter(0)), cap, cap)
     if root.sums[-1:] == [cap]:
-        _emit_auto_root(root, cap, out)
+        _emit(root, cap, out, False, classes=True)
+        if root.is_leaf:  # its one variable is its input literal
+            out.lits += (root.var_of[cap] ^ 1, 0)

@@ -2,7 +2,8 @@
 
 The accepted grammar per constraint line is
     (<signed integer> x<digits>)+  (>=|<=|=)  <signed integer> ;
-with `*` starting a comment line.  The optional header comment
+with ASCII digits only and `*` starting a comment line.  The optional header
+comment
     * #variable= N #constraint= M
 declares the variable universe.  An objective line (`min: ... ;` or
 `max: ... ;`) is rejected at its first token: this toolkit handles decision
@@ -19,10 +20,10 @@ from dataclasses import dataclass, field
 
 from .core import RELATIONS, PBConstraint, Term, _to_text, lit
 
-_HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)")
+_HEADER = re.compile(r"\*\s*#variable=\s*(\d+)\s+#constraint=\s*(\d+)", re.ASCII)
 _TOKEN = re.compile(r"\S+")
-_INT = re.compile(r"[+-]?\d+\Z")
-_VAR = re.compile(r"x(\d+)\Z")
+_INT = re.compile(r"[+-]?\d+\Z", re.ASCII)
+_VAR = re.compile(r"x(\d+)\Z", re.ASCII)
 
 
 class OpbError(Exception):
@@ -31,6 +32,15 @@ class OpbError(Exception):
         self.line = line
         self.column = column
         self.message = message
+
+
+def _int(text: str, line: int, column: int) -> int:
+    """`int()` of a matched integer token; one past the interpreter's limit
+    on digits is an OpbError at the token."""
+    try:
+        return int(text)
+    except ValueError:
+        raise OpbError(line, column, f"integer of {len(text)} characters is too long") from None
 
 
 @dataclass
@@ -52,9 +62,9 @@ def parse_opb(source) -> PbInstance:
             continue
         if stripped.startswith("*"):
             if declared is None and not constraints:
-                m = _HEADER.match(stripped)
+                m = _HEADER.match(raw, raw.find("*"))
                 if m:
-                    declared = int(m.group(1))
+                    declared = _int(m.group(1), lineno, m.start(1) + 1)
             continue
 
         tokens = [(t.group(), t.start() + 1) for t in _TOKEN.finditer(raw)]
@@ -78,11 +88,11 @@ def parse_opb(source) -> PbInstance:
             vm = _VAR.match(vtok)
             if not vm:
                 raise OpbError(lineno, vcol, f"expected variable after coefficient, got {vtok!r}")
-            idx = int(vm.group(1))
+            idx = _int(vm.group(1), lineno, vcol)
             if idx < 1:
                 raise OpbError(lineno, vcol, "variable index must be >= 1")
             max_var = max(max_var, idx)
-            terms.append(Term(int(tok), lit(idx)))
+            terms.append(Term(_int(tok, lineno, col), lit(idx)))
             i += 2
         if i == len(tokens):
             raise OpbError(lineno, len(raw) + 1, "constraint missing relation")
@@ -104,7 +114,7 @@ def parse_opb(source) -> PbInstance:
             rest = rest[1:]
         if rest:
             raise OpbError(lineno, rest[0][1], f"unexpected token {rest[0][0]!r} after ';'")
-        constraints.append(PBConstraint(tuple(terms), relation, int(body)))
+        constraints.append(PBConstraint(tuple(terms), relation, _int(body, lineno, col)))
 
     if declared is None:
         declared = max_var

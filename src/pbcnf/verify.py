@@ -80,9 +80,10 @@ class GacReport:
 def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) -> list[GacReport]:
     """Check propagation completeness on consistent partial assignments.
 
-    For each sampled partial assignment sigma (exhaustive when 3^n <= 4096)
-    with weighted true-sum <= bound, every unassigned literal whose weight no
-    longer fits must be propagated to false by unit propagation alone.
+    For each partial assignment sigma with weighted true-sum <= bound, every
+    unassigned literal whose weight no longer fits must be propagated to false
+    by unit propagation alone.  All of them are checked when 3^n <= 4096;
+    otherwise `trials` of them are drawn at random.
     """
     if not c.is_normalized():
         raise ValueError("gac_check expects a normalized constraint")
@@ -122,13 +123,19 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
             if report is not None:
                 reports.append(report)
     else:
+        # a drawn true digit whose weight no longer fits is made unset, so
+        # every draw is one consistent partial assignment
         rng = SplitMix64(seed)
-        produced = 0
-        while produced < trials:
-            report = run_case([rng.randint(0, 2) for _ in range(n)])
-            if report is not None:
-                reports.append(report)
-                produced += 1
+        weights = [w for w, _ in terms]
+        for _ in range(trials):
+            digits, room = [], k
+            for w in weights:
+                d = rng.randint(0, 2)
+                if d == 2 and w > room:
+                    d = 0
+                room -= w if d == 2 else 0
+                digits.append(d)
+            reports.append(run_case(digits))
     return reports
 
 

@@ -81,6 +81,26 @@ def test_encode_parse_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="int() has no digit limit below 5000 here",
+)
+@pytest.mark.parametrize("command", ["encode", "solve"])
+@pytest.mark.parametrize(
+    "text",
+    [f"+1 x1 <= {'9' * 5000} ;\n", f"+{'9' * 5000} x1 <= 3 ;\n", f"+1 x{'9' * 5000} <= 3 ;\n"],
+    ids=["bound", "coefficient", "variable"],
+)
+def test_numbers_past_the_digit_limit_are_parse_errors(tmp_path, capsys, command, text):
+    bad = tmp_path / "big.opb"
+    bad.write_text(text)
+    rc = main([command, str(bad)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert "line 1" in err and "too long" in err
+    assert "Traceback" not in err and not out
+
+
 def test_encode_unwritable_output(reference_file, capsys):
     rc = main(["encode", reference_file, "/nonexistent/dir/out.cnf"])
     _, err = capsys.readouterr()

@@ -7,6 +7,7 @@ clause are all frozen here.  Subset-sum sets are cross-checked against a
 direct enumeration oracle.
 """
 
+import hashlib
 import itertools
 from types import SimpleNamespace
 
@@ -354,6 +355,15 @@ def test_auto_writes_no_subsumed_clause():
         assert len(seen) == len(clauses) and max(map(len, seen), default=0) <= 3, c
         subsets = (frozenset(s) for cl in seen for r in range(1, len(cl)) for s in itertools.combinations(cl, r))
         assert seen.isdisjoint(subsets), c
+
+
+def test_auto_exact_bytes():
+    # auto's DIMACS on the seeded cases and the 20-term wide row, one digest
+    # over the texts in order; `gte`'s bytes are pinned by the reference loops
+    h = hashlib.sha256()
+    for c in auto_cases() + [wide_row(20)]:
+        h.update(dimacs_str(encode(c, encode_auto).formula).encode())
+    assert h.hexdigest() == "2f33c184aeb4e2f1714b04d408ee03e3ed4804662409e358015d331ea343045d"
 
 
 def test_auto_propagates_like_unpruned_sorted_gte():

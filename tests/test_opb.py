@@ -1,4 +1,5 @@
 import io
+import sys
 import warnings
 
 import pytest
@@ -99,6 +100,39 @@ def test_parse_errors_carry_position(bad, fragment):
     assert exc.value.column >= 1
     if fragment:
         assert fragment in str(exc.value)
+
+
+BIG = "9" * 5000  # past CPython's default limit of 4300 digits for int()
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(BIG),
+    reason="int() has no digit limit below 5000 here",
+)
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        (f"+1 x1 <= {BIG} ;\n", 10),
+        (f"+1 x1 <= {BIG};\n", 10),
+        (f"+{BIG} x1 <= 3 ;\n", 1),
+        (f"+1 x{BIG} <= 3 ;\n", 4),
+        (f" * #variable= {BIG} #constraint= 1\n+1 x1 <= 1 ;\n", 15),
+    ],
+)
+def test_numbers_past_the_digit_limit_are_parse_errors(text, column):
+    with pytest.raises(OpbError, match="too long") as exc:
+        parse_opb(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("text", ["+\u0661 x1 <= 1 ;\n", "+1 x\u0661 <= 1 ;\n", "+1 x1 <= \uff11 ;\n"])
+def test_only_ascii_digits_make_numbers(text):
+    with pytest.raises(OpbError):
+        parse_opb(text)
+
+
+def test_a_header_with_other_digits_declares_nothing():
+    assert parse_opb("* #variable= \uff13 #constraint= 1\n+1 x1 <= 1 ;\n").declared_vars == 1
 
 
 def test_undeclared_variables_extend_with_warning():

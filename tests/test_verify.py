@@ -17,6 +17,7 @@ from pbcnf import (
     CnfFormula,
     PBConstraint,
     SplitMix64,
+    Term,
     compile_constraints,
     eq4_count,
     gac_check,
@@ -154,6 +155,17 @@ def test_gac_samples_when_space_is_large():
     reports = gac_check(c, "gte", trials=50, seed=3)
     assert len(reports) == 50
     assert all(r.passed for r in reports)
+
+
+def test_gac_sampling_draws_only_consistent_partials():
+    # 40 terms of weight 8 under bound 8: a uniform draw of 40 digits sets at
+    # most one true with probability 42 * 2^39 / 3^40, under 2e-6, so every
+    # draw must be made consistent
+    c = PBConstraint(tuple(Term(8, lit(v)) for v in range(1, 41)), LE, 8)
+    reports = gac_check(c, "gte", trials=5)
+    assert len(reports) == 5
+    assert all(r.passed for r in reports)
+    assert any(r.required for r in reports)
 
 
 def test_gac_is_deterministic():
