@@ -10,10 +10,8 @@ benchmark generators).
 
 from .baselines import encode_adder, encode_swc
 from .bench import (
-    CSV_HEADER,
     FAMILIES,
     BenchSpec,
-    StatRow,
     gen_bench,
     pb12like,
     pedigreelike,
@@ -29,10 +27,7 @@ from .core import (
     Term,
     from_signed,
     gc_paused,
-    is_negative,
     lit,
-    lit_str,
-    lit_var,
     negate,
     to_signed,
 )
@@ -48,18 +43,16 @@ from .engine import (
     solve,
     solve_external,
 )
-from .gte import GteNode, GteTree, build_tree, encode_auto, encode_gte, encode_totalizer, merge_sums, node_sums
+from .gte import build_tree, encode_auto, encode_gte, encode_totalizer
 from .normalize import NormalizationOutcome, OutcomeKind, normalize
 from .opb import OpbError, PbInstance, parse_opb, write_opb
-from .pipeline import ENCODERS, ENCODING_NAMES, compile_constraints, compile_instance
+from .pipeline import ENCODING_NAMES, compile_constraints, compile_instance
 from .verify import (
     GacReport,
     OracleOutcome,
-    eq4_count,
     gac_check,
     oracle_check,
     oracle_check_formula,
-    random_constraint,
     random_normalized_constraint,
 )
 from .rng import SplitMix64

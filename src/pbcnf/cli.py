@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_instance(path: str):
     try:
         if path == "-":
-            return parse_opb(sys.stdin.read())
+            return parse_opb(sys.stdin.buffer)  # bytes, decoded as a file's are
         with open(path, "rb") as f:
             return parse_opb(f)
     except OSError as e:
@@ -236,7 +236,8 @@ def _cmd_gen_bench(args) -> int:
     instance = bench.gen_bench(spec)
     notes = [
         f"family= {spec.family} seed= {spec.seed} prng= splitmix64",
-        f"n= {spec.n} constraints= {spec.constraints} max_weight= {spec.max_weight}",
+        f"n= {spec.n} constraints= {spec.constraints} max_weight= {spec.max_weight}"
+        f" distinct_weights= {spec.distinct_weights} k= {spec.k}",
     ]
     sys.stdout.write(write_opb(instance, comments=notes))
     return EXIT_OK

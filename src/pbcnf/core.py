@@ -63,14 +63,6 @@ def negate(l: int) -> int:
     return l ^ 1
 
 
-def lit_var(l: int) -> int:
-    return l >> 1
-
-
-def is_negative(l: int) -> bool:
-    return bool(l & 1)
-
-
 def to_signed(l: int) -> int:
     return -(l >> 1) if l & 1 else l >> 1
 
@@ -79,10 +71,6 @@ def from_signed(n: int) -> int:
     if n == 0:
         raise ValueError("0 is not a literal")
     return 2 * n if n > 0 else -2 * n + 1
-
-
-def lit_str(l: int) -> str:
-    return f"~x{l >> 1}" if l & 1 else f"x{l >> 1}"
 
 
 class Term(NamedTuple):
@@ -142,7 +130,7 @@ class PBConstraint:
         return True
 
     def __str__(self) -> str:
-        lhs = " + ".join(f"{w} {lit_str(l)}" for w, l in self.terms) or "0"
+        lhs = " + ".join(f"{w} {'~' if l & 1 else ''}x{l >> 1}" for w, l in self.terms) or "0"
         return f"{lhs} {self.relation} {self.bound}"
 
 

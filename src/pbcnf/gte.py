@@ -105,12 +105,6 @@ def merge_sums(a: list[int], b: list[int], cap: int, floor: int = 0) -> list[int
     return sorted(out)
 
 
-def node_sums(weights: list[int], k: int) -> list[int]:
-    """Sorted distinct non-empty-subset sums of a weight multiset, clamped at
-    k+1: the root sums of the tree `build_tree` would build over them."""
-    return _tree([(w, 0) for w in weights], k + 1, 0).sums
-
-
 def build_tree(c: PBConstraint) -> GteTree:
     """The full tree over the constraint's terms in input order; an empty
     constraint gives a root leaf with no sums."""

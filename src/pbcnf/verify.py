@@ -2,9 +2,9 @@
 
 Every check here deliberately avoids the code paths it validates:
 `oracle_check` decides constraint satisfaction by integer arithmetic and the
-residual CNF by search; `eq4_count` enumerates subsets directly instead of
-pairwise merging; `gac_check` computes the semantically required literals
-from the weights alone and compares against what unit propagation derives.
+residual CNF by search; `gac_check` computes the semantically required
+literals from the weights alone and compares against what unit propagation
+derives.
 """
 
 from __future__ import annotations
@@ -139,25 +139,6 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
     return reports
 
 
-def eq4_count(weights, k: int) -> int:
-    """Number of distinct non-empty-subset sums clamped at k+1, by direct
-    enumeration of all subsets (the counting rule the tree encoder must match).
-    """
-    ws = list(weights)
-    n = len(ws)
-    if n > 20:
-        raise ValueError("subset enumeration capped at 20 weights")
-    cap = k + 1
-    sums = [0] * (1 << n)
-    distinct = set()
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        s = sums[mask ^ low] + ws[low.bit_length() - 1]
-        sums[mask] = s
-        distinct.add(s if s < cap else cap)
-    return len(distinct)
-
-
 def random_normalized_constraint(
     rng: SplitMix64,
     max_n: int = 8,
@@ -181,17 +162,3 @@ def random_normalized_constraint(
         Term(w, lit(v, negative=rng.chance(1, 4))) for w, v in zip(weights, variables)
     )
     return PBConstraint(terms, LE, k)
-
-
-def random_constraint(rng: SplitMix64) -> PBConstraint:
-    """Unrestricted constraint for normalizer torture: any relation, negative
-    and zero weights, repeated variables.  1 to 6 terms over x1..x6, weights
-    in -10..10, bound in -20..20."""
-    n = rng.randint(1, 6)
-    terms = []
-    for _ in range(n):
-        w = rng.randint(-10, 10)
-        v = rng.randint(1, 6)
-        terms.append(Term(w, lit(v, negative=rng.chance(1, 2))))
-    relation = rng.choice(("<=", ">=", "="))
-    return PBConstraint(tuple(terms), relation, rng.randint(-20, 20))

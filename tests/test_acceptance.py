@@ -38,11 +38,9 @@ from pbcnf import (
     build_tree,
     compile_constraints,
     encode_gte,
-    eq4_count,
     gac_check,
     gen_bench,
     lit,
-    node_sums,
     oracle_check,
     pb12like,
     pedigreelike,
@@ -51,6 +49,8 @@ from pbcnf import (
     stats_compare,
     stats_csv,
 )
+
+from conftest import eq4_count, node_sums
 
 REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
 

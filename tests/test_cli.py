@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -603,6 +604,25 @@ def test_gen_bench_takes_every_64_bit_seed(capsys):
         assert f"seed= {seed} " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("family, flag, field", [
+    ("pedigreelike", "--k", "k= {}"),
+    ("pb12like", "--distinct-weights", "distinct_weights= {}"),
+])
+def test_gen_bench_header_names_every_spec_field(capsys, family, flag, field):
+    # runs that write different constraints write different headers
+    headers = []
+    for value in (3, 7):
+        main(["gen-bench", "--family", family, "--n", "6", "--constraints", "2", flag, str(value)])
+        headers.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("*")])
+        assert field.format(value) in headers[-1][-1]
+    assert headers[0] != headers[1]
+
+
+def test_gen_bench_header_shows_a_k_the_family_ignores(capsys):
+    main(["gen-bench", "--family", "pb12like", "--n", "6", "--k", "5"])
+    assert "k= None" in capsys.readouterr().out
+
+
 def test_gen_bench_feeds_encode(tmp_path, capsys):
     main(["gen-bench", "--family", "pedigreelike", "--n", "10", "--seed", "5"])
     opb, _ = capsys.readouterr()
@@ -650,10 +670,29 @@ def test_warning_is_one_line():
 
 
 def test_import_starts_no_subprocess_machinery():
-    # only an external solve needs subprocess; importing pbcnf stays cheap
+    # only an external solve needs subprocess and only the CLI parses
+    # arguments; importing pbcnf stays cheap
     code = "import sys; b = set(sys.modules); import pbcnf; print(*sorted(set(sys.modules) - b))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert not {"subprocess", "signal", "selectors"} & set(proc.stdout.split())
+    forbidden = {"subprocess", "signal", "selectors", "argparse", "shlex", "tempfile"}
+    assert not forbidden & set(proc.stdout.split())
+
+
+def test_stdin_decodes_like_a_file(tmp_path):
+    # a byte that is not UTF-8, in a comment: under a strict stdin encoding
+    # the read must not fail where the same bytes in a file solve
+    data = b"+1 x1 <= 1 ;\n* \xff\n"
+    path = tmp_path / "ff.opb"
+    path.write_bytes(data)
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8"}
+    runs = [
+        subprocess.run([sys.executable, "-m", "pbcnf", "solve", arg], input=data, capture_output=True, env=env)
+        for arg in ("-", str(path))
+    ]
+    for proc in runs:
+        assert proc.returncode == 10
+        assert b"Traceback" not in proc.stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 @pytest.mark.parametrize("command", [["encode", "--encoding", "gte", "-"], ["solve", "-"]])

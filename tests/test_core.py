@@ -10,10 +10,7 @@ from pbcnf import (
     PBConstraint,
     Term,
     from_signed,
-    is_negative,
     lit,
-    lit_str,
-    lit_var,
     negate,
     to_signed,
 )
@@ -24,10 +21,7 @@ def test_literal_codes():
     assert lit(1) == 2
     assert lit(1, negative=True) == 3
     assert lit(7) == 14
-    assert lit_var(14) == 7
-    assert lit_var(15) == 7
-    assert not is_negative(lit(3))
-    assert is_negative(negate(lit(3)))
+    assert negate(lit(7)) == lit(7, negative=True) == 15
     with pytest.raises(ValueError):
         lit(0)
 
@@ -51,11 +45,6 @@ def test_signed_roundtrip(v, neg):
 def test_from_signed_rejects_zero():
     with pytest.raises(ValueError):
         from_signed(0)
-
-
-def test_lit_str():
-    assert lit_str(lit(4)) == "x4"
-    assert lit_str(lit(4, negative=True)) == "~x4"
 
 
 def test_fresh_lit_numbers_above_num_vars():
@@ -121,6 +110,11 @@ def test_constraint_str():
     c = PBConstraint.from_signed([(2, 1), (3, -2)], LE, 5)
     assert str(c) == "2 x1 + 3 ~x2 <= 5"
     assert str(PBConstraint((), LE, 0)) == "0 <= 0"
+
+
+def test_lit_str():
+    assert str(PBConstraint((Term(1, lit(4)),), GE, 1)) == "1 x4 >= 1"
+    assert str(PBConstraint((Term(1, lit(4, negative=True)),), GE, 1)) == "1 ~x4 >= 1"
 
 
 def test_formula_add_clause_extends_vars():

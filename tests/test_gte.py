@@ -25,14 +25,13 @@ from pbcnf import (
     encode_auto,
     encode_gte,
     lit,
-    merge_sums,
-    node_sums,
     random_normalized_constraint,
     solve,
 )
 from pbcnf import gte
+from pbcnf.gte import merge_sums
 
-from conftest import by_weight
+from conftest import by_weight, node_sums
 
 REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
 

@@ -49,7 +49,6 @@ from pbcnf import (
     from_signed,
     gen_bench,
     lit,
-    merge_sums,
     negate,
     normalize,
     parse_dimacs,
@@ -57,7 +56,6 @@ from pbcnf import (
     pb12like,
     pedigreelike,
     propagate,
-    random_constraint,
     random_normalized_constraint,
     solve,
     to_signed,
@@ -66,7 +64,10 @@ from pbcnf import (
 )
 from pbcnf import dimacs
 from pbcnf.engine import FALSE, TRUE, UNDEF, _luby
+from pbcnf.gte import merge_sums
 from pbcnf.opb import _HEADER, _INT, _TOKEN, _VAR, _to_text
+
+from conftest import random_constraint
 
 # --- reference implementations ------------------------------------------
 

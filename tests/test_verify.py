@@ -11,7 +11,6 @@ import itertools
 import pytest
 
 from pbcnf import (
-    CSV_HEADER,
     LE,
     BenchSpec,
     CnfFormula,
@@ -19,20 +18,20 @@ from pbcnf import (
     SplitMix64,
     Term,
     compile_constraints,
-    eq4_count,
     gac_check,
     gen_bench,
     lit,
-    node_sums,
     oracle_check,
     oracle_check_formula,
     pb12like,
     pedigreelike,
-    random_constraint,
     random_normalized_constraint,
     stats_compare,
     stats_csv,
 )
+from pbcnf.bench import CSV_HEADER
+
+from conftest import eq4_count, node_sums, random_constraint
 
 REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
 CARD4_LE2 = PBConstraint.from_signed([(1, 1), (1, 2), (1, 3), (1, 4)], LE, 2)
