@@ -16,10 +16,11 @@ import time
 from dataclasses import astuple, dataclass, fields
 
 from .core import LE, GE, EQ, PBConstraint, Term, lit
-from .engine import Solver
+from .engine import SAT, Solver
 from .opb import PbInstance
 from .pipeline import compile_instance
 from .rng import SplitMix64
+from .verify import first_violated
 
 FAMILIES = ("pb12like", "pedigreelike")
 
@@ -36,6 +37,9 @@ class BenchSpec:
 
 
 def pedigreelike(n: int = 50, max_weight: int = 456, k: int | None = None, seed: int = 1) -> BenchSpec:
+    """Weights 1 and `max_weight`, so a `max_weight` below 2 raises ValueError."""
+    if max_weight < 2:
+        raise ValueError(f"pedigreelike needs a max_weight of at least 2, not {max_weight}")
     return BenchSpec("pedigreelike", n=n, constraints=1, distinct_weights=2,
                      max_weight=max_weight, k=k, seed=seed)
 
@@ -56,10 +60,8 @@ def gen_bench(spec: BenchSpec) -> PbInstance:
 
 def _gen_pedigree(spec: BenchSpec) -> PbInstance:
     rng = SplitMix64(spec.seed)
-    small = 1
-    large = max(2, spec.max_weight)
     terms = tuple(
-        Term(large if rng.chance(1, 2) else small, lit(v, negative=rng.chance(1, 4)))
+        Term(spec.max_weight if rng.chance(1, 2) else 1, lit(v, negative=rng.chance(1, 4)))
         for v in range(1, spec.n + 1)
     )
     k = spec.k if spec.k is not None else sum(w for w, _ in terms) // 2
@@ -112,7 +114,8 @@ def stats_compare(
     max_conflicts: int | None = None,
 ) -> list[StatRow]:
     """One row per encoder: the instance encoded and solved with the embedded
-    engine; an unknown encoder name raises ValueError."""
+    engine; an unknown encoder name raises ValueError, and a SAT model that
+    breaks one of the instance's constraints raises RuntimeError."""
     rows = []
     for enc in encoders:
         row = StatRow(instance=label, encoder=enc)
@@ -124,6 +127,12 @@ def stats_compare(
         res = Solver(compiled.formula).solve(max_conflicts=max_conflicts)
         row.solve_ms = round((time.perf_counter() - t0) * 1000.0, 3)
         row.result = res.status
+        bad = first_violated(instance.constraints, res.model) if res.status == SAT else None
+        if bad is not None:
+            raise RuntimeError(
+                f"{label} under {enc}: the model violates constraint {bad} "
+                f"({instance.constraints[bad - 1]})"
+            )
         rows.append(row)
     return rows
 

@@ -4,8 +4,8 @@ Subcommands: encode, solve, verify, gac-check, stats, gen-bench.
 `--encoding auto` (the default) is the generalized totalizer pruned as
 gte.py describes; `--encoding gte` is the paper's encoding, and
 `--encoding totalizer` is a second name for it.
-`solve` checks every SAT model against the input's constraints before
-printing it.
+`solve` and `stats` check every SAT model against the input's constraints
+before printing anything about it.
 Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;
 2 I/O or parse error, an external solver that cannot be run or answers
 in an unrecognized form, or a reader that closes stdout early;
@@ -29,7 +29,7 @@ from .dimacs import write_dimacs
 from .engine import SAT, TIMEOUT, UNSAT, Solver, solve_external
 from .opb import OpbError, parse_opb, write_opb
 from .pipeline import ENCODING_NAMES, compile_instance
-from .verify import ORACLE_MAX_VARS, gac_check, oracle_check, random_normalized_constraint
+from .verify import ORACLE_MAX_VARS, first_violated, gac_check, oracle_check, random_normalized_constraint
 from .rng import SplitMix64
 
 EXIT_OK = 0
@@ -151,10 +151,9 @@ def _cmd_solve(args) -> int:
         result = Solver(compiled.formula).solve(max_conflicts=args.max_conflicts)
     if result.status == SAT:
         model = (result.model or [])[: instance.declared_vars]
-        assignment = {abs(n): n > 0 for n in model}
-        for i, c in enumerate(instance.constraints, 1):
-            if not c.holds(assignment):
-                raise _Failure(EXIT_VERIFY, f"the model violates constraint {i} ({c})")
+        bad = first_violated(instance.constraints, model)
+        if bad is not None:
+            raise _Failure(EXIT_VERIFY, f"the model violates constraint {bad} ({instance.constraints[bad - 1]})")
         print(SAT)
         print(" ".join(str(n) for n in model))
         return EXIT_SAT
@@ -217,14 +216,20 @@ def _cmd_stats(args) -> int:
         raise _Failure(EXIT_USAGE, "no instances: pass OPB files or --generate")
     rows = []
     for label, instance in jobs:
-        rows.extend(bench.stats_compare(instance, args.encoders, label, args.max_conflicts))
+        try:
+            rows.extend(bench.stats_compare(instance, args.encoders, label, args.max_conflicts))
+        except RuntimeError as e:  # a SAT model that breaks a constraint
+            raise _Failure(EXIT_VERIFY, str(e)) from e
     sys.stdout.write(bench.stats_csv(rows))
     return EXIT_OK
 
 
 def _make_spec(family: str, args, seed: int) -> bench.BenchSpec:
     if family == "pedigreelike":
-        return bench.pedigreelike(n=args.n, max_weight=args.max_weight, k=args.k, seed=seed)
+        try:
+            return bench.pedigreelike(n=args.n, max_weight=args.max_weight, k=args.k, seed=seed)
+        except ValueError as e:
+            raise _Failure(EXIT_USAGE, str(e)) from e
     return bench.pb12like(
         constraints=args.constraints, n=args.n, max_weight=args.max_weight,
         distinct_weights=args.distinct_weights, seed=seed,

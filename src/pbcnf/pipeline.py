@@ -26,9 +26,15 @@ class CompiledInstance:
     formula: CnfFormula
     input_vars: int
     forced_units: int = 0
-    aux_vars: int = 0
-    aux_clauses: int = 0
     encode_time: float = 0.0
+
+    @property
+    def aux_vars(self) -> int:
+        return self.formula.num_vars - self.input_vars
+
+    @property
+    def aux_clauses(self) -> int:  # one pass over the formula per read
+        return self.formula.num_clauses
 
 
 def compile_constraints(
@@ -70,8 +76,6 @@ def compile_constraints(
                 compiled.forced_units += 1
             elif piece.kind is OutcomeKind.NORMALIZED:
                 enc(piece.constraint, out)
-    compiled.aux_vars = out.num_vars - num_input_vars
-    compiled.aux_clauses = out.num_clauses
     compiled.encode_time = time.perf_counter() - t0
     return compiled
 

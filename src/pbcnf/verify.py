@@ -2,9 +2,10 @@
 
 Every check here deliberately avoids the code paths it validates:
 `oracle_check` decides constraint satisfaction by integer arithmetic and the
-residual CNF by search; `gac_check` computes the semantically required
-literals from the weights alone and compares against what unit propagation
-derives.
+residual CNF by search; `first_violated` checks a solver's model against the
+original constraints the same way; `gac_check` computes the semantically
+required literals from the weights alone and compares against what unit
+propagation derives.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import LE, PBConstraint, Term, lit, negate
+from .core import LE, PBConstraint, Term, lit
 from .engine import SAT, Solver
 from .pipeline import compile_constraints
 from .rng import SplitMix64
@@ -63,6 +64,16 @@ def oracle_check_formula(c: PBConstraint, formula, encoding: str = "?") -> Oracl
     return OracleOutcome(True, encoding, c)
 
 
+def first_violated(constraints, model) -> int | None:
+    """1-based index of the first constraint that `model` (signed DIMACS
+    literals) breaks, by integer arithmetic; None when every one holds."""
+    assignment = {abs(n): n > 0 for n in model}
+    for i, c in enumerate(constraints, 1):
+        if not c.holds(assignment):
+            return i
+    return None
+
+
 @dataclass
 class GacReport:
     constraint: PBConstraint
@@ -93,50 +104,36 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
     num_inputs = max(c.variables(), default=0)
     compiled = compile_constraints([c], num_inputs, encoding)
     solver = Solver(compiled.formula)
-    reports: list[GacReport] = []
-
-    def run_case(digits) -> GacReport | None:
-        true_sum = 0
-        partial: list[int] = []
-        open_terms: list[Term] = []
-        for d, (w, l) in zip(digits, terms):
-            if d == 0:
-                open_terms.append(Term(w, l))
-            elif d == 1:
-                partial.append(negate(l))
-            else:
-                partial.append(l)
-                true_sum += w
-        if true_sum > k:
-            return None  # inconsistent sample
-        required = frozenset(negate(l) for w, l in open_terms if w + true_sum > k)
-        confl, _ = solver.assume_propagate(partial)
-        if confl is not None:
-            return GacReport(c, encoding, tuple(partial), required, conflicted=True)
-        missing = frozenset(l for l in required if solver.value(l) != 1)
-        return GacReport(c, encoding, tuple(partial), required, missing=missing)
-
     if 3**n <= 4096:
         # every {unset, false, true}^n vector, first term fastest
-        for digits in product(range(3), repeat=n):
-            report = run_case(digits[::-1])
-            if report is not None:
-                reports.append(report)
+        cases = (digits[::-1] for digits in product(range(3), repeat=n))
     else:
-        # a drawn true digit whose weight no longer fits is made unset, so
-        # every draw is one consistent partial assignment
-        rng = SplitMix64(seed)
-        weights = [w for w, _ in terms]
-        for _ in range(trials):
-            digits, room = [], k
-            for w in weights:
-                d = rng.randint(0, 2)
-                if d == 2 and w > room:
-                    d = 0
-                room -= w if d == 2 else 0
-                digits.append(d)
-            reports.append(run_case(digits))
+        cases = _drawn_cases(SplitMix64(seed), [w for w, _ in terms], k, trials)
+    reports: list[GacReport] = []
+    for digits in cases:
+        true_sum = sum(w for d, (w, _) in zip(digits, terms) if d == 2)
+        if true_sum > k:
+            continue  # inconsistent partial assignment
+        partial = tuple(l if d == 2 else l ^ 1 for d, (_, l) in zip(digits, terms) if d)
+        required = frozenset(l ^ 1 for d, (w, l) in zip(digits, terms) if d == 0 and w + true_sum > k)
+        conflicted = solver.assume_propagate(partial)[0] is not None
+        missing = frozenset() if conflicted else frozenset(l for l in required if solver.value(l) != 1)
+        reports.append(GacReport(c, encoding, partial, required, conflicted, missing))
     return reports
+
+
+def _drawn_cases(rng: SplitMix64, weights: list[int], k: int, trials: int):
+    """`trials` seeded {unset, false, true} vectors, one draw per weight; a true
+    digit whose weight no longer fits is made unset, so each is consistent."""
+    for _ in range(trials):
+        digits, room = [], k
+        for w in weights:
+            d = rng.randint(0, 2)
+            if d == 2 and w > room:
+                d = 0
+            room -= w if d == 2 else 0
+            digits.append(d)
+        yield digits
 
 
 def random_normalized_constraint(

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from pbcnf import SAT, UNSAT, SolveResult, cli, encode_gte, gac_check, parse_opb, pipeline
+from pbcnf import SAT, UNSAT, SolveResult, bench, cli, encode_gte, gac_check, parse_opb, pipeline
 from pbcnf.cli import main
 
 REFERENCE_OPB = "* #variable= 4 #constraint= 1\n+2 x1 +3 x2 +3 x3 +3 x4 <= 5 ;\n"
@@ -577,6 +577,23 @@ def test_stats_reads_opb_files(reference_file, capsys):
     assert all(c[0] == "ref" for c in cells)
 
 
+def test_stats_wrong_model_is_verification_failure(reference_file, capsys, monkeypatch):
+    # stats checks each SAT model against the input's constraints, as solve does
+    class WrongEngine:
+        def __init__(self, formula):
+            self.nvars = formula.num_vars
+
+        def solve(self, max_conflicts=None):
+            return SolveResult(SAT, list(range(1, self.nvars + 1)))
+
+    monkeypatch.setattr(bench, "Solver", WrongEngine)
+    rc = main(["stats", reference_file, "--encoders", "gte"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err == "error: ref under gte: the model violates constraint 1 (2 x1 + 3 x2 + 3 x3 + 3 x4 <= 5)\n"
+
+
 # --- gen-bench ---
 
 
@@ -588,6 +605,15 @@ def test_gen_bench_roundtrips(capsys):
     inst = parse_opb(out)
     assert inst.declared_vars == 12
     assert len(inst.constraints) == 1
+
+
+@pytest.mark.parametrize("command", [["gen-bench", "--family"], ["stats", "--generate"]])
+def test_pedigreelike_below_two_weights_is_usage_error(command, capsys):
+    rc = main([*command, "pedigreelike", "--max-weight", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert err == "error: pedigreelike needs a max_weight of at least 2, not 1\n"
 
 
 def test_gen_bench_deterministic(capsys):

@@ -185,6 +185,18 @@ def test_aggregate_counts_add_up():
     assert compiled.encode_time >= 0.0
 
 
+def test_sizes_follow_the_formula():
+    # aux_vars and aux_clauses are read off the formula, so what a caller
+    # adds after compiling counts too
+    c = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
+    compiled = compile_constraints([c], 4, "gte")
+    assert (compiled.aux_vars, compiled.aux_clauses) == (9, 18)
+    compiled.formula.add_clause([lit(1), lit(2)])
+    assert (compiled.aux_vars, compiled.aux_clauses) == (9, 19)
+    compiled.formula.fresh_lit()
+    assert (compiled.aux_vars, compiled.aux_clauses) == (10, 19)
+
+
 def test_auto_is_gte_over_weight_sorted_terms():
     # pedigreelike is one <= constraint over weights 1 and 456, so sorting
     # its input terms sorts the normalized piece's leaves too; auto then

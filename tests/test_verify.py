@@ -6,6 +6,7 @@ misses required literals on 12, while both totalizer-family encodings and the
 counter pass all of them.
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -196,6 +197,31 @@ def test_auto_sweep_is_sound_and_propagation_complete():
     assert reordered >= 20 and partials >= 1000
 
 
+def test_gac_reports_are_pinned():
+    # one digest over every report, recorded before gac_check's case loop was
+    # rewritten: the exhaustive branch (3^n <= 4096) and the sampled one both
+    # run, and the last constraint has a weight of exactly bound+1
+    rng = SplitMix64(30)
+    cs = [
+        random_normalized_constraint(rng, max_n=m, max_weight=12, max_bound=40)
+        for m in (6, 12)
+        for _ in range(8)
+    ]
+    cs.append(PBConstraint.from_signed([(3, 1), (6, -2), (2, 3), (1, 4)], LE, 5))
+    assert {3 ** len(c.terms) <= 4096 for c in cs} == {True, False}
+    h = hashlib.sha256()
+    count = 0
+    for c in cs:
+        for enc in ("gte", "swc", "adder", "auto"):
+            for r in gac_check(c, enc, trials=60, seed=30):
+                count += 1
+                key = (str(r.constraint), r.encoding, r.partial, sorted(r.required),
+                       r.conflicted, sorted(r.missing))
+                h.update(repr(key).encode())
+    assert count == 3704
+    assert h.hexdigest() == "3e0f10b5f1454f0aadbae578060ba1e7548178a25a543e1c4ad7d75d5d177ddb"
+
+
 def test_gac_rejects_non_normalized():
     with pytest.raises(ValueError):
         gac_check(PBConstraint.from_signed([(1, 1)], ">=", 1), "gte")
@@ -253,6 +279,16 @@ def test_pedigreelike_explicit_bound():
     assert inst.constraints[0].bound == 17
 
 
+def test_pedigreelike_needs_two_weights():
+    # the small weight is 1, so a max_weight of 1 would write weights of 2
+    # under a header that says max_weight= 1, or one weight only
+    for max_weight in (1, 0, -3):
+        with pytest.raises(ValueError, match="max_weight of at least 2"):
+            pedigreelike(n=10, max_weight=max_weight)
+    c = gen_bench(pedigreelike(n=30, max_weight=2, seed=2)).constraints[0]
+    assert {w for w, _ in c.terms} == {1, 2}
+
+
 def test_pb12like_profile():
     inst = gen_bench(pb12like(constraints=8, n=16, max_weight=13, distinct_weights=7, seed=5))
     assert inst.declared_vars == 32
@@ -293,6 +329,26 @@ def test_stats_compare_raises_on_an_unknown_encoder():
 
     with pytest.raises(ValueError):
         stats_compare(PbInstance(4, [REFERENCE]), ["nope"])
+
+
+def test_stats_compare_checks_every_model(monkeypatch):
+    # a solver whose model breaks the first constraint: every variable on
+    # weighs 11 against the bound 5
+    from pbcnf import SAT, PbInstance, SolveResult, bench
+
+    class WrongEngine:
+        def __init__(self, formula):
+            self.nvars = formula.num_vars
+
+        def solve(self, max_conflicts=None):
+            return SolveResult(SAT, list(range(1, self.nvars + 1)))
+
+    monkeypatch.setattr(bench, "Solver", WrongEngine)
+    with pytest.raises(RuntimeError) as e:
+        stats_compare(PbInstance(4, [REFERENCE, CARD4_LE2]), ["swc", "gte"], label="ref")
+    assert str(e.value) == (
+        "ref under swc: the model violates constraint 1 (2 x1 + 3 x2 + 3 x3 + 3 x4 <= 5)"
+    )
 
 
 def test_stats_csv_shape():
