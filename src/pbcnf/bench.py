@@ -37,9 +37,7 @@ class BenchSpec:
 
 
 def pedigreelike(n: int = 50, max_weight: int = 456, k: int | None = None, seed: int = 1) -> BenchSpec:
-    """Weights 1 and `max_weight`, so a `max_weight` below 2 raises ValueError."""
-    if max_weight < 2:
-        raise ValueError(f"pedigreelike needs a max_weight of at least 2, not {max_weight}")
+    """Weights 1 and `max_weight`, so `gen_bench` refuses a `max_weight` below 2."""
     return BenchSpec("pedigreelike", n=n, constraints=1, distinct_weights=2,
                      max_weight=max_weight, k=k, seed=seed)
 
@@ -59,6 +57,8 @@ def gen_bench(spec: BenchSpec) -> PbInstance:
 
 
 def _gen_pedigree(spec: BenchSpec) -> PbInstance:
+    if spec.max_weight < 2:
+        raise ValueError(f"pedigreelike needs a max_weight of at least 2, not {spec.max_weight}")
     rng = SplitMix64(spec.seed)
     terms = tuple(
         Term(spec.max_weight if rng.chance(1, 2) else 1, lit(v, negative=rng.chance(1, 4)))

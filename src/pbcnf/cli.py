@@ -27,7 +27,7 @@ from . import bench
 from .core import to_signed
 from .dimacs import write_dimacs
 from .engine import SAT, TIMEOUT, UNSAT, Solver, solve_external
-from .opb import OpbError, parse_opb, write_opb
+from .opb import OpbError, PbInstance, parse_opb, write_opb
 from .pipeline import ENCODING_NAMES, compile_instance
 from .verify import ORACLE_MAX_VARS, first_violated, gac_check, oracle_check, random_normalized_constraint
 from .rng import SplitMix64
@@ -210,8 +210,8 @@ def _cmd_stats(args) -> int:
     if args.generate:
         rng = SplitMix64(args.seed)
         for i in range(args.count):
-            spec = _make_spec(args.generate, args, rng.randint(0, 2**32))
-            jobs.append((f"{args.generate}-{i}", bench.gen_bench(spec)))
+            _, instance = _generate(args.generate, args, rng.randint(0, 2**32))
+            jobs.append((f"{args.generate}-{i}", instance))
     if not jobs:
         raise _Failure(EXIT_USAGE, "no instances: pass OPB files or --generate")
     rows = []
@@ -224,21 +224,23 @@ def _cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _make_spec(family: str, args, seed: int) -> bench.BenchSpec:
+def _generate(family: str, args, seed: int) -> tuple[bench.BenchSpec, PbInstance]:
+    """The family's spec from the arguments, and the instance it generates."""
     if family == "pedigreelike":
-        try:
-            return bench.pedigreelike(n=args.n, max_weight=args.max_weight, k=args.k, seed=seed)
-        except ValueError as e:
-            raise _Failure(EXIT_USAGE, str(e)) from e
-    return bench.pb12like(
-        constraints=args.constraints, n=args.n, max_weight=args.max_weight,
-        distinct_weights=args.distinct_weights, seed=seed,
-    )
+        spec = bench.pedigreelike(n=args.n, max_weight=args.max_weight, k=args.k, seed=seed)
+    else:
+        spec = bench.pb12like(
+            constraints=args.constraints, n=args.n, max_weight=args.max_weight,
+            distinct_weights=args.distinct_weights, seed=seed,
+        )
+    try:
+        return spec, bench.gen_bench(spec)
+    except ValueError as e:  # a pedigreelike max_weight below 2
+        raise _Failure(EXIT_USAGE, str(e)) from e
 
 
 def _cmd_gen_bench(args) -> int:
-    spec = _make_spec(args.family, args, args.seed)
-    instance = bench.gen_bench(spec)
+    spec, instance = _generate(args.family, args, args.seed)
     notes = [
         f"family= {spec.family} seed= {spec.seed} prng= splitmix64",
         f"n= {spec.n} constraints= {spec.constraints} max_weight= {spec.max_weight}"

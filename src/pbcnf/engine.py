@@ -46,7 +46,12 @@ new list, the learned clauses follow the formula's, and a tautology reads as
 None; the engine itself never reads it.  A plain list,
 not an `array('i')`, holds the literals: an array boxes a new int object on
 every read, and propagation reads literals in its innermost loop, while the
-list shares the formula's own int objects.
+list shares the formula's own int objects.  `val`, the value of each literal
+code, stays a bytearray although propagation and backtracking touch it at
+every literal: a list made search about 7 % faster, as CPython 3.11
+specializes list subscripts and stores but not bytearray ones, but it takes
+8 bytes per code against 1 and raised the `opb-many` benchmark's peak RSS by
+a tenth.
 """
 
 from __future__ import annotations
@@ -208,8 +213,7 @@ class Solver:
         for l in reversed(trail[lim:]):
             v = l >> 1
             saved_phase[v] = 1 - (l & 1)
-            val[l] = UNDEF
-            val[l ^ 1] = UNDEF
+            val[l] = val[l ^ 1] = UNDEF
             act = activity[v]
             if heap_act[v] != act:
                 heap_act[v] = act
@@ -221,7 +225,9 @@ class Solver:
     # -- propagation ------------------------------------------------------
 
     def _propagate(self) -> int | None:
-        """Propagate the trail from qhead; the offset of a falsified clause, or None."""
+        """Propagate the trail from qhead; the offset of a falsified clause, or
+        None.  Both ways qhead ends at the trail's end.  The loop writes the
+        codes of TRUE (1) and FALSE (0) as constants and reads no global."""
         val = self.val
         lits = self.lits
         watches = self.watches
@@ -229,73 +235,71 @@ class Solver:
         level = self.level
         reason = self.reason
         lvl = len(self.trail_lim)
-        qhead = self.qhead
-        while qhead < len(trail):
-            falsified = trail[qhead] ^ 1
-            qhead += 1
+        pending = iter(trail)  # also yields the literals appended while it runs
+        pending.__setstate__(self.qhead)
+        for p in pending:
+            falsified = p ^ 1
             ws = watches[falsified]
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                o = ws[i]
-                i += 1
+            j = moved = 0  # ws[:j] is kept; `moved` entries went to other lists
+            for o in ws:
                 first = lits[o]
                 if first == falsified:
                     first = lits[o + 1]
                     lits[o] = first
                     lits[o + 1] = falsified
-                if val[first] == TRUE:
+                if val[first] == 1:
                     ws[j] = o
                     j += 1
                     continue
                 t = o + 2
                 other = lits[t]
                 while other:  # up to the clause's 0
-                    if val[other] != FALSE:
+                    if val[other] != 0:
                         lits[o + 1] = other
                         lits[t] = falsified
                         watches[other].append(o)
+                        moved += 1
                         break
                     t += 1
                     other = lits[t]
                 else:
                     ws[j] = o
                     j += 1
-                    if val[first] == FALSE:
-                        del ws[j:i]
+                    if val[first] == 0:
+                        del ws[j : j + moved]
                         self.qhead = len(trail)
                         return o
                     # the bookkeeping of _assign(first, o), inlined
-                    val[first] = TRUE
-                    val[first ^ 1] = FALSE
+                    val[first] = 1
+                    val[first ^ 1] = 0
                     v = first >> 1
                     level[v] = lvl
                     reason[v] = o
                     trail.append(first)
             del ws[j:]
-        self.qhead = qhead
+        self.qhead = len(trail)
         return None
 
     # -- conflict analysis -------------------------------------------------
 
-    def _bump(self, v: int) -> None:
+    def _rescale(self) -> None:
+        """Scale every activity and var_inc by 1e-100, and rebuild the heap
+        from the unassigned variables."""
         activity = self.activity
-        activity[v] += self.var_inc
-        if activity[v] > 1e100:
-            val = self.val
-            heap_act = self.heap_act
-            prio = []
-            for u in range(1, self.nvars + 1):
-                act = activity[u] * 1e-100
-                activity[u] = act
-                if val[2 * u] == UNDEF:
-                    heap_act[u] = act
-                    prio.append((-act, u))
-                else:
-                    heap_act[u] = -1.0
-            self.var_inc *= 1e-100
-            prio.sort()
-            self.prio = prio
+        val = self.val
+        heap_act = self.heap_act
+        prio = []
+        for u in range(1, self.nvars + 1):
+            act = activity[u] * 1e-100
+            activity[u] = act
+            if val[2 * u] == UNDEF:
+                heap_act[u] = act
+                prio.append((-act, u))
+            else:
+                heap_act[u] = -1.0
+        self.var_inc *= 1e-100
+        prio.sort()
+        self.prio = prio
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         """First unique implication point for the clause at offset confl;
@@ -304,6 +308,9 @@ class Solver:
         find = lits.index
         seen = self.seen
         trail = self.trail
+        level = self.level
+        activity = self.activity
+        var_inc = self.var_inc
         cur_level = len(self.trail_lim)
         learned = [0]
         counter = 0
@@ -315,10 +322,13 @@ class Solver:
                 if q == p:
                     continue
                 v = q >> 1
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
-                    self._bump(v)
-                    if self.level[v] >= cur_level:
+                    activity[v] += var_inc
+                    if activity[v] > 1e100:
+                        self._rescale()
+                        var_inc = self.var_inc
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learned.append(q)
@@ -339,9 +349,9 @@ class Solver:
         if len(learned) == 1:
             return learned, 0
         # second-highest level literal watches position 1
-        max_i = max(range(1, len(learned)), key=lambda i: self.level[learned[i] >> 1])
+        max_i = max(range(1, len(learned)), key=lambda i: level[learned[i] >> 1])
         learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, self.level[learned[1] >> 1]
+        return learned, level[learned[1] >> 1]
 
     def _add_learned(self, learned: list[int]) -> None:
         lits = self.lits
@@ -353,24 +363,11 @@ class Solver:
             self.watches[learned[1]].append(o)
         self._assign(learned[0], o)
 
-    def _pick_branch(self) -> int:
-        """The unassigned variable of highest activity; `solve` calls this
-        only while one exists, so the heap holds its live entry."""
-        prio = self.prio
-        val = self.val
-        heap_act = self.heap_act
-        while True:
-            negact, v = heappop(prio)
-            if heap_act[v] == -negact:  # v's live entry; any other is stale
-                heap_act[v] = -1.0
-                if val[2 * v] == UNDEF:
-                    return v
-
     def _check_literals(self, lits) -> None:
         top = 2 * self.nvars + 1
-        for a in lits:
-            if not (2 <= a <= top):
-                raise ValueError(f"literal {a} is outside the formula's variables")
+        if lits and (min(lits) < 2 or max(lits) > top):
+            bad = next(a for a in lits if not 2 <= a <= top)
+            raise ValueError(f"literal {bad} is outside the formula's variables")
 
     # -- search -------------------------------------------------------------
 
@@ -400,6 +397,10 @@ class Solver:
         restart_idx = 0
         restart_budget = _luby(restart_idx) * 64
         since_restart = 0
+        val = self.val
+        trail = self.trail
+        trail_lim = self.trail_lim
+        heap_act = self.heap_act
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -424,27 +425,40 @@ class Solver:
                 restart_budget = _luby(restart_idx) * 64
                 self._backtrack(0)
                 continue
-            lvl = len(self.trail_lim)
+            lvl = len(trail_lim)
             if lvl < len(asn):
                 a = asn[lvl]
-                if self.val[a] == TRUE:
-                    self.trail_lim.append(len(self.trail))  # keep level indexing aligned
+                va = val[a]
+                if va == TRUE:
+                    trail_lim.append(len(trail))  # keep level indexing aligned
                     continue
-                if self.val[a] == FALSE:
+                if va == FALSE:
                     self.assumed = asn[:lvl]  # levels 1..lvl stay for the next call
                     return SolveResult(UNSAT)
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 self._assign(a, -1)
                 continue
-            if len(self.trail) == self.nvars:  # every variable assigned: a model
-                val = self.val
+            if len(trail) == self.nvars:  # every variable assigned: a model
                 model = [v if val[2 * v] == TRUE else -v for v in range(1, self.nvars + 1)]
                 self._backtrack(len(asn))
                 self.assumed = asn
                 return SolveResult(SAT, model)
-            v = self._pick_branch()
-            self.trail_lim.append(len(self.trail))
-            self._assign(2 * v + (0 if self.saved_phase[v] else 1), -1)
+            # branch on the first live heap entry of an unassigned variable,
+            # the one of highest activity; the trail is not full, so one exists
+            prio = self.prio  # a rescale replaces the list
+            while True:
+                negact, v = heappop(prio)
+                if heap_act[v] == -negact:  # v's live entry; any other is stale
+                    heap_act[v] = -1.0
+                    if val[2 * v] == UNDEF:
+                        break
+            l = 2 * v + (0 if self.saved_phase[v] else 1)
+            trail_lim.append(len(trail))
+            val[l] = TRUE
+            val[l ^ 1] = FALSE
+            self.level[v] = lvl + 1
+            self.reason[v] = -1
+            trail.append(l)
 
     # -- propagation-only interface -----------------------------------------
 

@@ -308,6 +308,15 @@ def test_assume_propagate_rejects_out_of_range_literal(code):
         s.solve([code])
 
 
+def test_bad_literal_message_names_the_first():
+    s = Solver(formula(2, [[1, 2]]))
+    for call in (s.solve, s.assume_propagate):
+        with pytest.raises(ValueError, match=r"^literal 0 is outside"):
+            call([lit(1), 0, 99])
+        with pytest.raises(ValueError, match=r"^literal 99 is outside"):
+            call([lit(1), 99, 0])
+
+
 def pigeonhole(holes):
     pigeons = holes + 1
     var = lambda p, h: (p - 1) * holes + h

@@ -957,6 +957,8 @@ def assert_heap_invariant(s):
 
 def assert_same_state(got, want):
     assert got.clauses == want.clauses
+    index = clause_index(got)
+    assert [[index[o] for o in ws] for ws in got.watches] == want.watches
     assert got.trail == want.trail
     assert got.trail_lim == want.trail_lim
     assert got.activity == want.activity
@@ -997,6 +999,18 @@ def test_search_matches_reference_after_rescale():
         assert_same_solve(got, want, max_conflicts=300)
         rescaled += got.var_inc < 1e90
     assert rescaled >= 8
+
+
+def test_conflict_after_a_moved_watch_matches_reference():
+    # the first decision, not x1, scans x1's watches in clause order: the
+    # first clause moves its watch to x3, the second implies not x5, the
+    # third is then false, and the fourth must stay on the list
+    x = [None] + [lit(v) for v in range(1, 7)]
+    f = CnfFormula(num_vars=6, clauses=[[x[1], x[2], x[3]], [x[1], negate(x[5])], [x[1], x[5]], [x[1], x[6]]])
+    got, want = Solver(f), RefSolver(f)
+    assert assert_same_solve(got, want, max_conflicts=0) == TIMEOUT
+    assert want.watches[x[1]] == [1, 2, 3] and want.watches[x[3]] == [0]
+    assert assert_same_solve(got, want) == SAT
 
 
 def test_solver_leaves_the_formula_untouched():

@@ -281,10 +281,13 @@ def test_pedigreelike_explicit_bound():
 
 def test_pedigreelike_needs_two_weights():
     # the small weight is 1, so a max_weight of 1 would write weights of 2
-    # under a header that says max_weight= 1, or one weight only
+    # under a header that says max_weight= 1, or one weight only; a spec
+    # built by hand is refused too
     for max_weight in (1, 0, -3):
-        with pytest.raises(ValueError, match="max_weight of at least 2"):
-            pedigreelike(n=10, max_weight=max_weight)
+        want = f"^pedigreelike needs a max_weight of at least 2, not {max_weight}$"
+        for spec in (pedigreelike(n=10, max_weight=max_weight), BenchSpec("pedigreelike", n=4, max_weight=max_weight)):
+            with pytest.raises(ValueError, match=want):
+                gen_bench(spec)
     c = gen_bench(pedigreelike(n=30, max_weight=2, seed=2)).constraints[0]
     assert {w for w, _ in c.terms} == {1, 2}
 
