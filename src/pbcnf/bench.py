@@ -138,5 +138,12 @@ def stats_compare(
 
 
 def stats_csv(rows) -> str:
-    lines = [CSV_HEADER] + [",".join(map(str, astuple(r))) for r in rows]
-    return "\n".join(lines) + "\n"
+    """The rows under `CSV_HEADER`, one line each; a field holding a comma, a
+    quote or a line break is quoted."""
+    import csv
+    import io
+
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    csv.writer(out, lineterminator="\n").writerows(map(astuple, rows))
+    return out.getvalue()

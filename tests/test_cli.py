@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -575,6 +576,15 @@ def test_stats_reads_opb_files(reference_file, capsys):
     # aux_vars, aux_clauses and result: the totalizer is gte by another name
     assert [by_enc["totalizer"][i] for i in (2, 3, 6)] == [by_enc["gte"][i] for i in (2, 3, 6)]
     assert all(c[0] == "ref" for c in cells)
+
+
+def test_stats_quotes_a_label_with_a_comma_or_a_quote(tmp_path, capsys):
+    names = ["a,b", 'say "x"', "plain"]
+    for name in names:
+        (tmp_path / f"{name}.opb").write_text(REFERENCE_OPB)
+    assert main(["stats", *(str(tmp_path / f"{name}.opb") for name in names), "--encoders", "gte"]) == 0
+    rows = csv.DictReader(capsys.readouterr().out.splitlines())
+    assert [(r["instance"], r["result"], len(r)) for r in rows] == [(name, "SAT", 7) for name in names]
 
 
 def test_stats_wrong_model_is_verification_failure(reference_file, capsys, monkeypatch):

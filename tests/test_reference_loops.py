@@ -1,25 +1,19 @@
 """Differential tests: the table- and comprehension-based hot paths against
-the plain per-literal loops they replaced.
-
-The reference functions below are the straightforward versions of
-`merge_sums`, the GTE clause emission, `dimacs_str`, the DIMACS parser, the
-OPB reader, the staged normalizer, and a list-per-clause `Solver` (its
-loader and its search loops).  The fast versions must give exactly the same
-sums, clauses (order and literal order included), variable counts, DIMACS
-bytes, parsed formulas and parse errors, normalization outcomes, watch lists
-and root units (the engine's clause offsets mapped to clause indices), and
-the same search: statuses, models, learned clauses and trails.  Across assumption sweeps, where the engine keeps
-assumption levels between calls, the trail may differ and the learned clauses
-are compared up to the order of their literals.  The OPB reader rejects an
-objective line at its first token, and reports a `;` right after the relation
-as a missing bound; those are the only errors it reports differently.
-"""
+the plain per-literal loops they replaced: `merge_sums`, the GTE clause
+emission, `dimacs_str`, the DIMACS parser, the OPB reader, the staged
+normalizer and the `Solver` loader (a list per clause).  Both must give the
+same sums, clauses (order and literal order included), variable counts,
+DIMACS bytes, parsed formulas and parse errors, normalization outcomes, watch
+lists and root units (the engine's clause offsets mapped to clause indices).
+The OPB reader rejects an objective line at its first token, and reports a
+`;` right after the relation as a missing bound; those are the only errors it
+reports differently.  test_search.py checks the search by what it derives."""
 
 from __future__ import annotations
 
 import io
 import warnings
-from heapq import heappop, heappush
+from heapq import heappush
 
 import pytest
 
@@ -27,9 +21,6 @@ from pbcnf import (
     EQ,
     GE,
     LE,
-    SAT,
-    TIMEOUT,
-    UNSAT,
     CnfFormula,
     DimacsError,
     NormalizationOutcome,
@@ -38,7 +29,6 @@ from pbcnf import (
     PBConstraint,
     PbInstance,
     Solver,
-    SolveResult,
     SplitMix64,
     Term,
     build_tree,
@@ -63,11 +53,11 @@ from pbcnf import (
     write_opb,
 )
 from pbcnf import dimacs
-from pbcnf.engine import FALSE, TRUE, UNDEF, _luby
+from pbcnf.engine import FALSE, TRUE, UNDEF
 from pbcnf.gte import merge_sums
 from pbcnf.opb import _HEADER, _INT, _TOKEN, _VAR, _to_text
 
-from conftest import random_constraint
+from conftest import clause_index, pb12, random_constraint
 
 # --- reference implementations ------------------------------------------
 
@@ -399,17 +389,6 @@ def ref_root(nv, clauses, watches, root_units, root_conflict):
     return trail, reasons, None
 
 
-def clause_index(s):
-    """{store offset: clause index} for every clause in the solver's flat
-    literal list, read off the 0 that ends each clause."""
-    index, o = {}, 0
-    for i in range(len(s.clauses)):
-        index[o] = i
-        o = s.lits.index(0, o) + 1
-    assert o == len(s.lits)
-    return index
-
-
 def assert_same_load(formula):
     s = Solver(formula)
     nv, clauses, watches, trail, reasons, root_conflict, prio = ref_load(formula)
@@ -710,307 +689,10 @@ def test_solver_rejects_literal_codes_below_2():
             Solver(f)
 
 
-# --- CDCL search loops -------------------------------------------------------
-
-
-class RefSolver:
-    """A list-per-clause engine: `ref_load` gives each clause its own list,
-    named by its index, and the search loops are the engine's as they were
-    before the live-entry heap: `_backtrack` re-pushes every unassigned
-    variable, `_propagate` calls `_assign`, and `solve` drains the heap before
-    it reports a model."""
-
-    def __init__(self, formula):
-        nv, self.clauses, self.watches, trail, reasons, self.root_conflict, self.prio = ref_load(formula)
-        self.nvars = nv
-        self.num_original = len(formula.clauses)
-        self.val = [UNDEF] * (2 * nv + 2)
-        self.level = [0] * (nv + 1)
-        self.reason = [-1] * (nv + 1)
-        self.activity = [0.0] * (nv + 1)
-        self.saved_phase = bytearray(nv + 1)
-        self.seen = [0] * (nv + 1)
-        self.var_inc = 1.0
-        self.trail = []
-        self.trail_lim = []
-        for l, idx in zip(trail, reasons):
-            self._assign(l, idx)
-        self.qhead = len(self.trail)
-
-    def _assign(self, l, reason):
-        v = l >> 1
-        self.val[l] = TRUE
-        self.val[l ^ 1] = FALSE
-        self.level[v] = len(self.trail_lim)
-        self.reason[v] = reason
-        self.trail.append(l)
-
-    def _backtrack(self, lvl):
-        if len(self.trail_lim) <= lvl:
-            return
-        lim = self.trail_lim[lvl]
-        for l in reversed(self.trail[lim:]):
-            v = l >> 1
-            self.saved_phase[v] = 1 - (l & 1)
-            self.val[l] = UNDEF
-            self.val[l ^ 1] = UNDEF
-            self.reason[v] = -1
-            heappush(self.prio, (-self.activity[v], v))
-        del self.trail[lim:]
-        del self.trail_lim[lvl:]
-        self.qhead = len(self.trail)
-
-    def _propagate(self):
-        val = self.val
-        clauses = self.clauses
-        watches = self.watches
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            falsified = p ^ 1
-            ws = watches[falsified]
-            i = j = 0
-            n = len(ws)
-            while i < n:
-                ci = ws[i]
-                i += 1
-                cl = clauses[ci]
-                if cl[0] == falsified:
-                    cl[0] = cl[1]
-                    cl[1] = falsified
-                first = cl[0]
-                if val[first] == TRUE:
-                    ws[j] = ci
-                    j += 1
-                    continue
-                moved = False
-                for t in range(2, len(cl)):
-                    if val[cl[t]] != FALSE:
-                        cl[1] = cl[t]
-                        cl[t] = falsified
-                        watches[cl[1]].append(ci)
-                        moved = True
-                        break
-                if moved:
-                    continue
-                ws[j] = ci
-                j += 1
-                if val[first] == FALSE:
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self.qhead = len(self.trail)
-                    return ci
-                self._assign(first, ci)
-            del ws[j:]
-        return None
-
-    def _bump(self, v):
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-            self.prio = [(-self.activity[v2], v2) for v2 in range(1, self.nvars + 1) if self.val[2 * v2] == UNDEF]
-            self.prio.sort()
-
-    def _analyze(self, confl):
-        learned = [0]
-        counter = 0
-        idx = len(self.trail) - 1
-        p = -1
-        reason_cl = self.clauses[confl]
-        while True:
-            for q in reason_cl:
-                if q == p:
-                    continue
-                v = q >> 1
-                if not self.seen[v] and self.level[v] > 0:
-                    self.seen[v] = 1
-                    self._bump(v)
-                    if self.level[v] >= len(self.trail_lim):
-                        counter += 1
-                    else:
-                        learned.append(q)
-            while not self.seen[self.trail[idx] >> 1]:
-                idx -= 1
-            p = self.trail[idx]
-            idx -= 1
-            self.seen[p >> 1] = 0
-            counter -= 1
-            if counter == 0:
-                learned[0] = p ^ 1
-                break
-            reason_cl = self.clauses[self.reason[p >> 1]]
-        for q in learned[1:]:
-            self.seen[q >> 1] = 0
-        if len(learned) == 1:
-            return learned, 0
-        max_i = max(range(1, len(learned)), key=lambda i: self.level[learned[i] >> 1])
-        learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, self.level[learned[1] >> 1]
-
-    def _add_learned(self, learned):
-        idx = len(self.clauses)
-        self.clauses.append(learned)
-        if len(learned) >= 2:
-            self.watches[learned[0]].append(idx)
-            self.watches[learned[1]].append(idx)
-        self._assign(learned[0], idx)
-
-    def _pick_branch(self):
-        prio = self.prio
-        val = self.val
-        activity = self.activity
-        while prio:
-            negact, v = heappop(prio)
-            if val[2 * v] == UNDEF and -negact == activity[v]:
-                return v
-        return None
-
-    def solve(self, assumptions=(), max_conflicts=None):
-        if self.root_conflict is not None:
-            return SolveResult(UNSAT)
-        self._backtrack(0)
-        asn = list(assumptions)
-        for a in asn:
-            if not (2 <= a <= 2 * self.nvars + 1):
-                raise ValueError(f"assumption {a} is outside the formula's variables")
-        conflicts = 0
-        restart_idx = 0
-        restart_budget = _luby(restart_idx) * 64
-        since_restart = 0
-        while True:
-            confl = self._propagate()
-            if confl is not None:
-                if len(self.trail_lim) == 0:
-                    return SolveResult(UNSAT)
-                conflicts += 1
-                since_restart += 1
-                if max_conflicts is not None and conflicts > max_conflicts:
-                    self._backtrack(0)
-                    return SolveResult(TIMEOUT)
-                learned, bt = self._analyze(confl)
-                self._backtrack(bt)
-                self._add_learned(learned)
-                self.var_inc *= 1.052
-                continue
-            if since_restart >= restart_budget:
-                since_restart = 0
-                restart_idx += 1
-                restart_budget = _luby(restart_idx) * 64
-                self._backtrack(0)
-                continue
-            lvl = len(self.trail_lim)
-            if lvl < len(asn):
-                a = asn[lvl]
-                if self.val[a] == TRUE:
-                    self.trail_lim.append(len(self.trail))
-                    continue
-                if self.val[a] == FALSE:
-                    self._backtrack(0)
-                    return SolveResult(UNSAT)
-                self.trail_lim.append(len(self.trail))
-                self._assign(a, -1)
-                continue
-            v = self._pick_branch()
-            if v is None:
-                model = [v2 if self.val[2 * v2] == TRUE else -v2 for v2 in range(1, self.nvars + 1)]
-                self._backtrack(0)
-                return SolveResult(SAT, model)
-            self.trail_lim.append(len(self.trail))
-            self._assign(2 * v + (0 if self.saved_phase[v] else 1), -1)
-
-    def assume_propagate(self, asserted=()):
-        """As the engine's, with the conflict as the clause's literals."""
-        if self.root_conflict is not None:
-            return (self.clauses[self.root_conflict], len(self.trail))
-        self._backtrack(0)
-        base = len(self.trail)
-        self.trail_lim.append(base)
-        for a in asserted:
-            if self.val[a] == FALSE:
-                r = self.reason[a >> 1]
-                return (self.clauses[r] if r >= 0 else [], base)
-            if self.val[a] == UNDEF:
-                self._assign(a, -1)
-        confl = self._propagate()
-        return (None if confl is None else self.clauses[confl], base)
-
-    def retract(self):
-        self._backtrack(0)
-
-
-def assert_heap_invariant(s):
-    """Each variable has at most one live `prio` entry, keyed `heap_act[v]`,
-    and every unassigned variable has one keyed by its current activity."""
-    entries = set(s.prio)
-    for v in range(1, s.nvars + 1):
-        if s.heap_act[v] != -1.0:
-            assert (-s.heap_act[v], v) in entries, v
-        if s.val[2 * v] == UNDEF:
-            assert s.heap_act[v] == s.activity[v], v
-            assert (-s.activity[v], v) in entries, v
-
-
-def assert_same_state(got, want):
-    assert got.clauses == want.clauses
-    index = clause_index(got)
-    assert [[index[o] for o in ws] for ws in got.watches] == want.watches
-    assert got.trail == want.trail
-    assert got.trail_lim == want.trail_lim
-    assert got.activity == want.activity
-    assert got.var_inc == want.var_inc
-    assert got.saved_phase == want.saved_phase
-    assert_heap_invariant(got)
-
-
-def assert_same_solve(got, want, assumptions=(), max_conflicts=None):
-    a = got.solve(assumptions, max_conflicts)
-    b = want.solve(assumptions, max_conflicts)
-    assert (a.status, a.model) == (b.status, b.model)
-    assert_same_state(got, want)
-    return a.status
-
-
 def pb12_formulas(jobs):
     """The criterion-8 pb12like instances, as (seed offset, encoder) jobs."""
     for i, enc in jobs:
-        yield compile_instance(gen_bench(pb12like(constraints=6, n=24, seed=100 + i)), enc).formula
-
-
-def test_search_matches_reference_on_pb12like():
-    statuses = set()
-    for f in pb12_formulas((i, enc) for i in range(10) for enc in ("gte", "swc", "adder")):
-        got, want = Solver(f), RefSolver(f)
-        statuses.add(assert_same_solve(got, want, max_conflicts=300))
-    assert statuses == {SAT, UNSAT, TIMEOUT}
-
-
-def test_search_matches_reference_after_rescale():
-    # with activities this close to the 1e100 ceiling, most of these searches
-    # rescale while variables are assigned
-    rescaled = 0
-    for f in pb12_formulas([(0, "gte")] + [(i, "adder") for i in range(10)]):
-        got, want = Solver(f), RefSolver(f)
-        got.var_inc = want.var_inc = 1e98
-        assert_same_solve(got, want, max_conflicts=300)
-        rescaled += got.var_inc < 1e90
-    assert rescaled >= 8
-
-
-def test_conflict_after_a_moved_watch_matches_reference():
-    # the first decision, not x1, scans x1's watches in clause order: the
-    # first clause moves its watch to x3, the second implies not x5, the
-    # third is then false, and the fourth must stay on the list
-    x = [None] + [lit(v) for v in range(1, 7)]
-    f = CnfFormula(num_vars=6, clauses=[[x[1], x[2], x[3]], [x[1], negate(x[5])], [x[1], x[5]], [x[1], x[6]]])
-    got, want = Solver(f), RefSolver(f)
-    assert assert_same_solve(got, want, max_conflicts=0) == TIMEOUT
-    assert want.watches[x[1]] == [1, 2, 3] and want.watches[x[3]] == [0]
-    assert assert_same_solve(got, want) == SAT
+        yield pb12(100 + i, enc)[1]
 
 
 def test_solver_leaves_the_formula_untouched():
@@ -1034,52 +716,6 @@ def test_solver_leaves_the_formula_untouched():
         assert (f.num_vars, f.lits) == snapshot
         moved += s.lits[: len(f.lits)] != f.lits
     assert moved > 20
-
-
-def learned_clauses(s, formula_clauses):
-    return [sorted(cl) for cl in s.clauses[formula_clauses:]]
-
-
-def assert_same_answer(got, want, assumptions=()):
-    """What reusing kept assumption levels may not change: status, model,
-    activities and learned clauses up to the order of their literals (the
-    trail and the saved phases of still-assigned variables may differ)."""
-    a = got.solve(assumptions)
-    b = want.solve(assumptions)
-    assert (a.status, a.model) == (b.status, b.model)
-    assert got.activity == want.activity
-    assert got.var_inc == want.var_inc
-    assert learned_clauses(got, want.num_original) == learned_clauses(want, want.num_original)
-    assert_heap_invariant(got)
-
-
-@pytest.mark.parametrize("encoding", ["gte", "swc", "adder"])
-def test_assumption_sweeps_match_reference(encoding):
-    """One solver reused across calls, as `oracle_check` and `gac_check` do,
-    with the assumptions most significant bit first, as in `oracle_check`."""
-    rng = SplitMix64(23)
-    for _ in range(12):
-        c = random_normalized_constraint(rng, 8, 12, 40)
-        variables = c.variables()
-        f = compile_constraints([c], max(variables), encoding).formula
-        got, want = Solver(f), RefSolver(f)
-        for bits in range(1 << len(variables)):
-            asn = [lit(v, negative=not (bits >> i) & 1) for i, v in enumerate(variables)]
-            assert_same_answer(got, want, asn[::-1])
-        for _ in range(30):
-            partial = [lit(v, negative=rng.chance(1, 2)) for v in variables if rng.chance(1, 2)]
-            got_confl, _ = got.assume_propagate(partial)
-            want_confl, _ = want.assume_propagate(partial)
-            assert (got_confl is None) == (want_confl is None)
-            if got_confl is None:
-                assert set(got.trail) == set(want.trail)
-            else:
-                assert all(got.val[l] == FALSE for l in got_confl), got_confl
-                assert sorted(got_confl) == sorted(want_confl)
-            got.retract()
-            want.retract()
-            assert_heap_invariant(got)
-        assert_same_answer(got, want)
 
 
 # --- OPB reader --------------------------------------------------------------
