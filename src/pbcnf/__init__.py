@@ -36,10 +36,8 @@ from .engine import (
     SAT,
     TIMEOUT,
     UNSAT,
-    PropagationResult,
     SolveResult,
     Solver,
-    propagate,
     solve,
     solve_external,
 )

@@ -37,13 +37,13 @@ rewrites only the clauses that repeat a variable, and builds the watches.
 Inside the engine a clause is named by its offset, the position
 of its first literal: watch lists and `reason` hold offsets, and the watched
 literals are the first two.  Wherever the API reports a conflict
-(`root_conflict`, `assume_propagate`, `PropagationResult.conflict_clause`)
-it gives the literals of the false clause in their current order, read off
-`lits` at its offset, so a report costs the clause's length; `[]` stands for
-an empty clause or for two asserted literals that clash.  `clauses` is a
-`core.Clauses` view of `lits`, the one view formulas use too: clause i is a
-new list, the learned clauses follow the formula's, and a tautology reads as
-None; the engine itself never reads it.  A plain list,
+(`root_conflict`, the result of `assume_propagate`) it gives the literals of
+the false clause in their current order, read off `lits` at its offset, so a
+report costs the clause's length; `[]` stands for an empty clause or for two
+asserted literals that clash.  `clauses` is a `core.Clauses` view of `lits`,
+the one view formulas use too: clause i is a new list, the learned clauses
+follow the formula's, and a tautology reads as None; the engine itself never
+reads it.  A plain list,
 not an `array('i')`, holds the literals: an array boxes a new int object on
 every read, and propagation reads literals in its innermost loop, while the
 list shares the formula's own int objects.  `val`, the value of each literal
@@ -66,19 +66,6 @@ TRUE, FALSE, UNDEF = 1, 0, 2
 SAT = "SAT"
 UNSAT = "UNSAT"
 TIMEOUT = "TIMEOUT"
-
-
-@dataclass
-class PropagationResult:
-    """Fixpoint of unit propagation: either the derived literals or the
-    literals of a clause the assertions make false (`Solver.assume_propagate`)."""
-
-    implied: tuple[int, ...] = ()
-    conflict_clause: list[int] | None = None
-
-    @property
-    def is_conflict(self) -> bool:
-        return self.conflict_clause is not None
 
 
 @dataclass
@@ -186,9 +173,6 @@ class Solver:
         return self.lits[o : self.lits.index(0, o)]
 
     # -- assignment bookkeeping ------------------------------------------
-
-    def value(self, l: int) -> int:
-        return self.val[l]
 
     def _assign(self, l: int, reason: int) -> None:
         v = l >> 1
@@ -462,33 +446,35 @@ class Solver:
 
     # -- propagation-only interface -----------------------------------------
 
-    def assume_propagate(self, asserted=()) -> tuple[list[int] | None, int]:
-        """Push one level, assert the literals, propagate to fixpoint.
+    def assume_propagate(self, asserted=()) -> list[int] | None:
+        """Drop any kept levels, push one level, assert the literals and
+        propagate to fixpoint.  The new level's literals are then
+        `trail[trail_lim[0]:]`; the level stays until the next `solve`,
+        `assume_propagate` or `retract`.
 
-        Returns (conflict, trail position before the new level); call
-        `retract()` afterwards.  The conflict is None at a fixpoint, else a
-        clause false once the assertions hold: `root_conflict` if set, the
-        reason clause of an asserted literal's negation set at level 0, `[]`
-        for two clashing assertions, else the clause propagation made false.
-        A literal code outside 2..2*nvars+1 raises ValueError first.
-        """
+        Returns None at a fixpoint, else a clause false once the assertions
+        hold: `root_conflict` if set (and no level is pushed), the reason
+        clause of an asserted literal's negation set at level 0, `[]` for two
+        clashing assertions, else the clause propagation made false.  A
+        literal code outside 2..2*nvars+1 raises ValueError first."""
         asserted = tuple(asserted)
         self._check_literals(asserted)
         if self.root_conflict is not None:
-            return (self.root_conflict, len(self.trail))
+            return self.root_conflict
         self._backtrack(0)
         self.assumed = []
-        base = len(self.trail)
-        self.trail_lim.append(base)
+        self.trail_lim.append(len(self.trail))
         for a in asserted:
             if self.val[a] == FALSE:
                 r = self.reason[a >> 1]
-                return (self._literals(r) if r >= 0 else [], base)
+                return self._literals(r) if r >= 0 else []
             if self.val[a] == UNDEF:
                 self._assign(a, -1)
-        return (self._literals(self._propagate()), base)
+        return self._literals(self._propagate())
 
     def retract(self) -> None:
+        """Back to level 0: drop the assumption levels `solve` keeps and the
+        level `assume_propagate` pushes."""
         self._backtrack(0)
         self.assumed = []
 
@@ -503,17 +489,6 @@ def _luby(x: int) -> int:
         seq -= 1
         x %= size
     return 1 << seq
-
-
-def propagate(formula, asserted=()) -> PropagationResult:
-    """Unit propagation to fixpoint over the formula's own unit clauses plus
-    the asserted literals; implied excludes the asserted literals themselves."""
-    s = Solver(formula)
-    asserted = tuple(asserted)
-    confl, _ = s.assume_propagate(asserted)
-    given = set(asserted)
-    implied = tuple(l for l in s.trail if l not in given)
-    return PropagationResult(implied, confl)
 
 
 def solve(formula, assumptions=(), max_conflicts: int | None = None) -> SolveResult:

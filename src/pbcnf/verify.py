@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import LE, PBConstraint, Term, lit
-from .engine import SAT, Solver
+from .engine import SAT, TRUE, Solver
 from .pipeline import compile_constraints
 from .rng import SplitMix64
 
@@ -116,8 +116,8 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
             continue  # inconsistent partial assignment
         partial = tuple(l if d == 2 else l ^ 1 for d, (_, l) in zip(digits, terms) if d)
         required = frozenset(l ^ 1 for d, (w, l) in zip(digits, terms) if d == 0 and w + true_sum > k)
-        conflicted = solver.assume_propagate(partial)[0] is not None
-        missing = frozenset() if conflicted else frozenset(l for l in required if solver.value(l) != 1)
+        conflicted = solver.assume_propagate(partial) is not None
+        missing = frozenset() if conflicted else frozenset(l for l in required if solver.val[l] != TRUE)
         reports.append(GacReport(c, encoding, partial, required, conflicted, missing))
     return reports
 

@@ -33,6 +33,7 @@ from pbcnf import (
     LE,
     CnfFormula,
     PBConstraint,
+    Solver,
     SplitMix64,
     Term,
     build_tree,
@@ -44,7 +45,6 @@ from pbcnf import (
     oracle_check,
     pb12like,
     pedigreelike,
-    propagate,
     random_normalized_constraint,
     stats_compare,
     stats_csv,
@@ -143,11 +143,11 @@ def test_criterion_4_propagation_completeness_exhaustive():
     # the recorded adder gap: x1+x2+x3+x4 <= 2 with two inputs already true
     card = PBConstraint.from_signed([(1, 1), (1, 2), (1, 3), (1, 4)], LE, 2)
     compiled = compile_constraints([card], 4, "adder")
-    r = propagate(compiled.formula, asserted=[lit(1), lit(2)])
+    s = Solver(compiled.formula)
     adder_gap = (
-        not r.is_conflict
-        and lit(3, negative=True) not in r.implied
-        and lit(4, negative=True) not in r.implied
+        s.assume_propagate([lit(1), lit(2)]) is None
+        and lit(3, negative=True) not in s.trail
+        and lit(4, negative=True) not in s.trail
         and bool(oracle_check(card, "adder"))
     )
     elapsed = time.perf_counter() - t0

@@ -20,8 +20,8 @@ from pbcnf import (
     encode_gte,
     encode_swc,
     encode_totalizer,
+    Solver,
     lit,
-    propagate,
     solve,
 )
 
@@ -82,11 +82,9 @@ def test_swc_zero_bound_forces_everything_off():
 def test_swc_propagates_residual_bound():
     # 2 x1 + 3 x2 + 3 x3 + 3 x4 <= 5: once x2 is true, neither x3 nor x4 fits
     res = encode(encode_swc, PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5))
-    r = propagate(res.formula, asserted=[lit(2)])
-    assert not r.is_conflict
-    implied = set(r.implied)
-    assert lit(3, negative=True) in implied
-    assert lit(4, negative=True) in implied
+    s = Solver(res.formula)
+    assert s.assume_propagate([lit(2)]) is None
+    assert {lit(3, negative=True), lit(4, negative=True)} <= set(s.trail)
 
 
 def test_swc_rejects_non_normalized():
@@ -134,19 +132,15 @@ def test_adder_counts_small_card():
 
 def test_adder_is_not_arc_consistent_fixture():
     res = encode(encode_adder, CARD4_LE2)
-    r = propagate(res.formula, asserted=[lit(1), lit(2)])
-    assert not r.is_conflict
-    implied = set(r.implied)
+    s = Solver(res.formula)
+    assert s.assume_propagate([lit(1), lit(2)]) is None
     # the bound is saturated, yet neither remaining input is falsified
-    assert lit(3, negative=True) not in implied
-    assert lit(4, negative=True) not in implied
+    assert not {lit(3, negative=True), lit(4, negative=True)} & set(s.trail)
 
     # the same partial assignment on the generalized totalizer derives both
-    res = encode(encode_gte, CARD4_LE2)
-    r = propagate(res.formula, asserted=[lit(1), lit(2)])
-    implied = set(r.implied)
-    assert lit(3, negative=True) in implied
-    assert lit(4, negative=True) in implied
+    s = Solver(encode(encode_gte, CARD4_LE2).formula)
+    s.assume_propagate([lit(1), lit(2)])
+    assert {lit(3, negative=True), lit(4, negative=True)} <= set(s.trail)
 
 
 def test_adder_size_ignores_weight_magnitude_mostly():

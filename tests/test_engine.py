@@ -25,7 +25,6 @@ from pbcnf import (
     encode_gte,
     lit,
     negate,
-    propagate,
     random_normalized_constraint,
     solve,
     solve_external,
@@ -72,23 +71,23 @@ def model_satisfies(f, model):
 
 
 def test_propagate_chains_root_units():
-    f = formula(2, [[-1], [1, 2]])
-    r = propagate(f)
-    assert not r.is_conflict
-    assert set(r.implied) == {lit(1, negative=True), lit(2)}
+    s = Solver(formula(2, [[-1], [1, 2]]))
+    assert s.assume_propagate() is None
+    assert set(s.trail) == {lit(1, negative=True), lit(2)}
+    assert s.trail_lim == [2]  # both at level 0, and nothing at the new level
 
 
 def test_propagate_with_assertions():
-    f = formula(3, [[-1, 2], [-2, 3]])
-    r = propagate(f, asserted=[lit(1)])
-    assert set(r.implied) == {lit(2), lit(3)}
+    s = Solver(formula(3, [[-1, 2], [-2, 3]]))
+    assert s.assume_propagate([lit(1)]) is None
+    assert s.trail_lim == [0] and set(s.trail) == {lit(1), lit(2), lit(3)}
 
 
 def test_propagate_reports_conflict():
     f = formula(2, [[-1, 2], [-1, -2]])
-    r = propagate(f, asserted=[lit(1)])
-    assert r.is_conflict
-    assert sorted(r.conflict_clause) == sorted(list(f.clauses)[1])
+    confl = Solver(f).assume_propagate([lit(1)])
+    assert confl is not None
+    assert sorted(confl) == sorted(list(f.clauses)[1])
 
 
 # a ternary clause, a unit, a tautology and a clause with a repeated literal,
@@ -101,43 +100,39 @@ def test_conflicts_are_reported_as_clause_literals():
     s = Solver(f)
     assert s.root_conflict is None
     # propagation: x1 makes [-x1, -x3] imply -x3, which empties [-x1, x3]
-    confl, base = s.assume_propagate([lit(1)])
-    assert (sorted(confl), base) == ([3, 6], 1)
+    confl = s.assume_propagate([lit(1)])
+    assert (sorted(confl), s.trail_lim) == ([3, 6], [1])
     assert all(s.val[l] == FALSE for l in confl)
-    s.retract()
-    assert sorted(propagate(f, [lit(1)]).conflict_clause) == [3, 6]
+    assert sorted(Solver(f).assume_propagate([lit(1)])) == [3, 6]
     # an asserted literal that level 0 made false: x5 against the unit -x5
     # reports that unit, the reason clause of -x5
-    assert s.assume_propagate([lit(5)]) == ([11], 1)
-    s.retract()
+    assert (s.assume_propagate([lit(5)]), s.trail_lim) == ([11], [1])
     # two asserted literals that clash
-    assert s.assume_propagate([lit(1), lit(1, negative=True)]) == ([], 1)
-    s.retract()
-    assert propagate(f, [lit(2), lit(2, negative=True)]).conflict_clause == []
+    assert (s.assume_propagate([lit(1), lit(1, negative=True)]), s.trail_lim) == ([], [1])
+    assert Solver(f).assume_propagate([lit(2), lit(2, negative=True)]) == []
     # an empty clause, wherever it stands
     g = CnfFormula(num_vars=5, clauses=INDEXED[:3] + [[]] + INDEXED[3:])
     assert Solver(g).root_conflict == []
-    assert Solver(g).assume_propagate([lit(1)]) == ([], 0)
-    assert propagate(g, [lit(1)]).conflict_clause == []
+    t = Solver(g)
+    assert (t.assume_propagate([lit(1)]), t.trail, t.trail_lim) == ([], [], [])
     # a unit that clashes at load: x5 after the unit -x5
     u = Solver(CnfFormula(num_vars=5, clauses=INDEXED + [[10]]))
     assert u.root_conflict == [10]
     assert u.val[10] == FALSE
-    assert u.assume_propagate([lit(2)]) == ([10], len(u.trail))
+    trail = list(u.trail)
+    assert (u.assume_propagate([lit(2)]), u.trail, u.trail_lim) == ([10], trail, [])
     # the unit x1 empties [-x1, x3] while the formula loads
     h = CnfFormula(num_vars=5, clauses=INDEXED[:4] + [[2]] + INDEXED[4:])
     assert sorted(Solver(h).root_conflict) == [3, 6]
-    assert sorted(propagate(h).conflict_clause) == [3, 6]
+    assert sorted(Solver(h).assume_propagate()) == [3, 6]
     # learned clauses report like the formula's: search learns the unit x1,
     # which implies x3 by [-x1, x3]
     s = Solver(formula(3, [[1, 2], [1, -2], [-1, 3]]))
     assert s.solve().status == SAT
-    assert s.assume_propagate([lit(1, negative=True)]) == ([lit(1)], 2)
-    s.retract()
-    confl, base = s.assume_propagate([lit(3, negative=True)])
-    assert (sorted(confl), base) == ([3, 6], 2)
+    assert (s.assume_propagate([lit(1, negative=True)]), s.trail_lim) == ([lit(1)], [2])
+    confl = s.assume_propagate([lit(3, negative=True)])
+    assert (sorted(confl), s.trail_lim) == ([3, 6], [2])
     assert_conflict_report(s, confl, [lit(3, negative=True)])
-    s.retract()
     # a root conflict that only search finds: it learns x1, then [-x1, -x2]
     # is false at level 0
     s = Solver(formula(3, [[1, 2], [1, -2], [-1, 2], [-1, -2]]))
@@ -145,7 +140,8 @@ def test_conflicts_are_reported_as_clause_literals():
     assert s.solve().status == UNSAT
     assert sorted(s.root_conflict) == [3, 5]
     assert all(s.val[l] == FALSE for l in s.root_conflict)
-    assert s.assume_propagate([lit(3)]) == (s.root_conflict, len(s.trail))
+    trail = list(s.trail)
+    assert (s.assume_propagate([lit(3)]), s.trail, s.trail_lim) == (s.root_conflict, trail, [])
 
 
 def test_solver_clauses_read_as_a_sequence():
@@ -217,31 +213,24 @@ def test_solver_loads_a_long_clause_in_linear_time():
 
 
 def test_propagate_clashing_assertions():
-    f = formula(1, [])
-    r = propagate(f, asserted=[lit(1), lit(1, negative=True)])
-    assert r.is_conflict
-    assert r.conflict_clause == []
+    assert Solver(formula(1, [])).assume_propagate([lit(1), lit(1, negative=True)]) == []
 
 
 def test_propagate_on_reference_encoding_is_arc_consistent():
-    f = encode_reference()
+    s = Solver(encode_reference())
     # x2 true leaves only weight 2 of budget: both 3-weight terms must go off
-    r = propagate(f, asserted=[lit(2)])
-    assert not r.is_conflict
-    implied = set(r.implied)
-    assert lit(3, negative=True) in implied
-    assert lit(4, negative=True) in implied
+    assert s.assume_propagate([lit(2)]) is None
+    assert {lit(3, negative=True), lit(4, negative=True)} <= set(s.trail)
     # and overcommitting conflicts
-    r = propagate(f, asserted=[lit(2), lit(3), lit(4)])
-    assert r.is_conflict
+    assert s.assume_propagate([lit(2), lit(3), lit(4)]) is not None
 
 
 def test_propagate_is_monotone():
-    f = encode_reference()
-    small = propagate(f, asserted=[lit(2)])
-    big = propagate(f, asserted=[lit(2), lit(1)])
-    assert not big.is_conflict
-    assert set(small.implied) <= set(big.implied) | {lit(1)}
+    s = Solver(encode_reference())
+    assert s.assume_propagate([lit(2)]) is None
+    small = set(s.trail)
+    assert s.assume_propagate([lit(2), lit(1)]) is None
+    assert small < set(s.trail)
 
 
 # --- solving ---
@@ -303,7 +292,7 @@ def test_assume_propagate_rejects_out_of_range_literal(code):
         s.assume_propagate([lit(1), code])
     assert s.trail == [] and len(s.trail_lim) == 0  # nothing was asserted
     with pytest.raises(ValueError, match="outside"):
-        propagate(f, [code])
+        Solver(f).assume_propagate([code])
     with pytest.raises(ValueError, match="outside"):
         s.solve([code])
 
@@ -358,15 +347,13 @@ def test_solve_is_deterministic():
 
 def test_assume_propagate_and_retract():
     s = Solver(encode_reference())
-    conflict, base = s.assume_propagate([lit(2)])
-    assert conflict is None
-    derived = {s.trail[i] for i in range(base, len(s.trail))}
-    assert lit(3, negative=True) in derived
+    assert s.assume_propagate([lit(2)]) is None
+    assert lit(3, negative=True) in s.trail[s.trail_lim[0] :]
     s.retract()
     assert len(s.trail_lim) == 0
-    conflict, _ = s.assume_propagate([lit(2), lit(3), lit(4)])
-    assert conflict is not None
+    assert s.assume_propagate([lit(2), lit(3), lit(4)]) is not None
     s.retract()
+    assert len(s.trail_lim) == 0
 
 
 # --- differential harness ---
@@ -421,8 +408,7 @@ def test_reused_solver_keeps_a_root_conflict():
     assert s.solve().status == UNSAT
     assert s.solve().status == UNSAT
     assert s.solve([lit(3)]).status == UNSAT
-    conflict, _ = s.assume_propagate([lit(3)])
-    assert conflict is not None
+    assert s.assume_propagate([lit(3)]) is not None
 
 
 def test_differential_reused_solver():
@@ -526,14 +512,14 @@ def test_kept_assumption_levels_match_a_fresh_solver():
             step = rng.randint(0, 9)
             if step == 0:
                 partial = [lit(rng.randint(1, n), negative=rng.chance(1, 2)) for _ in range(rng.randint(0, 3))]
-                confl, _ = s.assume_propagate(partial)
-                fresh = propagate(f, partial)
+                confl = s.assume_propagate(partial)
                 if confl is not None:
                     assert_conflict_report(s, confl, partial)
-                if fresh.is_conflict:
+                fresh = Solver(f)
+                if fresh.assume_propagate(partial) is not None:
                     assert confl is not None
                 elif confl is None:
-                    assert set(fresh.implied) <= set(s.trail)
+                    assert set(fresh.trail) <= set(s.trail)
                 if rng.chance(1, 2):  # otherwise the next solve pops the level
                     s.retract()
                 continue

@@ -384,10 +384,9 @@ def test_auto_propagates_like_unpruned_sorted_gte():
             partial = [lit(v, negative=d == 1) for v, d in zip(variables, digits) if d]
             seen = []
             for solver in (pruned, full):
-                confl, _ = solver.assume_propagate(partial)
+                confl = solver.assume_propagate(partial)
                 inputs = {l for l in solver.trail if l >> 1 in variables}
                 seen.append((confl is not None, inputs if confl is None else None))
-                solver.retract()
             assert seen[0] == seen[1], (c, partial)
             tried += 1
             conflicts += seen[0][0]

@@ -45,7 +45,6 @@ from pbcnf import (
     parse_opb,
     pb12like,
     pedigreelike,
-    propagate,
     random_normalized_constraint,
     solve,
     to_signed,
@@ -57,7 +56,7 @@ from pbcnf.engine import FALSE, TRUE, UNDEF
 from pbcnf.gte import merge_sums
 from pbcnf.opb import _HEADER, _INT, _TOKEN, _VAR, _to_text
 
-from conftest import clause_index, pb12, random_constraint
+from conftest import clause_index, random_constraint
 
 # --- reference implementations ------------------------------------------
 
@@ -667,7 +666,7 @@ def test_solver_rejects_literals_above_num_vars():
     formulas = [f for f in hand_built() if under_declared(f)]
     assert len(formulas) == 2
     for f in [CnfFormula(num_vars=2, clauses=[[9]]), *formulas]:
-        for load in (Solver, solve, propagate):
+        for load in (Solver, solve):
             with pytest.raises(ValueError, match=r"clause \d+ names x\d+, above the formula's"):
                 load(f)
 
@@ -689,20 +688,13 @@ def test_solver_rejects_literal_codes_below_2():
             Solver(f)
 
 
-def pb12_formulas(jobs):
-    """The criterion-8 pb12like instances, as (seed offset, encoder) jobs."""
-    for i, enc in jobs:
-        yield pb12(100 + i, enc)[1]
-
-
 def test_solver_leaves_the_formula_untouched():
     # the solver keeps its own store: loading, solving with and without
     # assumptions, and assume_propagate with retract change no clause, even
-    # where propagation moved the watched literals of the solver's copy
-    formulas = [f for f in hand_built() if not under_declared(f)]
-    formulas += pb12_formulas((i, enc) for i in range(10) for enc in ("gte", "swc", "adder"))
+    # where propagation moved the watched literals of the solver's copy;
+    # test_search.py checks the same on criterion 8's pb12like formulas
     moved = 0
-    for f in formulas:
+    for f in [f for f in hand_built() if not under_declared(f)]:
         snapshot = (f.num_vars, list(f.lits))
         s = Solver(f)
         assert (f.num_vars, f.lits) == snapshot
@@ -715,7 +707,7 @@ def test_solver_leaves_the_formula_untouched():
         s.retract()
         assert (f.num_vars, f.lits) == snapshot
         moved += s.lits[: len(f.lits)] != f.lits
-    assert moved > 20
+    assert moved >= 3
 
 
 # --- OPB reader --------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The engine's search, checked by what it derives: learned clauses RUP by the independent `conftest.Rup`,
-answers checked, the watch, reason and heap invariants after every solve, and two sha256 pins of the
-trajectory, recorded while a list-per-clause second engine reproduced it step for step.  A change that
-alters the search re-records both, saying why."""
+answers checked, the watch, reason and heap invariants after every solve, the formula left untouched, and
+two sha256 pins of the trajectory, recorded while a list-per-clause second engine reproduced it step for
+step.  A change that alters the search re-records both, saying why."""
 
 from hashlib import sha256
 
@@ -52,9 +52,10 @@ def assert_invariants(s):
      "66d144d23fe3ed5fc04327cbcce0509c99c221086428e3e08a77f8e0aea948ab"),
 ], ids=["criterion-8", "rescale"])
 def test_searches_check_and_hold_their_pin(jobs, var_inc, rescales, pin):
-    digest, verdicts, rescaled = sha256(), {}, 0
+    digest, verdicts, rescaled, moved = sha256(), {}, 0, 0
     for seed, enc in jobs:
         instance, f = pb12(seed, enc)
+        snapshot = (f.num_vars, list(f.lits))
         s = Solver(f)
         s.var_inc = var_inc
         with gc_paused():  # lists by the thousand, and no cycle among them
@@ -65,9 +66,21 @@ def test_searches_check_and_hold_their_pin(jobs, var_inc, rescales, pin):
                             s.activity, s.var_inc, bytes(s.saved_phase))).encode())
         verdicts.setdefault(seed, set()).add(result.status)
         rescaled += s.var_inc < var_inc  # it only grows, but for a rescale
+        # the solver keeps its own store: solving with assumptions and
+        # assume_propagate with retract change no clause of the formula either,
+        # though propagation moves the watched literals of the solver's copy
+        assert (f.num_vars, f.lits) == snapshot
+        asn = [lit(v, negative=v % 2 == 0) for v in range(1, 5)]
+        s.solve(asn, max_conflicts=300)
+        assert (f.num_vars, f.lits) == snapshot
+        s.assume_propagate(asn[::-1])
+        s.retract()
+        assert (f.num_vars, f.lits) == snapshot
+        moved += s.lits[: len(f.lits)] != f.lits
     assert set().union(*verdicts.values()) == {SAT, UNSAT, TIMEOUT} and rescaled >= rescales
     assert not any({SAT, UNSAT} <= v for v in verdicts.values())  # the encoders agree
     assert digest.hexdigest() == pin
+    assert moved > 2 * len(jobs) // 3
 
 
 def test_the_checks_reject_a_wrong_derivation_or_answer():
@@ -130,7 +143,7 @@ def test_assumption_sweeps(encoding):
             partial = [lit(v, negative=rng.chance(1, 2)) for v in variables if rng.chance(1, 2)]
             true = rup.propagate(partial)
             for s in (got, want):
-                confl, _ = s.assume_propagate(partial)
+                confl = s.assume_propagate(partial)
                 assert (confl is None) == (true is not None)
                 assert (set(s.trail) == true) if confl is None else all(s.val[l] == FALSE for l in confl)
                 s.retract()
