@@ -6,16 +6,17 @@ identical trails and models.
 
 Assumptions are handled minisat-style: assumption i is the decision of level
 i+1, so learned clauses stay valid across calls and a solver instance can be
-reused for many assumption sets over the same formula.  `solve` may return
-with the trail still holding assumption levels (`assumed` lists the
-assumptions they hold), and the next call backtracks only to the longest
-prefix of them that its own assumptions repeat.  This is sound because every
-prefix of the trail that ends at a level boundary is a propagation fixpoint:
-propagation finishes each level before the next decision, and a learned
-clause asserts its literal at its backjump level, so under any shorter
-prefix it is satisfied or has two unassigned literals.  The kept levels thus
-hold exactly the literals that asserting those assumptions again would
-derive.
+reused for many assumption sets over the same formula.  `assumed` always
+lists the assumptions that levels 1..len(assumed) hold: `solve` appends one
+as it opens its level, and `_backtrack` truncates it with `trail_lim`.
+`solve` may return with the trail still holding assumption levels, and the
+next call backtracks only to the longest prefix of them that its own
+assumptions repeat.  This is sound because every prefix of the trail that
+ends at a level boundary is a propagation fixpoint: propagation finishes
+each level before the next decision, and a learned clause asserts its
+literal at its backjump level, so under any shorter prefix it is satisfied
+or has two unassigned literals.  The kept levels thus hold exactly the
+literals that asserting those assumptions again would derive.
 
 Branching uses a lazy-deletion heap `prio` of (-activity, var) entries with
 one live entry per variable: `heap_act[v]` is the key of v's live entry, or
@@ -204,6 +205,7 @@ class Solver:
                 heappush(prio, (-act, v))
         del trail[lim:]
         del trail_lim[lvl:]
+        del self.assumed[lvl:]
         self.qhead = lim
 
     # -- propagation ------------------------------------------------------
@@ -362,7 +364,8 @@ class Solver:
 
         After SAT, and after UNSAT because an assumption is false, the trail
         keeps the levels of the assumptions before the failing one (all of
-        them after SAT); the next call starts from the longest prefix of
+        them after SAT), and `assumed` lists them, as it lists the assumption
+        levels at every step; the next call starts from the longest prefix of
         those levels that its own assumptions repeat."""
         if max_conflicts is not None and max_conflicts < 0:
             raise ValueError(f"max_conflicts must be at least 0, not {max_conflicts}")
@@ -376,7 +379,6 @@ class Solver:
                 break
             keep += 1
         self._backtrack(keep)
-        self.assumed = []
         conflicts = 0
         restart_idx = 0
         restart_budget = _luby(restart_idx) * 64
@@ -385,6 +387,7 @@ class Solver:
         trail = self.trail
         trail_lim = self.trail_lim
         heap_act = self.heap_act
+        assumed = self.assumed
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -409,40 +412,37 @@ class Solver:
                 restart_budget = _luby(restart_idx) * 64
                 self._backtrack(0)
                 continue
+            # the next level opens on the next assumption, else on the heap's pick
             lvl = len(trail_lim)
             if lvl < len(asn):
-                a = asn[lvl]
-                va = val[a]
-                if va == TRUE:
-                    trail_lim.append(len(trail))  # keep level indexing aligned
-                    continue
-                if va == FALSE:
-                    self.assumed = asn[:lvl]  # levels 1..lvl stay for the next call
-                    return SolveResult(UNSAT)
-                trail_lim.append(len(trail))
-                self._assign(a, -1)
-                continue
-            if len(trail) == self.nvars:  # every variable assigned: a model
+                l = asn[lvl]
+                if val[l] == FALSE:
+                    return SolveResult(UNSAT)  # levels 1..lvl stay for the next call
+                assumed.append(l)
+            elif len(trail) == self.nvars:
                 model = [v if val[2 * v] == TRUE else -v for v in range(1, self.nvars + 1)]
                 self._backtrack(len(asn))
-                self.assumed = asn
                 return SolveResult(SAT, model)
-            # branch on the first live heap entry of an unassigned variable,
-            # the one of highest activity; the trail is not full, so one exists
-            prio = self.prio  # a rescale replaces the list
-            while True:
-                negact, v = heappop(prio)
-                if heap_act[v] == -negact:  # v's live entry; any other is stale
-                    heap_act[v] = -1.0
-                    if val[2 * v] == UNDEF:
-                        break
-            l = 2 * v + (0 if self.saved_phase[v] else 1)
+            else:
+                # the first live heap entry of an unassigned variable, the one
+                # of highest activity; the trail is not full, so one exists
+                prio = self.prio  # a rescale replaces the list
+                while True:
+                    negact, v = heappop(prio)
+                    if heap_act[v] == -negact:  # v's live entry; any other is stale
+                        heap_act[v] = -1.0
+                        if val[2 * v] == UNDEF:
+                            break
+                l = 2 * v + (0 if self.saved_phase[v] else 1)
+            # open the level; a true assumption's level stays empty
             trail_lim.append(len(trail))
-            val[l] = TRUE
-            val[l ^ 1] = FALSE
-            self.level[v] = lvl + 1
-            self.reason[v] = -1
-            trail.append(l)
+            if val[l] != TRUE:
+                val[l] = TRUE
+                val[l ^ 1] = FALSE
+                v = l >> 1
+                self.level[v] = lvl + 1
+                self.reason[v] = -1
+                trail.append(l)
 
     # -- propagation-only interface -----------------------------------------
 
@@ -462,7 +462,6 @@ class Solver:
         if self.root_conflict is not None:
             return self.root_conflict
         self._backtrack(0)
-        self.assumed = []
         self.trail_lim.append(len(self.trail))
         for a in asserted:
             if self.val[a] == FALSE:
@@ -473,10 +472,9 @@ class Solver:
         return self._literals(self._propagate())
 
     def retract(self) -> None:
-        """Back to level 0: drop the assumption levels `solve` keeps and the
-        level `assume_propagate` pushes."""
+        """Back to level 0: drop the assumption levels `solve` keeps (so
+        `assumed` is empty) and the level `assume_propagate` pushes."""
         self._backtrack(0)
-        self.assumed = []
 
 
 def _luby(x: int) -> int:

@@ -70,20 +70,20 @@ def model_satisfies(f, model):
 # --- unit propagation ---
 
 
-def test_propagate_chains_root_units():
+def test_assume_propagate_chains_root_units():
     s = Solver(formula(2, [[-1], [1, 2]]))
     assert s.assume_propagate() is None
     assert set(s.trail) == {lit(1, negative=True), lit(2)}
     assert s.trail_lim == [2]  # both at level 0, and nothing at the new level
 
 
-def test_propagate_with_assertions():
+def test_assume_propagate_with_assertions():
     s = Solver(formula(3, [[-1, 2], [-2, 3]]))
     assert s.assume_propagate([lit(1)]) is None
     assert s.trail_lim == [0] and set(s.trail) == {lit(1), lit(2), lit(3)}
 
 
-def test_propagate_reports_conflict():
+def test_assume_propagate_reports_conflict():
     f = formula(2, [[-1, 2], [-1, -2]])
     confl = Solver(f).assume_propagate([lit(1)])
     assert confl is not None
@@ -212,11 +212,11 @@ def test_solver_loads_a_long_clause_in_linear_time():
     assert s.clauses[0] is None
 
 
-def test_propagate_clashing_assertions():
+def test_assume_propagate_clashing_assertions():
     assert Solver(formula(1, [])).assume_propagate([lit(1), lit(1, negative=True)]) == []
 
 
-def test_propagate_on_reference_encoding_is_arc_consistent():
+def test_assume_propagate_on_reference_encoding_is_arc_consistent():
     s = Solver(encode_reference())
     # x2 true leaves only weight 2 of budget: both 3-weight terms must go off
     assert s.assume_propagate([lit(2)]) is None
@@ -225,7 +225,7 @@ def test_propagate_on_reference_encoding_is_arc_consistent():
     assert s.assume_propagate([lit(2), lit(3), lit(4)]) is not None
 
 
-def test_propagate_is_monotone():
+def test_assume_propagate_is_monotone():
     s = Solver(encode_reference())
     assert s.assume_propagate([lit(2)]) is None
     small = set(s.trail)
@@ -354,6 +354,29 @@ def test_assume_propagate_and_retract():
     assert s.assume_propagate([lit(2), lit(3), lit(4)]) is not None
     s.retract()
     assert len(s.trail_lim) == 0
+
+
+def test_assumed_at_each_exit():
+    # x1 implies x2, so assuming x2 next opens an empty level; x3 rules out x4
+    s = Solver(formula(5, [[-1, 2], [-3, -4]]))
+    asn = [lit(1), lit(2), lit(3)]
+    assert s.solve(asn).status == SAT
+    assert s.assumed == asn and s.trail_lim[1] == s.trail_lim[2]
+    asn = [lit(1), lit(3), lit(4)]
+    assert s.solve(asn).status == UNSAT
+    assert s.assumed == asn[:2] and len(s.trail_lim) == 2
+    assert s.assume_propagate([lit(5)]) is None
+    assert s.assumed == [] and len(s.trail_lim) == 1
+    assert s.solve(asn[:2]).status == SAT and s.assumed == asn[:2]
+    s.retract()
+    assert s.assumed == [] and s.trail_lim == []
+    s = Solver(pigeonhole(4))
+    assert s.solve([lit(1)], max_conflicts=0).status == TIMEOUT
+    assert s.assumed == [] and s.trail_lim == []
+    # search learns x1 under the assumption x3, then conflicts at level 0
+    s = Solver(formula(3, [[1, 2], [1, -2], [-1, 2], [-1, -2]]))
+    assert s.solve([lit(3)]).status == UNSAT and s.root_conflict is not None
+    assert s.assumed == [] and s.trail_lim == []
 
 
 # --- differential harness ---

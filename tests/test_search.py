@@ -1,7 +1,7 @@
 """The engine's search, checked by what it derives: learned clauses RUP by the independent `conftest.Rup`,
-answers checked, the watch, reason and heap invariants after every solve, the formula left untouched, and
-two sha256 pins of the trajectory, recorded while a list-per-clause second engine reproduced it step for
-step.  A change that alters the search re-records both, saying why."""
+answers checked, the watch, reason, heap and `assumed` invariants after every solve, the formula left
+untouched, and two sha256 pins of the trajectory, recorded while a list-per-clause second engine reproduced
+it step for step.  A change that alters the search re-records both, saying why."""
 
 from hashlib import sha256
 
@@ -9,7 +9,7 @@ import pytest
 
 from pbcnf import SAT, TIMEOUT, UNSAT, CnfFormula, Solver, SolveResult, SplitMix64, compile_constraints, gc_paused
 from pbcnf import lit, negate, random_normalized_constraint
-from pbcnf.engine import FALSE, UNDEF
+from pbcnf.engine import FALSE, TRUE, UNDEF
 
 from conftest import Rup, check_search, clause_index, pb12
 
@@ -27,7 +27,8 @@ def assert_heap_invariant(s):
 
 def assert_invariants(s):
     """Each clause of two or more literals is on its first two literals' watch lists once each and on no
-    other; each implied trail literal heads its reason clause, whose other literals are false; the heap."""
+    other; each implied trail literal heads its reason clause, whose other literals are false; the heap;
+    `assumed` names no more levels than the trail holds, and each `assumed[i]` is true at level i+1 or below."""
     lits, want, o = s.lits, [[] for _ in s.watches], 0
     while o < len(lits):
         z = lits.index(0, o)
@@ -41,6 +42,9 @@ def assert_invariants(s):
         if o >= 0:
             assert lits[o] == l and all(s.val[q] == FALSE for q in lits[o + 1 : lits.index(0, o)]), (l, o)
     assert_heap_invariant(s)
+    assert len(s.assumed) <= len(s.trail_lim)
+    for i, a in enumerate(s.assumed):
+        assert s.val[a] == TRUE and s.level[a >> 1] <= i + 1, (i, a)
 
 
 # criterion 8's 30 jobs; then rows started so close to the 1e100 ceiling
@@ -72,6 +76,7 @@ def test_searches_check_and_hold_their_pin(jobs, var_inc, rescales, pin):
         assert (f.num_vars, f.lits) == snapshot
         asn = [lit(v, negative=v % 2 == 0) for v in range(1, 5)]
         s.solve(asn, max_conflicts=300)
+        assert_invariants(s)
         assert (f.num_vars, f.lits) == snapshot
         s.assume_propagate(asn[::-1])
         s.retract()
@@ -135,8 +140,8 @@ def test_assumption_sweeps(encoding):
             a, b = got.solve(asn), want.solve(asn)
             assert (a.status, a.model, got.activity, got.var_inc) == (b.status, b.model, want.activity, want.var_inc)
             assert [sorted(cl) for cl in got.clauses[n:]] == [sorted(cl) for cl in want.clauses[n:]]
-            assert_heap_invariant(got)
-        assert_invariants(got)
+            assert_invariants(got)
+            assert_invariants(want)
         rup = Rup(f.clauses)
         rup.derive(got.clauses[n:])
         for _ in range(30):
