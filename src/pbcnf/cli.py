@@ -10,10 +10,10 @@ Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;
 2 I/O or parse error, an external solver that cannot be run or answers
 in an unrecognized form, or a reader that closes stdout early;
 3 verification failure, or a SAT model that breaks one of the input's
-constraints.  Set PBCNF_SOLVER to hand solving to an
-external binary (a command line split with shell-style quoting, invoked
-with a DIMACS path appended; must print SAT/UNSAT and a model line of
-signed integers).
+constraints.  Set PBCNF_SOLVER to hand solving to an external binary (a
+command line split with shell-style quoting, invoked with a DIMACS path
+appended) that prints SAT or UNSAT and the model's signed literals, or
+the SAT competition's `s` line and `v` model lines.
 """
 
 from __future__ import annotations

@@ -6,17 +6,19 @@ identical trails and models.
 
 Assumptions are handled minisat-style: assumption i is the decision of level
 i+1, so learned clauses stay valid across calls and a solver instance can be
-reused for many assumption sets over the same formula.  `assumed` always
-lists the assumptions that levels 1..len(assumed) hold: `solve` appends one
-as it opens its level, and `_backtrack` truncates it with `trail_lim`.
-`solve` may return with the trail still holding assumption levels, and the
-next call backtracks only to the longest prefix of them that its own
-assumptions repeat.  This is sound because every prefix of the trail that
-ends at a level boundary is a propagation fixpoint: propagation finishes
-each level before the next decision, and a learned clause asserts its
-literal at its backjump level, so under any shorter prefix it is satisfied
-or has two unassigned literals.  The kept levels thus hold exactly the
-literals that asserting those assumptions again would derive.
+reused for many assumption sets over the same formula.  `assume_propagate`
+asserts its literals the same way, without search.  Both calls keep, by
+`_keep_levels`, the longest prefix of the kept levels that their literals
+repeat, and open one level per further literal by `_open_level`, appending
+it to `assumed`; `_backtrack` truncates `assumed` with `trail_lim`.  So at
+every exit `assumed` lists the levels a next call may keep; the one level
+left out is the one where `assume_propagate` met a conflict, which is no
+fixpoint.  This is sound because every prefix of the trail that ends at a
+level boundary is a propagation fixpoint: propagation finishes each level
+before the next decision, and a learned clause asserts its literal at its
+backjump level, so under any shorter prefix it is satisfied or has two
+unassigned literals.  The kept levels thus hold exactly the literals that
+asserting those assumptions again would derive.
 
 Branching uses a lazy-deletion heap `prio` of (-activity, var) entries with
 one live entry per variable: `heap_act[v]` is the key of v's live entry, or
@@ -208,6 +210,21 @@ class Solver:
         del self.assumed[lvl:]
         self.qhead = lim
 
+    def _keep_levels(self, asn) -> None:
+        """Backtrack to the longest prefix of `assumed` that asn repeats."""
+        keep = 0
+        for kept, a in zip(self.assumed, asn):
+            if kept != a:
+                break
+            keep += 1
+        self._backtrack(keep)
+
+    def _open_level(self, l: int) -> None:
+        """Open the next level on l; it stays empty if l is already true."""
+        self.trail_lim.append(len(self.trail))
+        if self.val[l] != TRUE:
+            self._assign(l, -1)
+
     # -- propagation ------------------------------------------------------
 
     def _propagate(self) -> int | None:
@@ -373,12 +390,7 @@ class Solver:
         self._check_literals(asn)
         if self.root_conflict is not None:
             return SolveResult(UNSAT)
-        keep = 0
-        for kept, a in zip(self.assumed, asn):
-            if kept != a:
-                break
-            keep += 1
-        self._backtrack(keep)
+        self._keep_levels(asn)
         conflicts = 0
         restart_idx = 0
         restart_budget = _luby(restart_idx) * 64
@@ -434,46 +446,43 @@ class Solver:
                         if val[2 * v] == UNDEF:
                             break
                 l = 2 * v + (0 if self.saved_phase[v] else 1)
-            # open the level; a true assumption's level stays empty
-            trail_lim.append(len(trail))
-            if val[l] != TRUE:
-                val[l] = TRUE
-                val[l ^ 1] = FALSE
-                v = l >> 1
-                self.level[v] = lvl + 1
-                self.reason[v] = -1
-                trail.append(l)
+            self._open_level(l)
 
     # -- propagation-only interface -----------------------------------------
 
     def assume_propagate(self, asserted=()) -> list[int] | None:
-        """Drop any kept levels, push one level, assert the literals and
-        propagate to fixpoint.  The new level's literals are then
-        `trail[trail_lim[0]:]`; the level stays until the next `solve`,
-        `assume_propagate` or `retract`.
+        """Assert the literals as `solve` assumes them, with no search: keep
+        the longest prefix of the kept levels that they repeat, then open one
+        level per remaining literal and propagate it to fixpoint.  The levels
+        and `assumed` then hold the asserted literals and all they imply, and
+        the next `solve` or `assume_propagate` may keep them.
 
         Returns None at a fixpoint, else a clause false once the assertions
-        hold: `root_conflict` if set (and no level is pushed), the reason
-        clause of an asserted literal's negation set at level 0, `[]` for two
-        clashing assertions, else the clause propagation made false.  A
-        literal code outside 2..2*nvars+1 raises ValueError first."""
-        asserted = tuple(asserted)
+        hold: `root_conflict` if set (the trail is left as it is), the reason
+        clause of an asserted literal's negation, `[]` when that negation was
+        asserted itself, else the clause propagation made false, whose level
+        stays on the trail but leaves `assumed`, so that no later call keeps
+        it.  A literal code outside 2..2*nvars+1 raises ValueError first."""
+        asserted = list(asserted)
         self._check_literals(asserted)
         if self.root_conflict is not None:
             return self.root_conflict
-        self._backtrack(0)
-        self.trail_lim.append(len(self.trail))
-        for a in asserted:
-            if self.val[a] == FALSE:
-                r = self.reason[a >> 1]
+        self._keep_levels(asserted)
+        assumed = self.assumed
+        for l in asserted[len(assumed) :]:
+            if self.val[l] == FALSE:
+                r = self.reason[l >> 1]
                 return self._literals(r) if r >= 0 else []
-            if self.val[a] == UNDEF:
-                self._assign(a, -1)
-        return self._literals(self._propagate())
+            assumed.append(l)
+            self._open_level(l)
+            confl = self._propagate()
+            if confl is not None:
+                assumed.pop()  # this level is no fixpoint
+                return self._literals(confl)
+        return None
 
     def retract(self) -> None:
-        """Back to level 0: drop the assumption levels `solve` keeps (so
-        `assumed` is empty) and the level `assume_propagate` pushes."""
+        """Back to level 0: drop every kept level, so `assumed` is empty."""
         self._backtrack(0)
 
 

@@ -93,9 +93,10 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
 
     For each partial assignment sigma with weighted true-sum <= bound, every
     unassigned literal whose weight no longer fits must be propagated to false
-    by unit propagation alone.  All of them are checked when 3^n <= 4096;
-    otherwise `trials` of them are drawn at random.
-    """
+    by unit propagation alone.  All of them are checked, first term fastest,
+    when 3^n <= 4096; otherwise `trials` of them are drawn at random.  Each is
+    asserted last term first, so that consecutive cases share the solver's
+    levels of the later terms they agree on."""
     if not c.is_normalized():
         raise ValueError("gac_check expects a normalized constraint")
     terms = c.terms
@@ -116,7 +117,7 @@ def gac_check(c: PBConstraint, encoding: str, trials: int = 200, seed: int = 1) 
             continue  # inconsistent partial assignment
         partial = tuple(l if d == 2 else l ^ 1 for d, (_, l) in zip(digits, terms) if d)
         required = frozenset(l ^ 1 for d, (w, l) in zip(digits, terms) if d == 0 and w + true_sum > k)
-        conflicted = solver.assume_propagate(partial) is not None
+        conflicted = solver.assume_propagate(partial[::-1]) is not None
         missing = frozenset() if conflicted else frozenset(l for l in required if solver.val[l] != TRUE)
         reports.append(GacReport(c, encoding, partial, required, conflicted, missing))
     return reports

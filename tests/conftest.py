@@ -6,6 +6,7 @@ from collections import defaultdict
 
 from pbcnf import LE, SAT, UNSAT, CnfFormula, PBConstraint, Term, build_tree, compile_instance, gc_paused, lit
 from pbcnf import gen_bench, pb12like
+from pbcnf.engine import FALSE
 from pbcnf.verify import first_violated
 
 
@@ -14,6 +15,17 @@ def formula(num_vars, signed_clauses):
     for cl in signed_clauses:
         f.add_clause([lit(abs(n), negative=n < 0) for n in cl])
     return f
+
+
+def assert_conflict_report(s, confl, asserted=()):
+    """A conflict report of solver s is [] or a clause of its store, each of
+    its literals FALSE under its assignment or the negation of an asserted
+    literal (the reason clause of an asserted literal that is already false
+    holds that literal's negation)."""
+    assert confl is not None
+    if confl:
+        assert sorted(confl) in [sorted(cl) for cl in s.clauses if cl is not None], confl
+        assert all(s.val[l] == FALSE or l ^ 1 in asserted for l in confl), confl
 
 
 def by_weight(c):

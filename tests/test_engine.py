@@ -31,7 +31,7 @@ from pbcnf import (
 )
 from pbcnf.engine import FALSE, TRUE, UNDEF
 
-from conftest import formula
+from conftest import assert_conflict_report, formula
 
 REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
 
@@ -49,17 +49,6 @@ def brute_force_status(f):
     return UNSAT
 
 
-def assert_conflict_report(s, confl, asserted=()):
-    """A conflict report is [] or a clause of the solver's store, each of
-    its literals FALSE under the solver's assignment or the negation of an
-    asserted literal (the reason clause of a literal that level 0 made
-    false holds that literal's negation)."""
-    assert confl is not None
-    if confl:
-        assert sorted(confl) in [sorted(cl) for cl in s.clauses if cl is not None], confl
-        assert all(s.val[l] == FALSE or l ^ 1 in asserted for l in confl), confl
-
-
 def model_satisfies(f, model):
     assignment = {abs(n): n > 0 for n in model}
     return all(
@@ -74,7 +63,7 @@ def test_assume_propagate_chains_root_units():
     s = Solver(formula(2, [[-1], [1, 2]]))
     assert s.assume_propagate() is None
     assert set(s.trail) == {lit(1, negative=True), lit(2)}
-    assert s.trail_lim == [2]  # both at level 0, and nothing at the new level
+    assert s.trail_lim == []  # both at level 0, and no literal opens no level
 
 
 def test_assume_propagate_with_assertions():
@@ -105,10 +94,11 @@ def test_conflicts_are_reported_as_clause_literals():
     assert all(s.val[l] == FALSE for l in confl)
     assert sorted(Solver(f).assume_propagate([lit(1)])) == [3, 6]
     # an asserted literal that level 0 made false: x5 against the unit -x5
-    # reports that unit, the reason clause of -x5
-    assert (s.assume_propagate([lit(5)]), s.trail_lim) == ([11], [1])
-    # two asserted literals that clash
-    assert (s.assume_propagate([lit(1), lit(1, negative=True)]), s.trail_lim) == ([], [1])
+    # reports that unit, the reason clause of -x5, and opens no level
+    assert (s.assume_propagate([lit(5)]), s.trail_lim) == ([11], [])
+    # two asserted literals that clash (x1 alone would propagate to a conflict
+    # first); the first one's level stays
+    assert (s.assume_propagate([lit(2), lit(2, negative=True)]), s.trail_lim) == ([], [1])
     assert Solver(f).assume_propagate([lit(2), lit(2, negative=True)]) == []
     # an empty clause, wherever it stands
     g = CnfFormula(num_vars=5, clauses=INDEXED[:3] + [[]] + INDEXED[3:])
@@ -129,9 +119,9 @@ def test_conflicts_are_reported_as_clause_literals():
     # which implies x3 by [-x1, x3]
     s = Solver(formula(3, [[1, 2], [1, -2], [-1, 3]]))
     assert s.solve().status == SAT
-    assert (s.assume_propagate([lit(1, negative=True)]), s.trail_lim) == ([lit(1)], [2])
+    assert (s.assume_propagate([lit(1, negative=True)]), s.trail_lim) == ([lit(1)], [])
     confl = s.assume_propagate([lit(3, negative=True)])
-    assert (sorted(confl), s.trail_lim) == ([3, 6], [2])
+    assert (sorted(confl), s.trail_lim) == ([3, 6], [])
     assert_conflict_report(s, confl, [lit(3, negative=True)])
     # a root conflict that only search finds: it learns x1, then [-x1, -x2]
     # is false at level 0
@@ -366,7 +356,7 @@ def test_assumed_at_each_exit():
     assert s.solve(asn).status == UNSAT
     assert s.assumed == asn[:2] and len(s.trail_lim) == 2
     assert s.assume_propagate([lit(5)]) is None
-    assert s.assumed == [] and len(s.trail_lim) == 1
+    assert s.assumed == [lit(5)] and len(s.trail_lim) == 1
     assert s.solve(asn[:2]).status == SAT and s.assumed == asn[:2]
     s.retract()
     assert s.assumed == [] and s.trail_lim == []
@@ -377,6 +367,58 @@ def test_assumed_at_each_exit():
     s = Solver(formula(3, [[1, 2], [1, -2], [-1, 2], [-1, -2]]))
     assert s.solve([lit(3)]).status == UNSAT and s.root_conflict is not None
     assert s.assumed == [] and s.trail_lim == []
+
+
+def test_assume_propagate_keeps_a_shared_prefix():
+    # x1 implies x2 and x3 implies x4; the second call repeats x1, x3
+    s = Solver(formula(6, [[-1, 2], [-3, 4], [-5, 6]]))
+    assert s.assume_propagate([lit(1), lit(3), lit(5)]) is None
+    trail, lim = list(s.trail), list(s.trail_lim)
+    opened = []
+    s._open_level = lambda l: (opened.append(l), Solver._open_level(s, l))
+    asserted = [lit(1), lit(3), lit(6, negative=True)]
+    assert s.assume_propagate(asserted) is None
+    assert opened == asserted[2:] and s.trail_lim[:2] == lim[:2]
+    assert s.trail[: lim[2]] == trail[: lim[2]] and s.assumed == asserted
+    assert lit(5, negative=True) in s.trail
+
+
+def test_assume_propagate_drops_a_conflicting_level():
+    # under x1, which implies x2, asserting x3 implies x4 and empties [-x2, -x3, -x4]
+    s = Solver(formula(4, [[-1, 2], [-1, -3, 4], [-2, -3, -4]]))
+    asserted = [lit(1), lit(3)]
+    first = s.assume_propagate(asserted)
+    assert sorted(first) == [5, 7, 9] and s.assumed == [lit(1)] and len(s.trail_lim) == 2
+    assert s.assume_propagate(asserted) == first
+    assert s.assumed == [lit(1)]
+
+
+def test_assume_propagate_reports_a_literal_an_earlier_one_made_false():
+    # x1 implies x2, so asserting -x2 after x1 reports x2's reason clause
+    s = Solver(formula(3, [[-1, 2]]))
+    asserted = [lit(1), lit(2, negative=True)]
+    confl = s.assume_propagate(asserted)
+    assert sorted(confl) == [3, 4] and s.level[2] == 1
+    assert_conflict_report(s, confl, asserted)
+    assert s.assumed == [lit(1)] and s.trail_lim == [0]
+
+
+def test_solve_after_assume_propagate_answers_as_a_fresh_solver():
+    rng = SplitMix64(35)
+    conflicts = statuses = 0
+    for _ in range(200):
+        f = random_formula(rng)
+        n = f.num_vars
+        asn = [lit(v, negative=rng.chance(1, 2)) for v in rng.sample(1, n, rng.randint(2, n))]
+        s = Solver(f)
+        conflicts += s.assume_propagate(asn[:2]) is not None
+        got, want = s.solve(asn), Solver(f).solve(asn)
+        assert got.status == want.status, (f, asn)
+        if got.status == SAT:
+            assert model_satisfies(f, got.model)
+            assert set(asn) <= {lit(abs(v), negative=v < 0) for v in got.model}
+        statuses += got.status == SAT
+    assert conflicts >= 20 and 20 <= statuses <= 180
 
 
 # --- differential harness ---

@@ -11,7 +11,7 @@ from pbcnf import SAT, TIMEOUT, UNSAT, CnfFormula, Solver, SolveResult, SplitMix
 from pbcnf import lit, negate, random_normalized_constraint
 from pbcnf.engine import FALSE, TRUE, UNDEF
 
-from conftest import Rup, check_search, clause_index, pb12
+from conftest import Rup, assert_conflict_report, check_search, clause_index, pb12
 
 
 def assert_heap_invariant(s):
@@ -125,7 +125,8 @@ def test_conflict_after_a_moved_watch():
 @pytest.mark.parametrize("encoding", ["gte", "swc", "adder"])
 def test_assumption_sweeps(encoding):
     """A solver reused across calls, assumptions most significant bit first as in `oracle_check`, answers as
-    one retracted before each call, which keeps no assumption levels; then propagations, checked by `Rup`."""
+    one retracted before each call, which keeps no assumption levels; then propagations, each keeping the
+    levels of the one before, checked by `Rup`."""
     rng = SplitMix64(23)
     for _ in range(12):
         c = random_normalized_constraint(rng, 8, 12, 40)
@@ -150,6 +151,8 @@ def test_assumption_sweeps(encoding):
             for s in (got, want):
                 confl = s.assume_propagate(partial)
                 assert (confl is None) == (true is not None)
-                assert (set(s.trail) == true) if confl is None else all(s.val[l] == FALSE for l in confl)
-                s.retract()
-                assert_heap_invariant(s)
+                if confl is None:
+                    assert set(s.trail) == true
+                else:
+                    assert_conflict_report(s, confl, partial)
+                assert_invariants(s)
