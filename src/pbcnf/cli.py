@@ -10,7 +10,8 @@ Exit codes: 0 success; 10 satisfiable; 20 unsatisfiable; 1 usage error;
 2 I/O or parse error, an external solver that cannot be run or answers
 in an unrecognized form, or a reader that closes stdout early;
 3 verification failure, or a SAT model that breaks one of the input's
-constraints.  Set PBCNF_SOLVER to hand solving to an external binary (a
+constraints; 4 out of memory (an input that needs more than the process
+may allocate).  Set PBCNF_SOLVER to hand solving to an external binary (a
 command line split with shell-style quoting, invoked with a DIMACS path
 appended) that prints SAT or UNSAT and the model's signed literals, or
 the SAT competition's `s` line and `v` model lines.
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
+EXIT_MEMORY = 4
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 
@@ -324,6 +326,9 @@ def main(argv=None) -> int:
     except _Failure as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except MemoryError:
+        print("error: out of memory: the input needs more than this process may allocate", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 def console() -> None:

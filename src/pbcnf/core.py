@@ -31,13 +31,21 @@ def gc_paused():
     hold no reference cycles, such as the solver's per-variable lists, which
     collections set off by the build would only re-walk.  Only a collector
     this call disabled is re-enabled, so nesting and callers that disabled it
-    themselves keep their state."""
+    themselves keep their state.  A build that returns is then moved into the
+    oldest generation, with every other object the collector tracks, by
+    `gc.freeze()` and `gc.unfreeze()` (two list splices), so that no young or
+    middle collection walks it again; a caller's young garbage cycles wait for
+    the next full collection.  A caller that froze objects itself keeps them
+    frozen: then nothing is moved."""
     if not gc.isenabled():
         yield
         return
     gc.disable()
     try:
         yield
+        if not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
     finally:
         gc.enable()
 

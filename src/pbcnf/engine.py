@@ -36,8 +36,11 @@ order and then the learned ones.  Code 0 is never a literal, so it ends the
 clause; a tautology is kept as the code 1, which is never a literal either,
 and its 0.  `CnfFormula.lits` has the same layout, so loading copies it with
 `list(...)` (propagation reorders the copy's watched literals in place),
-rewrites only the clauses that repeat a variable, and builds the watches.
-Inside the engine a clause is named by its offset, the position
+reads it by index, rewrites only the clauses that repeat a variable, and
+builds the watches.  Two or three literals are told by reading at most four
+codes; a longer clause over distinct variables is kept as read.  `gc_paused`
+leaves the new store in the collector's oldest generation.  Inside the
+engine a clause is named by its offset, the position
 of its first literal: watch lists and `reason` hold offsets, and the watched
 literals are the first two.  Wherever the API reports a conflict
 (`root_conflict`, the result of `assume_propagate`) it gives the literals of
@@ -61,6 +64,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
+from operator import rshift
 
 from .core import Clauses, gc_paused
 
@@ -116,12 +121,14 @@ class Solver:
             top = 2 * nv + 1
             r = w = 0  # read and write cursors: the clause read at r is stored at w
             while r < end:
-                a, b, c, d = lits[r : r + 4]
-                # fast path: two literals (c is 0) or three (d is 0) over
-                # distinct variables in 1..num_vars need no dedupe (a ^ b > 1
-                # exactly when a and b differ in variable)
+                # fast path: two literals (c is 0) or three (the fourth code is
+                # 0) over distinct variables in 1..num_vars need no dedupe
+                # (a ^ b > 1 exactly when a and b differ in variable)
+                a = lits[r]
+                b = lits[r + 1]
+                c = lits[r + 2]
                 if a ^ b > 1 and 1 < a <= top and 1 < b <= top and (
-                    not c or not d and a ^ c > 1 and b ^ c > 1 and 1 < c <= top
+                    not c or not lits[r + 3] and a ^ c > 1 and b ^ c > 1 and 1 < c <= top
                 ):
                     n = 4 if c else 3
                     if w != r:
@@ -139,6 +146,16 @@ class Solver:
                 if cl and min(cl) < 2:
                     idx = formula.lits[:r].count(0)
                     raise ValueError(f"clause {idx} holds literal code {min(cl)}, below 2, the code of x1")
+                if len(cl) > 3 and len(set(map(rshift, cl, repeat(1)))) == len(cl):
+                    # four or more literals over distinct variables: kept as read
+                    n = z + 1 - r
+                    if w != r:
+                        lits[w : w + n] = lits[r : r + n]
+                    watches[a].append(w)
+                    watches[b].append(w)
+                    r += n
+                    w += n
+                    continue
                 r = z + 1
                 kept = dict.fromkeys(cl)  # its distinct literals, in order
                 if any(l ^ 1 in kept for l in kept):

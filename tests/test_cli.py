@@ -1,5 +1,6 @@
 import csv
 import os
+import resource
 import subprocess
 import sys
 
@@ -373,6 +374,18 @@ def test_solve_embedded_wrong_model_is_verification_failure(tmp_path, capsys, mo
     assert err == "error: the model violates constraint 2 (2 x2 + 1 x3 >= 2)\n"
 
 
+OUT_OF_MEMORY = "error: out of memory: the input needs more than this process may allocate\n"
+
+
+def test_out_of_memory_is_exit_4(reference_file, capsys, monkeypatch):
+    def no_memory(formula):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "Solver", no_memory)
+    rc = main(["solve", reference_file])
+    assert (rc, capsys.readouterr()) == (4, ("", OUT_OF_MEMORY))
+
+
 @pytest.mark.parametrize(
     "answer,rc,out",
     [
@@ -703,6 +716,24 @@ def test_warning_is_one_line():
     assert proc.returncode == 0
     assert proc.stderr.splitlines()[0] == "warning: instance uses x2 beyond the declared 1 variables; extending"
     assert "UserWarning" not in proc.stderr
+
+
+def test_huge_declared_count_is_out_of_memory():
+    # the solver sizes its arrays by the header's count, 10**11 here; under a
+    # 4 GB address-space cap the first of them cannot be allocated
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 4 * 10**9 if hard == resource.RLIM_INFINITY else min(hard, 4 * 10**9)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "pbcnf", "solve", "-"],
+        input="* #variable= 99999999999 #constraint= 1\n+1 x1 <= 0 ;\n",
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", OUT_OF_MEMORY)
 
 
 def test_import_starts_no_subprocess_machinery():

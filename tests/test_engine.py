@@ -202,6 +202,51 @@ def test_solver_loads_a_long_clause_in_linear_time():
     assert s.clauses[0] is None
 
 
+# one clause of each kind the loader tells apart, after a first clause it
+# shortens, so every later clause is moved down as it is stored
+LOADED = [
+    [1, 1, 2],  # a repeated literal: stored as [x1, x2]
+    [3, -4],  # two literals
+    [-1, 2, 5],  # three literals
+    [1, -2, 3, 4],  # four literals over distinct variables: stored as read
+    [2, 5, 2, 6, -3],  # a long clause with a repeated literal
+    [4, -4, 1],  # a tautology: stored as the code 1
+    [-6],  # a unit
+    [],  # the empty clause
+]
+
+
+def test_solver_load_stores_and_watches_each_kind_of_clause():
+    s = Solver(formula(6, LOADED))
+    assert s.lits == [
+        2, 4, 0,
+        6, 9, 0,
+        3, 4, 10, 0,
+        2, 5, 6, 8, 0,
+        4, 10, 12, 7, 0,
+        1, 0,
+        13, 0,
+        0,
+    ]  # fmt: skip
+    watched = {2: [0, 10], 3: [6], 4: [0, 6, 15], 5: [10], 6: [3], 9: [3], 10: [15]}
+    assert s.watches == [watched.get(l, []) for l in range(14)]
+    # the empty clause is the root conflict, so the unit is not asserted
+    assert (s.root_conflict, s.trail) == ([], [])
+
+
+@pytest.mark.parametrize("bad", [[9, 2], [2, 9, -3], [2, -3, 4, -9]], ids=["binary", "ternary", "long"])
+def test_solver_load_names_the_clause_of_an_out_of_range_code(bad):
+    codes = [lit(abs(n), n < 0) for n in bad]
+    for codes, message in (
+        (codes, "names x9, above the formula's 6 variables"),
+        ([1 if l >> 1 == 9 else l for l in codes], "holds literal code 1, below 2, the code of x1"),
+    ):
+        f = formula(6, LOADED)
+        f.lits += codes + [0]
+        with pytest.raises(ValueError, match=rf"^clause 8 {message}$"):
+            Solver(f)
+
+
 def test_assume_propagate_clashing_assertions():
     assert Solver(formula(1, [])).assume_propagate([lit(1), lit(1, negative=True)]) == []
 

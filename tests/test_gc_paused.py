@@ -1,5 +1,6 @@
 """The solver loader pauses the cyclic garbage collector and gives back the
-state it found, whether it returns or raises.  The CNF builders that append
+state it found, whether it returns or raises; a load that returns leaves its
+store in the oldest generation.  The CNF builders that append
 to a flat literal list build no container per clause and need no pause."""
 
 import contextlib
@@ -154,15 +155,36 @@ def test_no_collection_while_loading_or_parsing(monkeypatch):
     # the collector on, yet hardly set it off.
     assert len(collections_during(compile_)) <= 1
     assert len(collections_during(parse)) <= 1
-    # Nothing is collected while the loader builds its per-variable lists.
-    # Re-enabling leaves them all in the young generation, so the first
-    # allocation after the pause (inside `gc_paused`'s own exit) runs one
-    # collection over them.
-    assert len(collections_during(load)) <= 1
-    assert len(collections_during(load_vars)) <= 1
+    # Nothing is collected while the loader builds its per-variable lists,
+    # nor after: the pause moves them into the oldest generation before it
+    # re-enables the collector.
+    assert collections_during(load) == []
+    assert collections_during(load_vars) == []
     # without the pause a load of many variables (a watch list and a heap
     # entry each) collects over and over; the load's clauses go into one
     # literal list, which needs no pause
     monkeypatch.setattr(engine, "gc_paused", contextlib.nullcontext)
     assert len(collections_during(load)) <= 1
     assert len(collections_during(load_vars)) >= 5
+
+
+def young(obj):
+    return any(o is obj for o in gc.get_objects(0))
+
+
+def test_a_load_leaves_its_store_old(gc_state):
+    # only a pause that disabled the collector moves anything
+    s = Solver(compile_constraints([REFERENCE], 4, "gte").formula)
+    assert young(s.lits) != gc_state
+    assert all(young(ws) != gc_state for ws in s.watches)
+
+
+def test_a_callers_freeze_is_kept(gc_state):
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        s = Solver(compile_constraints([REFERENCE], 4, "gte").formula)
+        assert gc.get_freeze_count() == frozen
+        assert young(s.lits)  # nothing was moved
+    finally:
+        gc.unfreeze()
