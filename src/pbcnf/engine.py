@@ -538,6 +538,8 @@ def solve_external(formula, command: str, timeout: float | None = None) -> Solve
     from .dimacs import write_dimacs
 
     argv = shlex.split(command)
+    if not argv:
+        raise ValueError("no program to run")
     path = None
     try:
         with tempfile.NamedTemporaryFile("w", suffix=".cnf", delete=False) as f:

@@ -2,12 +2,76 @@
 
 from __future__ import annotations
 
+import itertools
+import stat
 from collections import defaultdict
+from types import SimpleNamespace
 
-from pbcnf import LE, SAT, UNSAT, CnfFormula, PBConstraint, Term, build_tree, compile_instance, gc_paused, lit
-from pbcnf import gen_bench, pb12like
+from pbcnf import LE, SAT, UNSAT, CnfFormula, PBConstraint, SolveResult, Term, build_tree, compile_instance
+from pbcnf import encode_gte, gc_paused, gen_bench, lit, pb12like
 from pbcnf.engine import FALSE
 from pbcnf.verify import first_violated
+
+# the paper's worked example, its OPB text and its gte encoding to the byte:
+# the tree's left child covers (2, 3) and its right child (3, 3)
+REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
+REFERENCE_OPB = "* #variable= 4 #constraint= 1\n+2 x1 +3 x2 +3 x3 +3 x4 <= 5 ;\n"
+REFERENCE_DIMACS = (
+    "p cnf 13 18\n"
+    "-1 -2 7 0\n"
+    "-1 5 0\n"
+    "-2 6 0\n"
+    "-3 -4 9 0\n"
+    "-3 8 0\n"
+    "-4 8 0\n"
+    "-5 -8 12 0\n"
+    "-5 -9 13 0\n"
+    "-6 -8 13 0\n"
+    "-6 -9 13 0\n"
+    "-7 -8 13 0\n"
+    "-7 -9 13 0\n"
+    "-5 10 0\n"
+    "-6 11 0\n"
+    "-7 12 0\n"
+    "-8 11 0\n"
+    "-9 13 0\n"
+    "-13 0\n"
+)
+# the cardinality constraint on which the adder's propagation gap shows
+CARD4_LE2 = PBConstraint.from_signed([(1, 1), (1, 2), (1, 3), (1, 4)], LE, 2)
+
+
+def encode(c, encoder=encode_gte):
+    """Encode into a fresh formula; the counts come from `out`."""
+    inputs = max(c.variables(), default=0)
+    out = CnfFormula(num_vars=inputs)
+    encoder(c, out)
+    stats = SimpleNamespace(aux_vars=out.num_vars - inputs, aux_clauses=len(out.clauses))
+    return SimpleNamespace(formula=out, stats=stats)
+
+
+def assignments(variables):
+    """Every full assignment of the variables, as {variable: bool}, all false first."""
+    for bits in itertools.product((False, True), repeat=len(variables)):
+        yield dict(zip(variables, bits))
+
+
+def make_stub(folder, name, body):
+    """An executable shell script `folder/name` that runs body; its path."""
+    path = folder / name
+    path.write_text("#!/bin/sh\n" + body)
+    path.chmod(path.stat().st_mode | stat.S_IEXEC)
+    return str(path)
+
+
+class AllTrueEngine:
+    """A stand-in for `Solver` that answers SAT with every variable true."""
+
+    def __init__(self, formula):
+        self.nvars = formula.num_vars
+
+    def solve(self, max_conflicts=None):
+        return SolveResult(SAT, list(range(1, self.nvars + 1)))
 
 
 def formula(num_vars, signed_clauses):

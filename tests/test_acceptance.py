@@ -50,9 +50,7 @@ from pbcnf import (
     stats_csv,
 )
 
-from conftest import eq4_count, node_sums
-
-REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
+from conftest import CARD4_LE2, REFERENCE, eq4_count, node_sums
 
 
 def report(num, ok, detail):
@@ -141,14 +139,13 @@ def test_criterion_4_propagation_completeness_exhaustive():
         results[enc] = (cases, fails)
 
     # the recorded adder gap: x1+x2+x3+x4 <= 2 with two inputs already true
-    card = PBConstraint.from_signed([(1, 1), (1, 2), (1, 3), (1, 4)], LE, 2)
-    compiled = compile_constraints([card], 4, "adder")
+    compiled = compile_constraints([CARD4_LE2], 4, "adder")
     s = Solver(compiled.formula)
     adder_gap = (
         s.assume_propagate([lit(1), lit(2)]) is None
         and lit(3, negative=True) not in s.trail
         and lit(4, negative=True) not in s.trail
-        and bool(oracle_check(card, "adder"))
+        and bool(oracle_check(CARD4_LE2, "adder"))
     )
     elapsed = time.perf_counter() - t0
     ok = (

@@ -9,29 +9,12 @@ import pytest
 from pbcnf import SAT, UNSAT, SolveResult, bench, cli, encode_gte, gac_check, parse_opb, pipeline
 from pbcnf.cli import main
 
-REFERENCE_OPB = "* #variable= 4 #constraint= 1\n+2 x1 +3 x2 +3 x3 +3 x4 <= 5 ;\n"
+from conftest import REFERENCE_DIMACS, REFERENCE_OPB, AllTrueEngine, make_stub
 
-REFERENCE_DIMACS = (
-    "p cnf 13 18\n"
-    "-1 -2 7 0\n"
-    "-1 5 0\n"
-    "-2 6 0\n"
-    "-3 -4 9 0\n"
-    "-3 8 0\n"
-    "-4 8 0\n"
-    "-5 -8 12 0\n"
-    "-5 -9 13 0\n"
-    "-6 -8 13 0\n"
-    "-6 -9 13 0\n"
-    "-7 -8 13 0\n"
-    "-7 -9 13 0\n"
-    "-5 10 0\n"
-    "-6 11 0\n"
-    "-7 12 0\n"
-    "-8 11 0\n"
-    "-9 13 0\n"
-    "-13 0\n"
-)
+
+def run(capsys, *argv):
+    """`main(argv)`: its exit code, then what it wrote to stdout and to stderr."""
+    return (main(list(argv)), *capsys.readouterr())
 
 
 @pytest.fixture
@@ -45,8 +28,7 @@ def reference_file(tmp_path):
 
 
 def test_encode_to_stdout(reference_file, capsys):
-    rc = main(["encode", reference_file, "--encoding", "gte"])
-    out, err = capsys.readouterr()
+    rc, out, err = run(capsys, "encode", reference_file, "--encoding", "gte")
     assert rc == 0
     assert out == REFERENCE_DIMACS
     assert "aux_vars=9" in err
@@ -69,8 +51,7 @@ def test_encode_to_file_byte_identical_reruns(reference_file, tmp_path, capsys):
 
 
 def test_encode_missing_file(capsys):
-    rc = main(["encode", "/nonexistent/nope.opb"])
-    _, err = capsys.readouterr()
+    rc, _, err = run(capsys, "encode", "/nonexistent/nope.opb")
     assert rc == 2
     assert "cannot read" in err
 
@@ -78,8 +59,7 @@ def test_encode_missing_file(capsys):
 def test_encode_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.opb"
     bad.write_text("+1 x1 <=\n")
-    rc = main(["encode", str(bad)])
-    _, err = capsys.readouterr()
+    rc, _, err = run(capsys, "encode", str(bad))
     assert rc == 2
     assert "line 1" in err
 
@@ -97,16 +77,14 @@ def test_encode_parse_error(tmp_path, capsys):
 def test_numbers_past_the_digit_limit_are_parse_errors(tmp_path, capsys, command, text):
     bad = tmp_path / "big.opb"
     bad.write_text(text)
-    rc = main([command, str(bad)])
-    out, err = capsys.readouterr()
+    rc, out, err = run(capsys, command, str(bad))
     assert rc == 2
     assert "line 1" in err and "too long" in err
     assert "Traceback" not in err and not out
 
 
 def test_encode_unwritable_output(reference_file, capsys):
-    rc = main(["encode", reference_file, "/nonexistent/dir/out.cnf"])
-    _, err = capsys.readouterr()
+    rc, _, err = run(capsys, "encode", reference_file, "/nonexistent/dir/out.cnf")
     assert rc == 2
     assert "cannot write" in err
 
@@ -115,15 +93,13 @@ def test_encode_unwritable_output(reference_file, capsys):
 
 
 def test_unknown_encoder_is_usage_error(capsys):
-    rc = main(["verify", "--encoders", "nosuch"])
-    _, err = capsys.readouterr()
+    rc, _, err = run(capsys, "verify", "--encoders", "nosuch")
     assert rc == 1
     assert "unknown encoder" in err
 
 
 def test_stats_without_inputs_is_usage_error(capsys):
-    rc = main(["stats"])
-    _, err = capsys.readouterr()
+    rc, _, err = run(capsys, "stats")
     assert rc == 1
     assert "no instances" in err
 
@@ -135,10 +111,9 @@ def test_bad_flag_is_usage_error(capsys):
 @pytest.mark.parametrize("command", ["encode", "solve"])
 def test_totalizer_encoding_on_weighted_input_is_gte(reference_file, command, capsys):
     # the reference constraint is weighted; the totalizer is gte by another name
-    rc = main([command, reference_file, "--encoding", "totalizer"])
-    out = capsys.readouterr().out
-    assert main([command, reference_file, "--encoding", "gte"]) == rc == {"encode": 0, "solve": 10}[command]
-    assert capsys.readouterr().out == out
+    rc, out, _ = run(capsys, command, reference_file, "--encoding", "totalizer")
+    assert run(capsys, command, reference_file, "--encoding", "gte")[:2] == (rc, out)
+    assert rc == {"encode": 0, "solve": 10}[command]
     assert command == "solve" or out == REFERENCE_DIMACS
 
 
@@ -146,8 +121,7 @@ def test_totalizer_encoding_on_weighted_input_is_gte(reference_file, command, ca
 
 
 def test_solve_sat(reference_file, capsys):
-    rc = main(["solve", reference_file])
-    out, _ = capsys.readouterr()
+    rc, out, _ = run(capsys, "solve", reference_file)
     lines = out.strip().split("\n")
     assert rc == 10
     assert lines[0] == "SAT"
@@ -161,8 +135,7 @@ def test_solve_sat(reference_file, capsys):
 def test_solve_unsat(tmp_path, capsys):
     path = tmp_path / "unsat.opb"
     path.write_text("+1 x1 >= 1 ;\n+1 x1 <= 0 ;\n")
-    rc = main(["solve", str(path)])
-    out, _ = capsys.readouterr()
+    rc, out, _ = run(capsys, "solve", str(path))
     assert rc == 20
     assert out.strip() == "UNSAT"
 
@@ -184,8 +157,7 @@ def pigeonhole_opb(holes):
 def test_solve_conflict_budget_timeout(tmp_path, capsys):
     path = tmp_path / "php.opb"
     path.write_text(pigeonhole_opb(5))
-    rc = main(["solve", str(path), "--max-conflicts", "1"])
-    out, _ = capsys.readouterr()
+    rc, out, _ = run(capsys, "solve", str(path), "--max-conflicts", "1")
     assert rc == 0
     assert out.strip() == "TIMEOUT"
 
@@ -276,8 +248,7 @@ CAP_ERRORS = {"-3": "must be at least 0, not -3", "many": "not an integer: 'many
 )
 def test_bad_conflict_cap_is_usage_error(reference_file, argv, message, capsys):
     # conflict caps and size arguments below their minimum stop at the parser
-    rc = main([reference_file if a == "REF" else a for a in argv])
-    out, err = capsys.readouterr()
+    rc, out, err = run(capsys, *(reference_file if a == "REF" else a for a in argv))
     assert rc == 1
     assert out == ""
     assert message in err
@@ -295,18 +266,12 @@ def test_solve_each_encoding_agrees(tmp_path, capsys):
     path = tmp_path / "php.opb"
     path.write_text(pigeonhole_opb(3))
     for enc in ("gte", "swc", "adder", "auto"):
-        rc = main(["solve", str(path), "--encoding", enc])
-        capsys.readouterr()
-        assert rc == 20, enc
+        assert run(capsys, "solve", str(path), "--encoding", enc)[0] == 20, enc
 
 
 def test_solve_external_via_env(reference_file, tmp_path, capsys, monkeypatch):
-    stub = tmp_path / "ext.sh"
-    stub.write_text("#!/bin/sh\necho SAT\necho '-1 -2 -3 -4 0'\n")
-    stub.chmod(0o755)
-    monkeypatch.setenv("PBCNF_SOLVER", str(stub))
-    rc = main(["solve", reference_file])
-    out, _ = capsys.readouterr()
+    monkeypatch.setenv("PBCNF_SOLVER", make_stub(tmp_path, "ext.sh", "echo SAT\necho '-1 -2 -3 -4 0'\n"))
+    rc, out, _ = run(capsys, "solve", reference_file)
     assert rc == 10
     assert out.splitlines()[1] == "-1 -2 -3 -4"
 
@@ -320,8 +285,7 @@ def test_solve_time_limit_reaches_the_external_solver(reference_file, capsys, mo
 
     monkeypatch.setenv("PBCNF_SOLVER", "stub")
     monkeypatch.setattr(cli, "solve_external", external)
-    assert main(["solve", reference_file, "--time-limit", "0.5"]) == 20
-    assert capsys.readouterr().out == "UNSAT\n"
+    assert run(capsys, "solve", reference_file, "--time-limit", "0.5")[:2] == (20, "UNSAT\n")
     assert seen == [0.5]
 
 
@@ -329,12 +293,8 @@ def test_solve_external_rejects_inconsistent_model(tmp_path, capsys, monkeypatch
     # a 3-variable instance; the answer names x2 with both signs
     path = tmp_path / "three.opb"
     path.write_text("* #variable= 3 #constraint= 1\n+1 x1 +1 x2 +1 x3 >= 1 ;\n")
-    stub = tmp_path / "ext.sh"
-    stub.write_text("#!/bin/sh\necho SAT\necho '1 2 -2 9 0'\n")
-    stub.chmod(0o755)
-    monkeypatch.setenv("PBCNF_SOLVER", str(stub))
-    rc = main(["solve", str(path)])
-    out, err = capsys.readouterr()
+    monkeypatch.setenv("PBCNF_SOLVER", make_stub(tmp_path, "ext.sh", "echo SAT\necho '1 2 -2 9 0'\n"))
+    rc, out, err = run(capsys, "solve", str(path))
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ")
@@ -342,12 +302,8 @@ def test_solve_external_rejects_inconsistent_model(tmp_path, capsys, monkeypatch
 
 def test_solve_external_wrong_model_is_verification_failure(reference_file, tmp_path, capsys, monkeypatch):
     # every x on weighs 11 against the bound 5: the CNF may say what it likes
-    stub = tmp_path / "ext.sh"
-    stub.write_text("#!/bin/sh\necho SAT\necho '1 2 3 4 0'\n")
-    stub.chmod(0o755)
-    monkeypatch.setenv("PBCNF_SOLVER", str(stub))
-    rc = main(["solve", reference_file])
-    out, err = capsys.readouterr()
+    monkeypatch.setenv("PBCNF_SOLVER", make_stub(tmp_path, "ext.sh", "echo SAT\necho '1 2 3 4 0'\n"))
+    rc, out, err = run(capsys, "solve", reference_file)
     assert rc == 3
     assert out == ""
     assert err == "error: the model violates constraint 1 (2 x1 + 3 x2 + 3 x3 + 3 x4 <= 5)\n"
@@ -367,8 +323,7 @@ def test_solve_embedded_wrong_model_is_verification_failure(tmp_path, capsys, mo
             return SolveResult(SAT, [1, -2, 3] + [-v for v in range(4, self.nvars + 1)])
 
     monkeypatch.setattr(cli, "Solver", WrongEngine)
-    rc = main(["solve", str(path)])
-    out, err = capsys.readouterr()
+    rc, out, err = run(capsys, "solve", str(path))
     assert rc == 3
     assert out == ""
     assert err == "error: the model violates constraint 2 (2 x2 + 1 x3 >= 2)\n"
@@ -382,8 +337,7 @@ def test_out_of_memory_is_exit_4(reference_file, capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr(cli, "Solver", no_memory)
-    rc = main(["solve", reference_file])
-    assert (rc, capsys.readouterr()) == (4, ("", OUT_OF_MEMORY))
+    assert run(capsys, "solve", reference_file) == (4, "", OUT_OF_MEMORY)
 
 
 @pytest.mark.parametrize(
@@ -396,23 +350,16 @@ def test_out_of_memory_is_exit_4(reference_file, capsys, monkeypatch):
     ids=["sat", "unsat", "unknown"],
 )
 def test_solve_external_competition_output(reference_file, tmp_path, capsys, monkeypatch, answer, rc, out):
-    stub = tmp_path / "ext.sh"
-    stub.write_text(f"#!/bin/sh\ncat <<'EOF'\n{answer}EOF\n")
-    stub.chmod(0o755)
-    monkeypatch.setenv("PBCNF_SOLVER", str(stub))
-    assert main(["solve", reference_file]) == rc
-    assert capsys.readouterr().out == out
+    monkeypatch.setenv("PBCNF_SOLVER", make_stub(tmp_path, "ext.sh", f"cat <<'EOF'\n{answer}EOF\n"))
+    assert run(capsys, "solve", reference_file)[:2] == (rc, out)
 
 
 def test_solve_external_path_with_space(reference_file, tmp_path, capsys, monkeypatch):
     folder = tmp_path / "dir with space"
     folder.mkdir()
-    stub = folder / "ext.sh"
-    stub.write_text("#!/bin/sh\necho UNSAT\n")
-    stub.chmod(0o755)
+    stub = make_stub(folder, "ext.sh", "echo UNSAT\n")
     monkeypatch.setenv("PBCNF_SOLVER", f'"{stub}" --quiet')
-    rc = main(["solve", reference_file])
-    out, _ = capsys.readouterr()
+    rc, out, _ = run(capsys, "solve", reference_file)
     assert rc == 20
     assert out.strip() == "UNSAT"
 
@@ -431,13 +378,9 @@ def test_solve_external_path_with_space(reference_file, tmp_path, capsys, monkey
     ids=["missing", "garbage", "empty", "bad-model", "twice", "early-zero", "above"],
 )
 def test_solve_external_failure_is_io_error(reference_file, tmp_path, capsys, monkeypatch, script, fragment):
-    stub = tmp_path / "ext.sh"
-    if script is not None:
-        stub.write_text("#!/bin/sh\n" + script)
-        stub.chmod(0o755)
-    monkeypatch.setenv("PBCNF_SOLVER", str(stub))
-    rc = main(["solve", reference_file])
-    out, err = capsys.readouterr()
+    stub = str(tmp_path / "ext.sh") if script is None else make_stub(tmp_path, "ext.sh", script)
+    monkeypatch.setenv("PBCNF_SOLVER", stub)
+    rc, out, err = run(capsys, "solve", reference_file)
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and fragment in err
@@ -445,18 +388,22 @@ def test_solve_external_failure_is_io_error(reference_file, tmp_path, capsys, mo
 
 def test_solve_external_unbalanced_quote_is_io_error(reference_file, capsys, monkeypatch):
     monkeypatch.setenv("PBCNF_SOLVER", '"/no/closing/quote')
-    rc = main(["solve", reference_file])
-    _, err = capsys.readouterr()
+    rc, _, err = run(capsys, "solve", reference_file)
     assert rc == 2
     assert err.startswith("error: ")
+
+
+def test_solve_external_blank_command_is_io_error(reference_file, capsys, monkeypatch):
+    # a command of no words names no program: the DIMACS file must not run
+    monkeypatch.setenv("PBCNF_SOLVER", "   ")
+    assert run(capsys, "solve", reference_file) == (2, "", "error: PBCNF_SOLVER command '   ': no program to run\n")
 
 
 # --- verify / gac-check ---
 
 
 def test_verify_passes_and_reports(capsys):
-    rc = main(["verify", "--trials", "25", "--seed", "2", "--max-n", "5"])
-    out, _ = capsys.readouterr()
+    rc, out, _ = run(capsys, "verify", "--trials", "25", "--seed", "2", "--max-n", "5")
     assert rc == 0
     for enc in ("gte", "swc", "adder"):
         assert f"encoder {enc}: " in out
@@ -465,40 +412,31 @@ def test_verify_passes_and_reports(capsys):
 
 def test_verify_and_gac_check_run_the_totalizer_as_gte(capsys):
     # every constraint is checked, weighted ones included, exactly as under gte
-    assert main(["verify", "--encoders", "totalizer"]) == 0
-    assert capsys.readouterr().out == "encoder totalizer: 100/100 equisatisfiable\n"
-    assert main(["gac-check", "--encoders", "totalizer"]) == 0
-    out = capsys.readouterr().out
-    assert out == "encoder totalizer: 3726/3726 partial assignments fully propagated\n"
-    assert main(["gac-check", "--encoders", "gte"]) == 0
-    assert capsys.readouterr().out == out.replace("totalizer", "gte")
+    assert run(capsys, "verify", "--encoders", "totalizer")[:2] == (0, "encoder totalizer: 100/100 equisatisfiable\n")
+    rc, out, _ = run(capsys, "gac-check", "--encoders", "totalizer")
+    assert (rc, out) == (0, "encoder totalizer: 3726/3726 partial assignments fully propagated\n")
+    assert run(capsys, "gac-check", "--encoders", "gte")[:2] == (0, out.replace("totalizer", "gte"))
 
 
 def test_gac_check_clean_encoders(capsys):
-    rc = main(["gac-check", "--constraints", "8", "--seed", "2", "--max-n", "5"])
-    out, _ = capsys.readouterr()
+    rc, out, _ = run(capsys, "gac-check", "--constraints", "8", "--seed", "2", "--max-n", "5")
     assert rc == 0
     assert "encoder gte: " in out
     assert "encoder swc: " in out
 
 
 def test_gac_check_flags_adder(capsys):
-    rc = main(
-        ["gac-check", "--encoders", "adder", "--constraints", "12", "--seed", "4", "--max-n", "5"]
-    )
-    out, _ = capsys.readouterr()
+    rc, out, _ = run(capsys, "gac-check", "--encoders", "adder", "--constraints", "12", "--seed", "4", "--max-n", "5")
     assert rc == 3
     assert "FAIL adder" in out
     assert "not propagated" in out
 
 
 def test_gac_check_prints_at_most_five_fail_lines(capsys):
-    rc = main(
-        ["gac-check", "--encoders", "adder", "--constraints", "12", "--seed", "4", "--max-n", "5"]
-    )
+    rc, out, _ = run(capsys, "gac-check", "--encoders", "adder", "--constraints", "12", "--seed", "4", "--max-n", "5")
     assert rc == 3
     head = "FAIL adder: 8 ~x5 + 7 x1 + 2 x3 + 2 ~x2 <= 10 partial="
-    assert capsys.readouterr().out == (
+    assert out == (
         f"{head}[-5] not propagated: [-1]\n"
         f"{head}[1] not propagated: [5]\n"
         f"{head}[-5, -3] not propagated: [-1]\n"
@@ -520,9 +458,10 @@ def test_gac_check_reports_a_conflict_as_a_conflict(capsys, monkeypatch):
     reports = gac_check(parse_opb(REFERENCE_OPB).constraints[0], "gte")
     conflicted = [r for r in reports if r.conflicted]
     assert conflicted and not any(r.passed for r in conflicted)
-    assert main(["gac-check", "--encoders", "gte", "--constraints", "2"]) == 3
+    rc, out, _ = run(capsys, "gac-check", "--encoders", "gte", "--constraints", "2")
+    assert rc == 3
     head = "FAIL gte: 7 x4 + 4 x5 + 2 x3 + 1 x6 + 6 ~x1 + 6 x2 <= 11 partial="
-    assert capsys.readouterr().out == (
+    assert out == (
         f"{head}[4] propagation conflict\n"
         f"{head}[4, -5] propagation conflict\n"
         f"{head}[4, 5] propagation conflict\n"
@@ -541,9 +480,9 @@ def test_verify_prints_each_failure(capsys, monkeypatch):
             del out.lits[-2:]
 
     monkeypatch.setitem(pipeline.ENCODERS, "gte", dropping_last)
-    rc = main(["verify", "--encoders", "gte", "--trials", "3", "--seed", "1", "--max-n", "4"])
+    rc, out, _ = run(capsys, "verify", "--encoders", "gte", "--trials", "3", "--seed", "1", "--max-n", "4")
     assert rc == 3
-    assert capsys.readouterr().out == (
+    assert out == (
         "FAIL gte: 1 x2 + 6 x1 <= 6 under {2: True, 1: True}: constraint=False cnf=True\n"
         "FAIL gte: 3 ~x3 + 7 x1 + 10 x2 <= 11 under {3: False, 1: False, 2: True}: "
         "constraint=False cnf=True\n"
@@ -555,11 +494,10 @@ def test_verify_prints_each_failure(capsys, monkeypatch):
 
 
 def test_stats_generated_csv(capsys):
-    rc = main(
-        ["stats", "--generate", "pb12like", "--count", "2", "--n", "8",
-         "--constraints", "3", "--seed", "6", "--encoders", "gte,swc"]
+    rc, out, _ = run(
+        capsys, "stats", "--generate", "pb12like", "--count", "2", "--n", "8",
+        "--constraints", "3", "--seed", "6", "--encoders", "gte,swc",
     )
-    out, _ = capsys.readouterr()
     assert rc == 0
     lines = out.strip().split("\n")
     assert lines[0] == "instance,encoder,aux_vars,aux_clauses,encode_ms,solve_ms,result"
@@ -570,16 +508,14 @@ def test_stats_generated_csv(capsys):
 
 
 def test_stats_auto_writes_nothing_to_stderr(reference_file, capsys):
-    rc = main(["stats", reference_file, "--encoders", "auto"])
-    out, err = capsys.readouterr()
+    rc, out, err = run(capsys, "stats", reference_file, "--encoders", "auto")
     assert rc == 0
     assert err == ""
     assert out.startswith("instance,encoder,")
 
 
 def test_stats_reads_opb_files(reference_file, capsys):
-    rc = main(["stats", reference_file, "--encoders", "gte,swc,adder,totalizer"])
-    out, _ = capsys.readouterr()
+    _, out, _ = run(capsys, "stats", reference_file, "--encoders", "gte,swc,adder,totalizer")
     rows = out.strip().split("\n")[1:]
     cells = [r.split(",") for r in rows]
     assert [c[1] for c in cells] == ["gte", "swc", "adder", "totalizer"]
@@ -602,16 +538,8 @@ def test_stats_quotes_a_label_with_a_comma_or_a_quote(tmp_path, capsys):
 
 def test_stats_wrong_model_is_verification_failure(reference_file, capsys, monkeypatch):
     # stats checks each SAT model against the input's constraints, as solve does
-    class WrongEngine:
-        def __init__(self, formula):
-            self.nvars = formula.num_vars
-
-        def solve(self, max_conflicts=None):
-            return SolveResult(SAT, list(range(1, self.nvars + 1)))
-
-    monkeypatch.setattr(bench, "Solver", WrongEngine)
-    rc = main(["stats", reference_file, "--encoders", "gte"])
-    out, err = capsys.readouterr()
+    monkeypatch.setattr(bench, "Solver", AllTrueEngine)
+    rc, out, err = run(capsys, "stats", reference_file, "--encoders", "gte")
     assert rc == 3
     assert out == ""
     assert err == "error: ref under gte: the model violates constraint 1 (2 x1 + 3 x2 + 3 x3 + 3 x4 <= 5)\n"
@@ -621,8 +549,7 @@ def test_stats_wrong_model_is_verification_failure(reference_file, capsys, monke
 
 
 def test_gen_bench_roundtrips(capsys):
-    rc = main(["gen-bench", "--family", "pedigreelike", "--n", "12", "--seed", "9"])
-    out, _ = capsys.readouterr()
+    rc, out, _ = run(capsys, "gen-bench", "--family", "pedigreelike", "--n", "12", "--seed", "9")
     assert rc == 0
     assert "family= pedigreelike seed= 9 prng= splitmix64" in out
     inst = parse_opb(out)
@@ -632,25 +559,22 @@ def test_gen_bench_roundtrips(capsys):
 
 @pytest.mark.parametrize("command", [["gen-bench", "--family"], ["stats", "--generate"]])
 def test_pedigreelike_below_two_weights_is_usage_error(command, capsys):
-    rc = main([*command, "pedigreelike", "--max-weight", "1"])
-    out, err = capsys.readouterr()
+    rc, out, err = run(capsys, *command, "pedigreelike", "--max-weight", "1")
     assert rc == 1
     assert out == ""
     assert err == "error: pedigreelike needs a max_weight of at least 2, not 1\n"
 
 
 def test_gen_bench_deterministic(capsys):
-    main(["gen-bench", "--family", "pb12like", "--n", "10", "--seed", "3"])
-    first, _ = capsys.readouterr()
-    main(["gen-bench", "--family", "pb12like", "--n", "10", "--seed", "3"])
-    second, _ = capsys.readouterr()
-    assert first == second
+    argv = ["gen-bench", "--family", "pb12like", "--n", "10", "--seed", "3"]
+    assert run(capsys, *argv)[1] == run(capsys, *argv)[1]
 
 
 def test_gen_bench_takes_every_64_bit_seed(capsys):
     for seed in (0, 2**64 - 1):
-        assert main(["gen-bench", "--family", "pedigreelike", "--n", "4", "--seed", str(seed)]) == 0
-        assert f"seed= {seed} " in capsys.readouterr().out
+        rc, out, _ = run(capsys, "gen-bench", "--family", "pedigreelike", "--n", "4", "--seed", str(seed))
+        assert rc == 0
+        assert f"seed= {seed} " in out
 
 
 @pytest.mark.parametrize("family, flag, field", [
@@ -661,25 +585,21 @@ def test_gen_bench_header_names_every_spec_field(capsys, family, flag, field):
     # runs that write different constraints write different headers
     headers = []
     for value in (3, 7):
-        main(["gen-bench", "--family", family, "--n", "6", "--constraints", "2", flag, str(value)])
-        headers.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("*")])
+        _, out, _ = run(capsys, "gen-bench", "--family", family, "--n", "6", "--constraints", "2", flag, str(value))
+        headers.append([line for line in out.splitlines() if line.startswith("*")])
         assert field.format(value) in headers[-1][-1]
     assert headers[0] != headers[1]
 
 
 def test_gen_bench_header_shows_a_k_the_family_ignores(capsys):
-    main(["gen-bench", "--family", "pb12like", "--n", "6", "--k", "5"])
-    assert "k= None" in capsys.readouterr().out
+    assert "k= None" in run(capsys, "gen-bench", "--family", "pb12like", "--n", "6", "--k", "5")[1]
 
 
 def test_gen_bench_feeds_encode(tmp_path, capsys):
-    main(["gen-bench", "--family", "pedigreelike", "--n", "10", "--seed", "5"])
-    opb, _ = capsys.readouterr()
+    _, opb, _ = run(capsys, "gen-bench", "--family", "pedigreelike", "--n", "10", "--seed", "5")
     path = tmp_path / "gen.opb"
     path.write_text(opb)
-    rc = main(["encode", str(path), str(tmp_path / "gen.cnf")])
-    capsys.readouterr()
-    assert rc == 0
+    assert run(capsys, "encode", str(path), str(tmp_path / "gen.cnf"))[0] == 0
     assert (tmp_path / "gen.cnf").read_text().startswith("p cnf ")
 
 

@@ -7,39 +7,25 @@ satisfy their formulas.
 """
 
 import itertools
-import os
-import stat
 
 import pytest
 
 from pbcnf import (
-    LE,
     SAT,
     TIMEOUT,
     UNSAT,
     CnfFormula,
-    PBConstraint,
     Solver,
     SplitMix64,
     compile_constraints,
-    encode_gte,
     lit,
-    negate,
     random_normalized_constraint,
     solve,
     solve_external,
 )
 from pbcnf.engine import FALSE, TRUE, UNDEF
 
-from conftest import assert_conflict_report, formula
-
-REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
-
-
-def encode_reference():
-    out = CnfFormula(num_vars=4)
-    encode_gte(REFERENCE, out)
-    return out
+from conftest import REFERENCE, assert_conflict_report, encode, formula, make_stub
 
 
 def brute_force_status(f):
@@ -252,7 +238,7 @@ def test_assume_propagate_clashing_assertions():
 
 
 def test_assume_propagate_on_reference_encoding_is_arc_consistent():
-    s = Solver(encode_reference())
+    s = Solver(encode(REFERENCE).formula)
     # x2 true leaves only weight 2 of budget: both 3-weight terms must go off
     assert s.assume_propagate([lit(2)]) is None
     assert {lit(3, negative=True), lit(4, negative=True)} <= set(s.trail)
@@ -261,7 +247,7 @@ def test_assume_propagate_on_reference_encoding_is_arc_consistent():
 
 
 def test_assume_propagate_is_monotone():
-    s = Solver(encode_reference())
+    s = Solver(encode(REFERENCE).formula)
     assert s.assume_propagate([lit(2)]) is None
     small = set(s.trail)
     assert s.assume_propagate([lit(2), lit(1)]) is None
@@ -295,7 +281,7 @@ def test_solve_handles_tautologies_and_duplicates():
 
 
 def test_solve_with_assumptions():
-    f = encode_reference()
+    f = encode(REFERENCE).formula
     r = solve(f, assumptions=[lit(1), lit(2)])  # 2 + 3 = 5, still fine
     assert r.status == SAT
     assignment = {abs(n): n > 0 for n in r.model}
@@ -381,7 +367,7 @@ def test_solve_is_deterministic():
 
 
 def test_assume_propagate_and_retract():
-    s = Solver(encode_reference())
+    s = Solver(encode(REFERENCE).formula)
     assert s.assume_propagate([lit(2)]) is None
     assert lit(3, negative=True) in s.trail[s.trail_lim[0] :]
     s.retract()
@@ -666,13 +652,6 @@ def test_kept_assumption_levels_match_a_fresh_solver():
 # --- external solver hand-off ---
 
 
-def make_stub(tmp_path, name, body):
-    path = tmp_path / name
-    path.write_text("#!/bin/sh\n" + body)
-    path.chmod(path.stat().st_mode | stat.S_IEXEC)
-    return str(path)
-
-
 def test_external_solver_sat_with_padding(tmp_path):
     cmd = make_stub(tmp_path, "fake_sat.sh", 'echo SAT\necho "1 -2 0"\n')
     r = solve_external(formula(4, [[1, 2]]), cmd)
@@ -697,6 +676,12 @@ def test_external_solver_receives_dimacs(tmp_path):
 def test_external_solver_timeout(tmp_path):
     cmd = make_stub(tmp_path, "fake_slow.sh", "sleep 5\necho UNSAT\n")
     assert solve_external(formula(1, [[1]]), cmd, timeout=0.2).status == TIMEOUT
+
+
+def test_external_solver_blank_command_raises():
+    # shlex.split gives no words; the DIMACS file itself must not be run
+    with pytest.raises(ValueError, match="no program to run"):
+        solve_external(formula(1, [[1]]), "   ")
 
 
 def test_external_solver_garbage_raises(tmp_path):

@@ -9,10 +9,8 @@ import gc
 import pytest
 
 from pbcnf import (
-    LE,
     CnfFormula,
     DimacsError,
-    PBConstraint,
     Solver,
     compile_constraints,
     compile_instance,
@@ -26,7 +24,7 @@ from pbcnf import (
 )
 from pbcnf import engine, pipeline
 
-REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
+from conftest import REFERENCE
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])

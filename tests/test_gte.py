@@ -9,13 +9,11 @@ direct enumeration oracle.
 
 import hashlib
 import itertools
-from types import SimpleNamespace
 
 from pbcnf import (
     LE,
     SAT,
     UNSAT,
-    CnfFormula,
     PBConstraint,
     Solver,
     SplitMix64,
@@ -23,7 +21,6 @@ from pbcnf import (
     build_tree,
     dimacs_str,
     encode_auto,
-    encode_gte,
     lit,
     random_normalized_constraint,
     solve,
@@ -31,31 +28,7 @@ from pbcnf import (
 from pbcnf import gte
 from pbcnf.gte import merge_sums
 
-from conftest import by_weight, node_sums
-
-REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
-
-REFERENCE_DIMACS = (
-    "p cnf 13 18\n"
-    "-1 -2 7 0\n"
-    "-1 5 0\n"
-    "-2 6 0\n"
-    "-3 -4 9 0\n"
-    "-3 8 0\n"
-    "-4 8 0\n"
-    "-5 -8 12 0\n"
-    "-5 -9 13 0\n"
-    "-6 -8 13 0\n"
-    "-6 -9 13 0\n"
-    "-7 -8 13 0\n"
-    "-7 -9 13 0\n"
-    "-5 10 0\n"
-    "-6 11 0\n"
-    "-7 12 0\n"
-    "-8 11 0\n"
-    "-9 13 0\n"
-    "-13 0\n"
-)
+from conftest import REFERENCE, REFERENCE_DIMACS, assignments, by_weight, encode, node_sums
 
 
 def subset_sums_oracle(weights, k):
@@ -65,15 +38,6 @@ def subset_sums_oracle(weights, k):
         for combo in itertools.combinations(range(len(weights)), r):
             seen.add(min(sum(weights[i] for i in combo), k + 1))
     return sorted(seen)
-
-
-def encode(c, encoder=encode_gte):
-    """Encode into a fresh formula; the counts come from `out`."""
-    inputs = max(c.variables(), default=0)
-    out = CnfFormula(num_vars=inputs)
-    encoder(c, out)
-    stats = SimpleNamespace(aux_vars=out.num_vars - inputs, aux_clauses=len(out.clauses))
-    return SimpleNamespace(formula=out, stats=stats)
 
 
 def test_reference_tree_sums():
@@ -208,8 +172,7 @@ def test_only_forward_direction_constrained():
 
 def test_semantics_on_all_full_assignments():
     res = encode(REFERENCE)
-    for bits in itertools.product((False, True), repeat=4):
-        assignment = dict(zip((1, 2, 3, 4), bits))
+    for assignment in assignments((1, 2, 3, 4)):
         assumptions = [lit(v, negative=not val) for v, val in assignment.items()]
         r = solve(res.formula, assumptions=assumptions)
         assert (r.status == SAT) == REFERENCE.holds(assignment), assignment

@@ -7,7 +7,6 @@ test at the bottom is the authority: the rewrite must preserve the set of
 satisfying assignments exactly.
 """
 
-import itertools
 import time
 
 from hypothesis import given, settings
@@ -21,8 +20,9 @@ from pbcnf import (
     PBConstraint,
     lit,
     normalize,
-    to_signed,
 )
+
+from conftest import assignments
 
 
 def norm(pairs, relation, bound):
@@ -111,19 +111,13 @@ def test_equality_splits():
 
 
 def _models(c: PBConstraint, variables):
-    sat = set()
-    for bits in itertools.product((False, True), repeat=len(variables)):
-        a = dict(zip(variables, bits))
-        if c.holds(a):
-            sat.add(bits)
-    return sat
+    return {tuple(a.values()) for a in assignments(variables) if c.holds(a)}
 
 
 def _outcome_models(out, variables):
     """Satisfying assignments of a NormalizationOutcome, by enumeration."""
     sat = set()
-    for bits in itertools.product((False, True), repeat=len(variables)):
-        a = dict(zip(variables, bits))
+    for a in assignments(variables):
         ok = True
         for part in out.flatten():
             if part.kind is OutcomeKind.TRIVIALLY_FALSE:
@@ -137,7 +131,7 @@ def _outcome_models(out, variables):
             if not ok:
                 break
         if ok:
-            sat.add(bits)
+            sat.add(tuple(a.values()))
     return sat
 
 

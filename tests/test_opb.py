@@ -19,6 +19,8 @@ from pbcnf import (
     write_opb,
 )
 
+from conftest import assignments
+
 
 def test_parse_basic():
     text = "* #variable= 4 #constraint= 1\n+2 x1 +3 x2 +3 x3 +3 x4 <= 5 ;\n"
@@ -156,13 +158,10 @@ def test_write_folds_negated_literals():
 
 
 def test_write_parse_roundtrip_preserves_semantics():
-    import itertools
-
     c = PBConstraint.from_signed([(2, 1), (3, -2), (1, 3)], LE, 4)
     inst = PbInstance(declared_vars=3, constraints=[c])
     back = parse_opb(write_opb(inst)).constraints[0]
-    for bits in itertools.product((False, True), repeat=3):
-        a = dict(zip((1, 2, 3), bits))
+    for a in assignments((1, 2, 3)):
         assert c.holds(a) == back.holds(a), a
 
 
@@ -218,9 +217,5 @@ def test_roundtrip_random_constraints(pairs, relation, bound):
     c = PBConstraint.from_signed(pairs, relation, bound)
     n = max(c.variables())
     back = parse_opb(write_opb(PbInstance(n, [c]))).constraints[0]
-    import itertools
-
-    variables = sorted(c.variables())
-    for bits in itertools.product((False, True), repeat=len(variables)):
-        a = dict(zip(variables, bits))
+    for a in assignments(sorted(c.variables())):
         assert c.holds(a) == back.holds(a)

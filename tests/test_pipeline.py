@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from pbcnf import (
@@ -30,7 +28,7 @@ from pbcnf import (
 )
 from pbcnf.pipeline import ENCODERS, ENCODING_NAMES
 
-from conftest import by_weight
+from conftest import REFERENCE, assignments, by_weight
 
 
 @pytest.mark.parametrize("encoding", ENCODING_NAMES)
@@ -145,11 +143,10 @@ def test_ge_and_eq_compile_correctly():
     for encoding in ("gte", "swc", "adder", "auto"):
         compiled = compile_constraints([ge, eq], 2, encoding)
         models = []
-        for bits in itertools.product((False, True), repeat=2):
-            a = dict(zip((1, 2), bits))
+        for a in assignments((1, 2)):
             assumptions = [lit(v, negative=not val) for v, val in a.items()]
             if solve(compiled.formula, assumptions=assumptions).status == SAT:
-                models.append(bits)
+                models.append(tuple(a.values()))
         assert models == [(True, False)], encoding
 
 
@@ -177,7 +174,7 @@ def test_compile_instance_uses_declared_universe():
 
 def test_aggregate_counts_add_up():
     constraints = [
-        PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5),
+        REFERENCE,
         PBConstraint.from_signed([(1, 1), (1, 4)], GE, 1),
     ]
     compiled = compile_constraints(constraints, 4, "gte")
@@ -188,8 +185,7 @@ def test_aggregate_counts_add_up():
 def test_sizes_follow_the_formula():
     # aux_vars and aux_clauses are read off the formula, so what a caller
     # adds after compiling counts too
-    c = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
-    compiled = compile_constraints([c], 4, "gte")
+    compiled = compile_constraints([REFERENCE], 4, "gte")
     assert (compiled.aux_vars, compiled.aux_clauses) == (9, 18)
     compiled.formula.add_clause([lit(1), lit(2)])
     assert (compiled.aux_vars, compiled.aux_clauses) == (9, 19)

@@ -7,7 +7,6 @@ counter pass all of them.
 """
 
 import hashlib
-import itertools
 
 import pytest
 
@@ -32,10 +31,7 @@ from pbcnf import (
 )
 from pbcnf.bench import CSV_HEADER
 
-from conftest import eq4_count, node_sums, random_constraint
-
-REFERENCE = PBConstraint.from_signed([(2, 1), (3, 2), (3, 3), (3, 4)], LE, 5)
-CARD4_LE2 = PBConstraint.from_signed([(1, 1), (1, 2), (1, 3), (1, 4)], LE, 2)
+from conftest import CARD4_LE2, REFERENCE, AllTrueEngine, eq4_count, node_sums, random_constraint
 
 
 # --- subset-sum counting ---
@@ -337,16 +333,9 @@ def test_stats_compare_raises_on_an_unknown_encoder():
 def test_stats_compare_checks_every_model(monkeypatch):
     # a solver whose model breaks the first constraint: every variable on
     # weighs 11 against the bound 5
-    from pbcnf import SAT, PbInstance, SolveResult, bench
+    from pbcnf import PbInstance, bench
 
-    class WrongEngine:
-        def __init__(self, formula):
-            self.nvars = formula.num_vars
-
-        def solve(self, max_conflicts=None):
-            return SolveResult(SAT, list(range(1, self.nvars + 1)))
-
-    monkeypatch.setattr(bench, "Solver", WrongEngine)
+    monkeypatch.setattr(bench, "Solver", AllTrueEngine)
     with pytest.raises(RuntimeError) as e:
         stats_compare(PbInstance(4, [REFERENCE, CARD4_LE2]), ["swc", "gte"], label="ref")
     assert str(e.value) == (
